@@ -46,8 +46,10 @@ __all__ = [
     "ReleaseOutput",
     "domain_size",
     "sparse_domain",
+    "domain_blocks",
     "composition_matrix",
     "quality_score",
+    "score_rows",
     "score_sensitivity",
     "exponent_divisor",
     "softmax_probabilities",
@@ -83,8 +85,8 @@ class PrivacyParams:
     delta_util: float = 0.5
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0.0 < self.delta_util < 1.0:
             raise ValueError(f"delta_util must lie in (0, 1), got {self.delta_util}")
 
@@ -115,25 +117,63 @@ def domain_size(n: int, m: int) -> int:
     return math.comb(n + m - 1, n - 1)
 
 
-def _check_domain_budget(n: int, m: int, budget: int | None) -> int:
+# Rows per block of a domain enumerated in pieces, and cells (rows x queries)
+# per matmul of the scoring kernel: a pass holds a few MB at any domain size.
+BLOCK_ROWS = 1 << 18
+SCORE_SLICE_CELLS = 1 << 18
+
+
+def _check_budget(n: int, m: int, budget: int | None, passes: int = 1) -> int:
+    """The one enumeration-budget check: ``passes`` passes over the sparse
+    domain of (n, m) must fit the budget.  Returns the domain size."""
     count = domain_size(n, m)
     limit = config.domain_budget(budget)
-    if count > limit:
+    if passes * count > limit:
+        scored = f", scored {passes} times," if passes > 1 else ""
         raise DomainTooLargeError(
-            f"sparse domain for n={n}, m={m} holds {count} elements, over the "
-            f"budget of {limit}; use exponential_release_mcmc instead",
-            count=count,
+            f"sparse domain for n={n}, m={m} holds {count} elements{scored} over the "
+            f"budget of {limit}; exponential_release_mcmc samples without enumerating it",
+            count=passes * count,
         )
     return count
 
 
-def _compositions(n: int, m: int):
-    if n == 1:
-        yield (m,)
-        return
-    for first in range(m, -1, -1):
-        for rest in _compositions(n - 1, m - first):
-            yield (first,) + rest
+def _check_dimensions(c: QueryClass, n: int) -> None:
+    if c.n != n:
+        raise DimensionMismatchError(f"class dimension {c.n} != database dimension {n}")
+
+
+def domain_blocks(n: int, m: int, max_rows: int | None = None):
+    """The domain of ``sparse_domain``, in its order, as consecutive int64
+    blocks of at most ``max_rows`` rows (one block when None), with no budget
+    check.  A block grows from prefix rows: each level repeats a prefix rem+1
+    times and appends rem..0, where rem is what the prefix leaves of m.  A
+    prefix set whose completions overflow a block is split in half, or, if it
+    is one prefix, grown one level first."""
+    domain_size(n, m)
+    # fill[w - 1, r]: ways to fill w more columns with total r.
+    fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
+
+    def grow(prefix, rem):
+        reps = rem + 1
+        parent = np.repeat(np.arange(rem.size), reps)
+        left = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        return np.column_stack((prefix[parent], rem[parent] - left)), left
+
+    def blocks(prefix, rem):
+        width = n - prefix.shape[1]
+        if max_rows is None or fill[width - 1, rem].sum() <= max_rows:
+            for _ in range(width - 1):
+                prefix, rem = grow(prefix, rem)
+            yield np.column_stack((prefix, rem))
+        elif rem.size > 1:
+            half = rem.size // 2
+            yield from blocks(prefix[:half], rem[:half])
+            yield from blocks(prefix[half:], rem[half:])
+        else:
+            yield from blocks(*grow(prefix, rem))
+
+    yield from blocks(np.empty((1, 0), dtype=np.int64), np.array([m], dtype=np.int64))
 
 
 def sparse_domain(n: int, m: int, *, budget: int | None = None):
@@ -142,31 +182,15 @@ def sparse_domain(n: int, m: int, *, budget: int | None = None):
     the domain exceeds the enumeration budget."""
     if m < 1:
         raise ValueError("sparse domain requires m >= 1")
-    _check_domain_budget(n, m, budget)
-
-    def generate():
-        for counts in _compositions(n, m):
-            yield SparseSyntheticDatabase(np.asarray(counts, dtype=np.int64))
-
-    return generate()
+    _check_budget(n, m, budget)
+    blocks = domain_blocks(n, m, BLOCK_ROWS)
+    return (SparseSyntheticDatabase(row) for block in blocks for row in block)
 
 
 def composition_matrix(n: int, m: int, *, budget: int | None = None) -> np.ndarray:
-    """The same enumeration as ``sparse_domain`` as one (count, n) int matrix,
-    built level by level so large domains stay in vectorized code."""
-    _check_domain_budget(n, m, budget)
-    level = {total: np.array([[total]], dtype=np.int64) for total in range(m + 1)}
-    for _ in range(n - 1):
-        nxt = {}
-        for total in range(m + 1):
-            blocks = []
-            for first in range(total, -1, -1):
-                sub = level[total - first]
-                col = np.full((sub.shape[0], 1), first, dtype=np.int64)
-                blocks.append(np.hstack((col, sub)))
-            nxt[total] = np.vstack(blocks)
-        level = nxt
-    return level[m]
+    """The same enumeration as ``sparse_domain`` as one (count, n) int matrix."""
+    _check_budget(n, m, budget)
+    return next(domain_blocks(n, m))
 
 
 def quality_score(
@@ -183,6 +207,25 @@ def quality_score(
         raise ValueError("l1_estimate must be nonnegative")
     scalewd = (float(l1_estimate) / dp.m) * (c.matrix @ dp.counts)
     return float(-np.abs(c.matrix @ d.entries - scalewd).max())
+
+
+def score_rows(
+    d: Database, c: QueryClass, counts: np.ndarray, l1_estimate: float, m: int
+) -> np.ndarray:
+    """``quality_score`` of every row of ``counts`` (each summing to m), one
+    matmul per slice of about 2^18/k rows.  Agrees with ``quality_score`` to
+    rounding only: a matmul may round differently in the last bit."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    true_answers = c.matrix @ d.entries
+    step = max(1, SCORE_SLICE_CELLS // c.k)
+    scores = np.empty(counts.shape[0])
+    for start in range(0, counts.shape[0], step):
+        candidate_answers = counts[start : start + step] @ c.matrix.T
+        scores[start : start + step] = -np.abs(
+            true_answers[None, :] - (l1_estimate / m) * candidate_answers
+        ).max(axis=1)
+    return scores
 
 
 def score_sensitivity(m: int) -> float:
@@ -224,10 +267,15 @@ def _resolve_l1(
             share = config.L1_ESTIMATE_ALPHA_SHARE
             return estimate_l1(d, share * p.alpha, rng), (1.0 - share) * p.alpha
         raise ValueError(f"l1 must be 'public', 'private', or a number, got {l1!r}")
-    value = float(l1)
-    if value < 0:
-        raise ValueError("caller-supplied L1 estimate must be nonnegative")
-    return value, p.alpha
+    return _checked_l1(l1), p.alpha
+
+
+def _checked_l1(value) -> float:
+    """A caller-supplied L1 estimate, refused unless finite and nonnegative."""
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"caller-supplied L1 estimate must be finite and nonnegative, got {value}")
+    return value
 
 
 def exponential_release_exact(
@@ -243,21 +291,20 @@ def exponential_release_exact(
 ) -> ReleaseOutput:
     """Sample a surrogate from the exact exponential-weight distribution by
     scoring the whole domain.  Meant for desk-scale domains; refuses over the
-    enumeration budget and names the MCMC fallback."""
-    if c.n != d.n:
-        raise DimensionMismatchError(f"class dimension {c.n} != database dimension {d.n}")
-    _check_domain_budget(d.n, m, budget)
+    enumeration budget and names the MCMC fallback.  The reported score is
+    ``quality_score`` of the drawn row, exactly."""
+    _check_dimensions(c, d.n)
+    _check_budget(d.n, m, budget)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
-    elements = list(sparse_domain(d.n, m, budget=budget))
-    scores = np.array([quality_score(d, e, c, l1_estimate) for e in elements])
+    counts = next(domain_blocks(d.n, m))
+    scores = score_rows(d, c, counts, l1_estimate, m)
     probs = softmax_probabilities(scores * (alpha / exponent_divisor(exponent_rule, m)))
-    cumulative = np.cumsum(probs)
-    idx = min(int(np.searchsorted(cumulative, rng.random(), side="right")), len(elements) - 1)
-    chosen = elements[idx]
+    idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(counts) - 1)
+    chosen = SparseSyntheticDatabase(counts[idx])
     return ReleaseOutput(
         d_out=rescale(chosen, l1_estimate),
         d_prime=chosen,
-        score=float(scores[idx]),
+        score=quality_score(d, chosen, c, l1_estimate),
         m=m,
         exponent_rule=exponent_rule,
         l1_estimate=l1_estimate,
@@ -277,6 +324,7 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     """Shared Metropolis walk.  Proposals move one unit of mass from a
     uniformly chosen coordinate to a uniformly chosen other coordinate, which
     is symmetric, so the stationary law is the exact mechanism's."""
+    _check_dimensions(c, d.n)
     n = d.n
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     scale = alpha / exponent_divisor(exponent_rule, m)
@@ -381,8 +429,7 @@ def laplace_release(
     """Baseline: answer every query directly with independent Laplace noise
     at scale k/alpha (each linear query moves by at most 1 under a unit L1
     change, and the k answers compose)."""
-    if c.n != d.n:
-        raise DimensionMismatchError(f"class dimension {c.n} != database dimension {d.n}")
+    _check_dimensions(c, d.n)
     true_answers = c.matrix @ d.entries
     return true_answers + laplace_noise(rng, c.k / p.alpha, size=c.k)
 

@@ -6,9 +6,11 @@ sparse domain, certified worst-case probability ratios across all neighboring
 integer databases on a bounded grid, the same ratios after an arbitrary
 post-processing map, and the best achievable surrogate for a given database.
 
-These are the ground truth that the sampling mechanisms are tested against,
-so the scoring here is written as its own vectorized pass over the domain
-rather than reusing the mechanisms' per-candidate path.
+These are the ground truth that the sampling mechanisms are tested against.
+They enumerate and score the domain with the exact sampler's enumerator and
+batched kernel (``domain_blocks`` and ``score_rows``), so their independence
+rests on the tests, which hold that kernel to the per-candidate
+``quality_score`` and the best surrogate to ``max_error``.
 """
 
 import itertools
@@ -17,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
-from .core import Database, DomainTooLargeError, QueryClass, SparseSyntheticDatabase, l1_norm
-from .mechanisms import ExponentRule, PrivacyParams, composition_matrix, domain_size, exponent_divisor
+from .core import Database, QueryClass, SparseSyntheticDatabase, l1_norm
+from .mechanisms import (
+    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _check_dimensions, _checked_l1,
+    composition_matrix, domain_blocks, exponent_divisor, score_rows, softmax_probabilities,
+)
 
 __all__ = [
     "CertificateResult",
@@ -32,29 +36,10 @@ __all__ = [
 RATIO_SLACK = 1e-9
 
 
-def _score_rows(d_entries: np.ndarray, c: QueryClass, counts: np.ndarray, l1_estimate: float, m: int):
-    """Quality scores for a block of candidate rows, one vectorized pass."""
-    true_answers = c.matrix @ d_entries
-    candidate_answers = counts @ c.matrix.T
-    return -np.abs(true_answers[None, :] - (l1_estimate / m) * candidate_answers).max(axis=1)
-
-
-def _probability_vector(
-    d: Database,
-    c: QueryClass,
-    p: PrivacyParams,
-    m: int,
-    exponent_rule: ExponentRule,
-    counts: np.ndarray,
-    l1_estimate: float | None,
-    score_scale: float,
-) -> np.ndarray:
-    if l1_estimate is None:
-        l1_estimate = l1_norm(d)
-    scores = _score_rows(d.entries, c, counts, float(l1_estimate), m)
+def _probability_vector(d, c, p, m, exponent_rule, counts, l1_estimate, score_scale):
+    scores = score_rows(d, c, counts, l1_estimate, m)
     logits = float(score_scale) * scores * p.alpha / exponent_divisor(exponent_rule, m)
-    weights = np.exp(logits - logits.max())
-    return weights / weights.sum()
+    return softmax_probabilities(logits)
 
 
 def exact_output_distribution(
@@ -72,11 +57,11 @@ def exact_output_distribution(
     domain's enumeration order.  ``l1_estimate=None`` means the public true
     norm.  ``score_scale`` is a fault-injection knob for certifier tests
     (scale != 1 deliberately mis-weights the scores)."""
+    _check_dimensions(c, d.n)
+    l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
     counts = composition_matrix(d.n, m, budget=budget)
-    probs = _probability_vector(d, c, p, m, exponent_rule, counts, l1_estimate, score_scale)
-    return [
-        (SparseSyntheticDatabase(row), float(prob)) for row, prob in zip(counts, probs)
-    ]
+    probs = _probability_vector(d, c, p, m, exponent_rule, counts, l1, score_scale)
+    return [(SparseSyntheticDatabase(row), float(prob)) for row, prob in zip(counts, probs)]
 
 
 @dataclass(frozen=True)
@@ -143,18 +128,10 @@ def _certificate(
     rng,
     budget: int | None,
 ) -> CertificateResult:
-    if n != c.n:
-        raise ValueError(f"grid dimension n={n} does not match class dimension {c.n}")
+    _check_dimensions(c, n)
     if entry_cap < 1:
         raise ValueError("entry_cap must be at least 1")
-    grid_count = (entry_cap + 1) ** n
-    limit = config.domain_budget(budget)
-    if grid_count * domain_size(n, m) > limit:
-        raise DomainTooLargeError(
-            f"certificate would evaluate {grid_count} grid distributions of size "
-            f"{domain_size(n, m)}, over the budget of {limit}",
-            count=grid_count * domain_size(n, m),
-        )
+    _check_budget(n, m, budget, passes=(entry_cap + 1) ** n)
     counts = composition_matrix(n, m, budget=budget)
     if outcome_map is None:
         labels = [tuple(int(x) for x in row) for row in counts]
@@ -162,35 +139,30 @@ def _certificate(
         labels = [outcome_map(SparseSyntheticDatabase(row)) for row in counts]
 
     def distribution(entries) -> dict:
-        probs = _probability_vector(
-            Database(np.asarray(entries, dtype=np.float64)),
-            c, p, m, exponent_rule, counts, None, score_scale,
-        )
+        d = Database(np.asarray(entries, dtype=np.float64))
+        probs = _probability_vector(d, c, p, m, exponent_rule, counts, l1_norm(d), score_scale)
         return _pushforward(probs, labels)
 
     grid = list(itertools.product(range(entry_cap + 1), repeat=n))
     dists = {point: distribution(point) for point in grid}
 
-    max_ratio = 0.0
-    witness_pair = None
-    witness_outcome = None
-    pairs_checked = 0
+    max_ratio, witness_pair, witness_outcome, pairs_checked = 0.0, None, None, 0
 
-    def consider(pair_a, pair_b, dist_a, dist_b):
-        nonlocal max_ratio, witness_pair, witness_outcome
-        ratio, label = _max_label_ratio(dist_a, dist_b)
-        if ratio > max_ratio:
-            max_ratio = ratio
-            witness_pair = (tuple(pair_a), tuple(pair_b))
-            witness_outcome = label
+    def consider(a, b, dist_a, dist_b):
+        """Both orders of one neighboring pair."""
+        nonlocal max_ratio, witness_pair, witness_outcome, pairs_checked
+        for x, y, dist_x, dist_y in ((a, b, dist_a, dist_b), (b, a, dist_b, dist_a)):
+            ratio, label = _max_label_ratio(dist_x, dist_y)
+            if ratio > max_ratio:
+                max_ratio, witness_outcome = ratio, label
+                witness_pair = (tuple(x), tuple(y))
+        pairs_checked += 2
 
     for point in grid:
         for i in range(n):
             if point[i] + 1 <= entry_cap:
                 up = point[:i] + (point[i] + 1,) + point[i + 1 :]
                 consider(point, up, dists[point], dists[up])
-                consider(up, point, dists[up], dists[point])
-                pairs_checked += 2
 
     if real_probes:
         if rng is None:
@@ -203,10 +175,7 @@ def _certificate(
                 b[i] -= 1.0
             else:
                 b[i] += 1.0
-            dist_a, dist_b = distribution(a), distribution(b)
-            consider(a, b, dist_a, dist_b)
-            consider(b, a, dist_b, dist_a)
-            pairs_checked += 2
+            consider(a, b, distribution(a), distribution(b))
 
     bound = math.exp(p.alpha)
     return CertificateResult(
@@ -267,42 +236,23 @@ def postprocessing_certificate(
     )
 
 
-def _domain_blocks(n: int, m: int, max_rows: int):
-    if n == 1 or domain_size(n, m) <= max_rows:
-        yield composition_matrix(n, m)
-        return
-    for first in range(m, -1, -1):
-        col_value = first
-        for block in _domain_blocks(n - 1, m - first, max_rows):
-            col = np.full((block.shape[0], 1), col_value, dtype=np.int64)
-            yield np.hstack((col, block))
-
-
 def best_sparse_db(
     d: Database, c: QueryClass, m: int, *, budget: int | None = None
 ) -> tuple[SparseSyntheticDatabase, float]:
     """Exhaustively find the surrogate minimizing the rescaled worst-case
     error, and that error divided by ||D||_1.  Exact ties resolve to the
     lexicographically smallest count vector."""
-    if c.n != d.n:
-        raise ValueError(f"class dimension {c.n} != database dimension {d.n}")
-    count = domain_size(d.n, m)
-    limit = config.domain_budget(budget)
-    if count > limit:
-        raise DomainTooLargeError(
-            f"sparse domain for n={d.n}, m={m} holds {count} elements, over the budget of {limit}",
-            count=count,
-        )
+    _check_dimensions(c, d.n)
+    _check_budget(d.n, m, budget)
     l1 = l1_norm(d)
     best_error = math.inf
     best_row = None
-    for block in _domain_blocks(d.n, m, max_rows=1 << 18):
-        errors = -_score_rows(d.entries, c, block, l1, m)
+    for block in domain_blocks(d.n, m, BLOCK_ROWS):
+        errors = -score_rows(d, c, block, l1, m)
         idx = int(np.flatnonzero(errors == errors.min())[-1])
         # Enumeration is lex-decreasing, so on exact ties the latest row seen
         # (within a block and across blocks) is the lex-smallest one.
         if errors[idx] <= best_error:
             best_error = float(errors[idx])
             best_row = block[idx].copy()
-    relative = best_error / l1 if l1 > 0 else 0.0
-    return SparseSyntheticDatabase(best_row), float(relative)
+    return SparseSyntheticDatabase(best_row), float(best_error / l1 if l1 > 0 else 0.0)

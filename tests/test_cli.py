@@ -240,6 +240,16 @@ class TestContracts:
         )
         assert code == 2
 
+    def test_infinite_alpha_exits_1(self, files, capsys):
+        _, db, cls = files
+        code, _, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "inf",
+             "--m", "2", "--seed", "0"],
+        )
+        assert code == 1
+        assert "alpha" in err
+
     def test_invalid_gamma_exits_1(self, files, capsys):
         _, _, cls = files
         code, _, _ = run_capture(

@@ -33,6 +33,7 @@ from sparsedp.mechanisms import (
     composition_matrix,
     exponent_divisor,
     mcmc_state_counts,
+    score_rows,
     softmax_probabilities,
 )
 
@@ -43,6 +44,8 @@ class TestPrivacyParams:
             PrivacyParams(alpha=0.0)
         with pytest.raises(ValueError):
             PrivacyParams(alpha=-1.0)
+        with pytest.raises(ValueError):
+            PrivacyParams(alpha=math.inf)
         with pytest.raises(ValueError):
             PrivacyParams(alpha=1.0, delta_util=0.0)
         with pytest.raises(ValueError):
@@ -84,6 +87,8 @@ class TestSparseDomain:
             matrix = composition_matrix(n, m)
             rows = [tuple(int(x) for x in row) for row in matrix]
             assert rows == [e.as_tuple() for e in sparse_domain(n, m)]
+            brute = [t for t in itertools.product(range(m + 1), repeat=n) if sum(t) == m]
+            assert rows == sorted(brute, reverse=True)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -106,6 +111,18 @@ class TestQualityScore:
             Database([4, 0]), SparseSyntheticDatabase(np.array([0, 2])), QueryClass([[1, 0]]), 4.0
         )
         assert score == -4.0
+
+    def test_batched_kernel_matches_per_candidate_score(self):
+        # 20,475 rows at k=64 span several of the kernel's matmul slices
+        rng = np.random.default_rng(13)
+        d = Database(rng.uniform(0, 50, size=5))
+        c = QueryClass(rng.uniform(0, 1, size=(64, 5)))
+        counts = composition_matrix(5, 24)
+        assert len(counts) == 20_475
+        scores = score_rows(d, c, counts, 61.5, 24)
+        for row, score in zip(counts, scores):
+            reference = quality_score(d, SparseSyntheticDatabase(row), c, 61.5)
+            assert abs(score - reference) <= 1e-12
 
     def test_matches_max_error_of_rescaled(self):
         rng = np.random.default_rng(21)
@@ -213,7 +230,7 @@ class TestExactRelease:
         d = Database([1.5, 2.5, 0.0])
         c = QueryClass(rng.uniform(0, 1, size=(4, 3)))
         out = exponential_release_exact(d, c, PrivacyParams(1.0), 3, rng)
-        assert out.score == pytest.approx(quality_score(d, out.d_prime, c, out.l1_estimate))
+        assert out.score == quality_score(d, out.d_prime, c, out.l1_estimate)
         assert out.score <= 0.0
         assert np.allclose(out.d_out.entries, rescale(out.d_prime, out.l1_estimate).entries)
 
@@ -246,8 +263,13 @@ class TestExactRelease:
         assert supplied.l1_estimate == 6.0
         private = exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1="private")
         assert private.l1_estimate >= 0.0 and private.l1_estimate != 8.0
-        with pytest.raises(ValueError):
-            exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1=-2.0)
+        for bad in (-2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="L1 estimate"):
+                exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1=bad)
+            with pytest.raises(ValueError, match="L1 estimate"):
+                exponential_release_mcmc(d, c, p, 2, 10, np.random.default_rng(1), l1=bad)
+            with pytest.raises(ValueError, match="L1 estimate"):
+                exact_output_distribution(d, c, p, 2, l1_estimate=bad)
         with pytest.raises(ValueError):
             exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1="bogus")
 

@@ -6,6 +6,7 @@ import pytest
 from helpers_oracles import total_variation
 from sparsedp import (
     Database,
+    DimensionMismatchError,
     DomainTooLargeError,
     ExponentRule,
     PrivacyParams,
@@ -215,9 +216,19 @@ class TestBestSparseDb:
             best_sparse_db(Database(np.ones(30)), QueryClass([np.ones(30)]), 30, budget=100)
 
     def test_block_enumeration_covers_domain_in_order(self):
-        from sparsedp.mechanisms import composition_matrix
-        from sparsedp.oracle import _domain_blocks
+        from sparsedp.mechanisms import composition_matrix, domain_blocks
 
-        full = composition_matrix(3, 5)
-        stitched = np.vstack(list(_domain_blocks(3, 5, max_rows=4)))
-        assert np.array_equal(stitched, full)
+        for n in range(1, 7):
+            for m in range(9):
+                full = composition_matrix(n, m)
+                for max_rows in (1, 2, 3, 17):
+                    blocks = list(domain_blocks(n, m, max_rows))
+                    assert all(1 <= len(block) <= max_rows for block in blocks)
+                    assert np.array_equal(np.vstack(blocks), full)
+
+    def test_class_dimension_mismatch(self):
+        d, c, p = Database([1, 2, 3]), CANONICAL_N2, PrivacyParams(1.0)
+        with pytest.raises(DimensionMismatchError):
+            exact_output_distribution(d, c, p, 2)
+        with pytest.raises(DimensionMismatchError):
+            best_sparse_db(d, c, 2)
