@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .core import Database, LinearQuery, QueryClass, evaluate
+from .core import Database, DimensionMismatchError, LinearQuery, QueryClass, evaluate
 from .fsd import ShatteringWitness, fsd
 from .mechanisms import ReleaseOutput
 
@@ -60,9 +60,12 @@ def partition_buckets(witness: ShatteringWitness) -> tuple[int, tuple[int, ...]]
 
 
 class ShatteredFamily:
-    """A bucket of basis indices plus the subset-to-query map the attack
-    needs.  ``query_for`` is resolved lazily from the witness assignment and
-    memoized, since the number of half-size subsets grows as C(d, d/2)."""
+    """A bucket of basis indices plus everything a reconstruction trial
+    reads, computed once.  Subset ``s`` is ``subsets()[s]`` (lexicographic
+    order).  ``used`` holds the distinct indices of the queries the family
+    uses, increasing, and ``used_rows`` their coefficient rows; subset s's
+    query is ``used[used_position[s]]``.  ``base[s]`` is q_T(D_T) for T =
+    subset s, by ``evaluate``."""
 
     def __init__(
         self,
@@ -87,8 +90,12 @@ class ShatteredFamily:
         self.bucket = bucket
         self.thresholds = thresholds
         self.gamma = witness.gamma
-        self._query_index_memo: dict[tuple[int, ...], int] = {}
         self._subsets = tuple(itertools.combinations(bucket, len(bucket) // 2))
+
+        queries = [self.query_index_for(t) for t in self._subsets]
+        self.used, self.used_position = np.unique(queries, return_inverse=True)
+        self.used_rows = query_class.matrix[self.used]
+        self.base = np.array([evaluate(self.query_for(t), self.database_for(t)) for t in self._subsets])
 
     @property
     def d(self) -> int:
@@ -103,14 +110,8 @@ class ShatteredFamily:
         return self._subsets
 
     def query_index_for(self, subset) -> int:
-        key = tuple(sorted(subset))
-        got = self._query_index_memo.get(key)
-        if got is None:
-            members = set(key)
-            pattern = tuple(1 if i in members else 0 for i in self.witness.subset)
-            got = self.witness.assignment[pattern]
-            self._query_index_memo[key] = got
-        return got
+        members = set(subset)
+        return self.witness.assignment[tuple(int(i in members) for i in self.witness.subset)]
 
     def query_for(self, subset) -> LinearQuery:
         return self.query_class.queries[self.query_index_for(subset)]
@@ -122,7 +123,16 @@ class ShatteredFamily:
 
     def query_indices(self) -> tuple[int, ...]:
         """Distinct indices of the queries the family actually uses."""
-        return tuple(sorted({self.query_index_for(t) for t in self._subsets}))
+        return tuple(self.used.tolist())
+
+    def true_answers(self, subset) -> np.ndarray:
+        """The ``used`` queries on the subset's indicator, summed in index
+        order as ``evaluate``'s dot product sums them.  Not tabulated: all
+        subsets would take C(d, d/2)^2 floats, 1.3 GB at d = 16."""
+        total = np.zeros(len(self.used))
+        for i in sorted(subset):
+            total += self.used_rows[:, i]
+        return total
 
 
 def build_family(
@@ -157,40 +167,41 @@ def _safe_exp(x: float) -> float:
         return math.inf
 
 
-def _reconstruct_argmin(family: ShatteredFamily, answer_of) -> tuple[int, ...]:
-    best = None
-    best_value = math.inf
-    for candidate in family.subsets():
-        q = family.query_for(candidate)
-        value = evaluate(q, family.database_for(candidate)) - answer_of(candidate, q)
-        if value < best_value:
-            best_value = value
-            best = candidate
-    return best
-
-
-def reconstruct(answers_db: Database, family: ShatteredFamily) -> tuple[int, ...]:
-    """Recover the hidden subset from any synthetic-database output: minimize
-    v(T') = q_T'(D_T') - q_T'(answers) over half-size subsets, ties to the
-    lexicographically smallest."""
-    return _reconstruct_argmin(family, lambda _t, q: evaluate(q, answers_db))
-
-
-def _answer_interface(output, family: ShatteredFamily):
-    """Mechanism outputs may be a synthetic database or a per-query answer
-    vector aligned with the family's query class (the Laplace baseline
-    answers queries directly instead of producing a database)."""
+def _used_answers(output, family: ShatteredFamily) -> np.ndarray:
+    """A mechanism output's answers to ``family.used``.  The output is a
+    synthetic database or, as from the Laplace baseline, a vector of answers
+    to every query of the family's class."""
     if isinstance(output, ReleaseOutput):
         output = output.d_out
     if isinstance(output, Database):
-        return lambda t, q: evaluate(q, output)
+        if output.n != family.n:
+            raise DimensionMismatchError(
+                f"mechanism output has dimension {output.n}, the family's class {family.n}"
+            )
+        return family.used_rows @ output.entries
     answers = np.asarray(output, dtype=np.float64)
     if answers.shape != (family.query_class.k,):
         raise ValueError(
             f"mechanism output must be a Database or a length-{family.query_class.k} "
             f"answer vector, got shape {answers.shape}"
         )
-    return lambda t, q: float(answers[family.query_index_for(t)])
+    bad = np.flatnonzero(~np.isfinite(answers))
+    if bad.size:
+        raise ValueError(f"mechanism output holds non-finite answers at query indices {bad.tolist()}")
+    return answers[family.used]
+
+
+def _argmin_subset(family: ShatteredFamily, used_answers: np.ndarray) -> int:
+    """Index of the subset minimizing v(T') = q_T'(D_T') - q_T'(answers),
+    ties to the lexicographically smallest."""
+    return int(np.argmin(family.base - used_answers[family.used_position]))
+
+
+def reconstruct(answers_db: Database, family: ShatteredFamily) -> tuple[int, ...]:
+    """Recover the hidden subset from any synthetic-database output: minimize
+    v(T') = q_T'(D_T') - q_T'(answers) over half-size subsets, ties to the
+    lexicographically smallest."""
+    return family.subsets()[_argmin_subset(family, _used_answers(answers_db, family))]
 
 
 @dataclass(frozen=True)
@@ -257,14 +268,15 @@ def attack_experiment(
     when alpha is supplied.
 
     ``mechanism`` is ``callable(database, generator) -> Database | answer
-    vector | ReleaseOutput``.  Exceptions it raises are counted per-trial and
-    the trial is skipped.  Trials draw from independent child generators, so
-    results do not depend on execution order.
+    vector | ReleaseOutput``.  A ``RuntimeError`` or ``ArithmeticError`` it
+    raises (a budget refusal, say) is counted and the trial skipped; other
+    exceptions are programming errors and propagate.  Trials draw from
+    independent child generators, so results do not depend on execution
+    order.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     subsets = family.subsets()
-    family_query_idx = family.query_indices()
     gamma = family.gamma
     d = family.d
     children = rng.spawn(trials)
@@ -293,22 +305,15 @@ def attack_experiment(
         try:
             out_hidden = mechanism(d_hidden, trial_rng)
             out_swapped = mechanism(d_swapped, trial_rng)
-        except Exception:
+        except (RuntimeError, ArithmeticError):
             failures += 1
             continue
 
-        answer_hidden = _answer_interface(out_hidden, family)
-        answer_swapped = _answer_interface(out_swapped, family)
-
-        eps_hat = max(
-            abs(
-                evaluate(family.query_class.queries[qi], d_hidden)
-                - _answer_for_index(out_hidden, family, qi)
-            )
-            for qi in family_query_idx
-        )
-        t_star = _reconstruct_argmin(family, answer_hidden)
-        t_star_swapped = _reconstruct_argmin(family, answer_swapped)
+        answers_hidden = _used_answers(out_hidden, family)
+        answers_swapped = _used_answers(out_swapped, family)
+        eps_hat = float(np.abs(family.true_answers(t_hidden) - answers_hidden).max())
+        t_star = subsets[_argmin_subset(family, answers_hidden)]
+        t_star_swapped = subsets[_argmin_subset(family, answers_swapped)]
 
         symdiff = len(set(t_hidden) ^ set(t_star))
         bound = 4.0 * eps_hat / gamma
@@ -353,10 +358,3 @@ def attack_experiment(
         per_trial=tuple(per_trial),
     )
 
-
-def _answer_for_index(output, family: ShatteredFamily, query_index: int) -> float:
-    if isinstance(output, ReleaseOutput):
-        output = output.d_out
-    if isinstance(output, Database):
-        return evaluate(family.query_class.queries[query_index], output)
-    return float(np.asarray(output, dtype=np.float64)[query_index])

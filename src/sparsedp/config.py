@@ -2,8 +2,9 @@
 
 The two calibrated constants below were fixed once by seeded calibration runs
 (see the notes next to each value) and are frozen; tests pin behaviour against
-them.  The enumeration budget can be overridden per call or globally through
-the ``FSDP_BUDGET`` environment variable.
+them.  The domain enumeration budget can be overridden per call or globally
+through the ``FSDP_BUDGET`` environment variable; the shattering search's
+node budget only per call (``budget=``, the CLI's ``--budget``).
 """
 
 import os
@@ -52,10 +53,9 @@ def domain_budget(override: int | None = None) -> int:
 
 
 def node_budget(override: int | None = None) -> int:
-    """Resolve the shattering-search node budget (same precedence as above)."""
+    """Resolve the shattering-search node budget: the explicit ``override``
+    argument, else ``DEFAULT_NODE_BUDGET``.  ``FSDP_BUDGET`` does not apply:
+    a smaller search would silently turn the dimension into a lower bound."""
     if override is not None:
         return int(override)
-    env = os.environ.get("FSDP_BUDGET")
-    if env is not None:
-        return int(env)
     return DEFAULT_NODE_BUDGET

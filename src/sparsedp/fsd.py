@@ -133,11 +133,15 @@ class _NodeBudget:
         self.remaining = int(limit)
         self.used = 0
 
-    def spend(self):
-        if self.remaining <= 0:
+    def spend(self, nodes: int):
+        """Spend ``nodes`` search nodes; if fewer remain, spend what is left
+        and raise, so an exhausted search always reports ``used == limit``."""
+        if nodes > self.remaining:
+            self.used += self.remaining
+            self.remaining = 0
             raise SearchBudgetExceeded("shattering search exceeded its node budget")
-        self.remaining -= 1
-        self.used += 1
+        self.remaining -= nodes
+        self.used += nodes
 
 
 def _pick_threshold(low: float, high: float, gamma: float) -> float:
@@ -152,53 +156,58 @@ def _pick_threshold(low: float, high: float, gamma: float) -> float:
 def _search_assignment(basis: np.ndarray, gamma: float, budget: _NodeBudget):
     """DFS for a full pattern->query assignment over ``basis`` (k x d basis
     values restricted to the candidate subset).  Returns (assignment dict,
-    thresholds) or None."""
+    thresholds) or None.
+
+    The state is one vector ``bounds = [max0, -min1]``: the largest basis
+    value on each coordinate's 0-side so far and the negated smallest on its
+    1-side.  Against the row ``[v, -v]`` a pattern checks one half per
+    coordinate (``v - max0`` where it is 1, ``-v - (-min1) == min1 - v``
+    where it is 0; each must reach 2*gamma) and raises the bound in the
+    other half.  A value that does not widen its interval passes the check,
+    since the interval already has that gap, so checking every coordinate
+    decides as checking only the widening ones does.  A node tests all k
+    rows at once and recurses only into the rows that fit, in row order.
+    The budget counts every row tried, fitting or not: the rows skipped
+    before a candidate are spent with it, and the rows after the last
+    candidate once it fails."""
     k, d = basis.shape
     patterns = list(itertools.product((0, 1), repeat=d))
-    min1 = np.full(d, np.inf)
-    max0 = np.full(d, -np.inf)
+    ones = np.array(patterns, dtype=bool)
+    checked = np.hstack([ones, ~ones])
+    # Subtracting +inf from the unchecked half of the bounds makes it pass.
+    unchecked_offset = np.where(checked, 0.0, np.inf)
+    signed = np.hstack([basis, -basis])
     chosen: list[int] = []
     threshold = 2.0 * gamma
 
-    def recurse(idx: int) -> bool:
-        if idx == len(patterns):
-            return True
-        pattern = patterns[idx]
-        for qi in range(k):
-            budget.spend()
-            row = basis[qi]
-            ok = True
-            touched: list[tuple[int, float, bool]] = []
-            for t in range(d):
-                v = row[t]
-                if pattern[t] == 1:
-                    if v < min1[t]:
-                        if v - max0[t] < threshold:
-                            ok = False
-                            break
-                        touched.append((t, min1[t], True))
-                        min1[t] = v
-                else:
-                    if v > max0[t]:
-                        if min1[t] - v < threshold:
-                            ok = False
-                            break
-                        touched.append((t, max0[t], False))
-                        max0[t] = v
-            if ok:
-                chosen.append(qi)
-                if recurse(idx + 1):
-                    return True
-                chosen.pop()
-            for t, old, was_min in reversed(touched):
-                if was_min:
-                    min1[t] = old
-                else:
-                    max0[t] = old
-        return False
+    def fitting_rows(idx: int, bounds: np.ndarray) -> np.ndarray:
+        # A function of its own so that the k gaps are freed before the
+        # recursion: a frame per pattern would otherwise hold 2^d of them.
+        gaps = np.minimum.reduce(signed - (bounds - unchecked_offset[idx]), axis=1)
+        return (gaps >= threshold).nonzero()[0]
 
-    if not recurse(0):
+    def recurse(idx: int, bounds: np.ndarray):
+        if idx == len(patterns):
+            return bounds
+        fitting = fitting_rows(idx, bounds)
+        tried = -1
+        if fitting.size:
+            raised = np.maximum(bounds, np.where(checked[idx], -np.inf, signed[fitting]))
+            for qi, child in zip(fitting.tolist(), raised):
+                budget.spend(qi - tried)
+                tried = qi
+                chosen.append(qi)
+                found = recurse(idx + 1, child)
+                if found is not None:
+                    return found
+                chosen.pop()
+        budget.spend(k - 1 - tried)
         return None
+
+    found = recurse(0, np.full(2 * d, -np.inf))
+    if found is None:
+        return None
+    max0, min1 = found[:d], -found[d:]
     assignment = {pattern: qi for pattern, qi in zip(patterns, chosen)}
     thresholds = tuple(_pick_threshold(float(max0[t]), float(min1[t]), gamma) for t in range(d))
     return assignment, thresholds

@@ -203,9 +203,7 @@ def quality_score(
             f"quality_score: database, candidate, and class dimensions must agree "
             f"({d.n}, {dp.n}, {c.n})"
         )
-    if l1_estimate < 0:
-        raise ValueError("l1_estimate must be nonnegative")
-    scalewd = (float(l1_estimate) / dp.m) * (c.matrix @ dp.counts)
+    scalewd = (_checked_l1(l1_estimate) / dp.m) * (c.matrix @ dp.counts)
     return float(-np.abs(c.matrix @ d.entries - scalewd).max())
 
 
@@ -324,6 +322,8 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     """Shared Metropolis walk.  Proposals move one unit of mass from a
     uniformly chosen coordinate to a uniformly chosen other coordinate, which
     is symmetric, so the stationary law is the exact mechanism's."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     _check_dimensions(c, d.n)
     n = d.n
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)

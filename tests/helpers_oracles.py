@@ -130,6 +130,88 @@ def rgrid_shattered(c: QueryClass, subset, gamma: float, resolution: float) -> b
     return False
 
 
+class ReferenceBudgetExceeded(Exception):
+    pass
+
+
+def per_node_search(basis: np.ndarray, gamma: float, budget: list[int]):
+    """Reference shattering DFS that tries the k queries of a node one at a
+    time and spends one node per query tried, before testing it.  ``budget``
+    is [remaining, used]; running out raises ``ReferenceBudgetExceeded``.
+    Returns (assignment, min1, max0) or None."""
+    k, d = basis.shape
+    patterns = list(itertools.product((0, 1), repeat=d))
+    min1 = [np.inf] * d
+    max0 = [-np.inf] * d
+    chosen: list[int] = []
+    threshold = 2.0 * gamma
+
+    def recurse(idx: int) -> bool:
+        if idx == len(patterns):
+            return True
+        pattern = patterns[idx]
+        for qi in range(k):
+            if budget[0] <= 0:
+                raise ReferenceBudgetExceeded
+            budget[0] -= 1
+            budget[1] += 1
+            row = basis[qi]
+            ok = True
+            touched = []
+            for t in range(d):
+                v = row[t]
+                if pattern[t] == 1:
+                    if v < min1[t]:
+                        if v - max0[t] < threshold:
+                            ok = False
+                            break
+                        touched.append((t, min1[t], True))
+                        min1[t] = v
+                elif v > max0[t]:
+                    if min1[t] - v < threshold:
+                        ok = False
+                        break
+                    touched.append((t, max0[t], False))
+                    max0[t] = v
+            if ok:
+                chosen.append(qi)
+                if recurse(idx + 1):
+                    return True
+                chosen.pop()
+            for t, old, was_min in reversed(touched):
+                if was_min:
+                    min1[t] = old
+                else:
+                    max0[t] = old
+        return False
+
+    if not recurse(0):
+        return None
+    return dict(zip(patterns, chosen)), tuple(min1), tuple(max0)
+
+
+def per_node_fsd(c: QueryClass, gamma: float, d_max: int, budget: int):
+    """``fsd`` driven by ``per_node_search``: (d, subset, assignment, min1,
+    max0, nodes used, exact) with the last five None for d = 0."""
+    state = [budget, 0]
+    best = (0, None, None, None, None)
+    exact = True
+    try:
+        for d in range(1, min(d_max, c.n) + 1):
+            level = None
+            for subset in itertools.combinations(range(c.n), d):
+                found = per_node_search(c.matrix[:, subset], gamma, state)
+                if found is not None:
+                    level = (d, subset) + found
+                    break
+            if level is None:
+                break
+            best = level
+    except ReferenceBudgetExceeded:
+        exact = False
+    return best + (state[1], exact)
+
+
 def fsd_by_sweep(c: QueryClass, gamma: float, d_max: int) -> int:
     """Exhaustive dimension via the threshold-sweep decision procedure."""
     best = 0

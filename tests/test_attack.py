@@ -7,6 +7,7 @@ import pytest
 from helpers_oracles import boolean_indicator_class, random_query_class
 from sparsedp import (
     Database,
+    DimensionMismatchError,
     FamilySearchError,
     PrivacyParams,
     QueryClass,
@@ -251,10 +252,43 @@ class TestAttackExperiment:
         def broken(db, rng):
             raise RuntimeError("mechanism exploded")
 
-        report = attack_experiment(broken, self.family, 25, np.random.default_rng(4), alpha=1.0)
-        assert report.mechanism_failures == 25
-        assert report.completed == 0
-        assert report.recovery_ratio is None
+        def budget_refusal(db, rng):
+            return exponential_release_exact(db, BOOL4, self.p, 2, rng, budget=1)
+
+        def division(db, rng):
+            return 1 / 0
+
+        for mech in (broken, budget_refusal, division):
+            report = attack_experiment(mech, self.family, 25, np.random.default_rng(4), alpha=1.0)
+            assert report.mechanism_failures == 25
+            assert report.completed == 0
+            assert report.recovery_ratio is None
+
+    def test_programming_errors_propagate(self):
+        def raising(error):
+            def mech(db, rng):
+                raise error("a bug in the mechanism")
+
+            return mech
+
+        for error in (TypeError, AttributeError, ValueError):
+            with pytest.raises(error, match="a bug"):
+                attack_experiment(raising(error), self.family, 5, np.random.default_rng(4))
+        wrong_class = QueryClass(np.ones((2, 3)))
+        misconfigured = (
+            lambda db, rng: exponential_release_exact(db, wrong_class, self.p, 2, rng),
+            lambda db, rng: Database(np.ones(3)),
+        )
+        for mech in misconfigured:
+            with pytest.raises(DimensionMismatchError):
+                attack_experiment(mech, self.family, 5, np.random.default_rng(4))
+
+    def test_non_finite_answer_vector_refused(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                attack_experiment(
+                    lambda db, rng: np.full(BOOL4.k, bad), self.family, 3, np.random.default_rng(6)
+                )
 
     def test_answer_vector_mechanism(self):
         # noise scale is k/alpha = 16/400, small enough for clean recovery
@@ -275,3 +309,72 @@ class TestAttackExperiment:
         assert a.per_trial == b.per_trial
         assert len(a.per_trial) == 50
         assert a.to_dict() == b.to_dict()
+
+
+def jittered_cube_class(rng):
+    """The 16 patterns of {0,1}^4 at levels 0.1/0.9 with per-entry jitter,
+    plus random rows, so every answer is a non-integer sum."""
+    cube = np.array(list(itertools.product((0.1, 0.9), repeat=4)))
+    rows = np.vstack([cube + rng.uniform(-0.05, 0.05, size=cube.shape), rng.uniform(0, 1, (8, 4))])
+    return QueryClass(rows[rng.permutation(len(rows))])
+
+
+def brute_force_trials(family, calls):
+    """Recompute each trial from the recorded (database, output) pairs with
+    ``evaluate``: (eps_hat, symdiff, x in T*, x in T*_swapped)."""
+    queries = family.query_class.queries
+
+    def answer(output, qi):
+        if isinstance(output, Database):
+            return evaluate(queries[qi], output)
+        return float(output[qi])
+
+    def argmin(output):
+        values = {
+            t: evaluate(family.query_for(t), family.database_for(t))
+            - answer(output, family.query_index_for(t))
+            for t in family.subsets()
+        }
+        return min(family.subsets(), key=values.get)
+
+    rows = []
+    for (d_hidden, out_hidden), (d_swapped, out_swapped) in zip(calls[::2], calls[1::2]):
+        hidden = tuple(np.flatnonzero(d_hidden.entries).tolist())
+        swapped = tuple(np.flatnonzero(d_swapped.entries).tolist())
+        (x,) = set(hidden) - set(swapped)
+        eps_hat = max(
+            abs(evaluate(queries[qi], d_hidden) - answer(out_hidden, qi))
+            for qi in family.query_indices()
+        )
+        t_star = argmin(out_hidden)
+        rows.append((eps_hat, len(set(hidden) ^ set(t_star)), x in t_star, x in argmin(out_swapped)))
+    return rows
+
+
+@pytest.mark.parametrize("output", ["database", "answers"])
+def test_trials_match_brute_force_on_float_class(output):
+    rng = np.random.default_rng(61)
+    c = jittered_cube_class(rng)
+    family = build_family(c, 0.3, 4)
+    assert family.d == 4
+    calls = []
+
+    def noisy(db, trial_rng):
+        if output == "database":
+            out = Database(np.abs(db.entries + trial_rng.normal(0.0, 0.4, size=db.n)))
+        else:
+            out = c.matrix @ db.entries + trial_rng.normal(0.0, 0.4, size=c.k)
+        calls.append((db, out))
+        return out
+
+    report = attack_experiment(noisy, family, 300, np.random.default_rng(62), alpha=1.0)
+    expected = brute_force_trials(family, calls)
+    assert report.completed == len(expected) == 300
+    # The family answers a database by one matmul, which may round the last
+    # bit differently from per-query ``evaluate``; the argmin must not move.
+    for (eps_hat, symdiff), (want_eps, want_symdiff, _, _) in zip(report.per_trial, expected):
+        assert eps_hat == pytest.approx(want_eps, rel=1e-12, abs=1e-12)
+        assert symdiff == want_symdiff
+    assert {s for _, s in report.per_trial} != {0}
+    assert report.recovery_rate_target == np.mean([row[2] for row in expected])
+    assert report.recovery_rate_swapped == np.mean([row[3] for row in expected])

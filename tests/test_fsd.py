@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from helpers_oracles import (
+    ReferenceBudgetExceeded,
     assignment_enumeration_shattered,
     boolean_indicator_class,
     fsd_by_sweep,
+    per_node_fsd,
+    per_node_search,
     random_query_class,
     rgrid_shattered,
     threshold_sweep_shattered,
@@ -22,6 +25,7 @@ from sparsedp import (
     is_gamma_shattered,
     verify_shattering,
 )
+from sparsedp.fsd import _pick_threshold
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
 
@@ -210,6 +214,84 @@ class TestFsd:
     def test_dmax_validation(self):
         with pytest.raises(ValueError):
             fsd(FULL_N2, 0.5, 0)
+
+
+def seeded_classes(seed: int, count: int):
+    """Random real, boolean and quarter-grid classes with a gamma, a d_max
+    and a node budget; the budgets are small enough to run out mid-level."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        k, n = int(rng.integers(2, 20)), int(rng.integers(2, 6))
+        kind = trial % 3
+        if kind == 0:
+            c = random_query_class(rng, k=k, n=n)
+        elif kind == 1:
+            c = QueryClass(rng.integers(0, 2, size=(k, n)).astype(float))
+        else:
+            c = QueryClass(np.round(rng.uniform(0, 1, size=(k, n)) * 4) / 4)
+        gamma = float(rng.choice([0.05, 0.1, 0.2, 0.25, 0.5]))
+        yield c, gamma, int(rng.integers(1, 5)), int(rng.choice([20, 60, 200, 1000, 10**5]))
+
+
+def thresholds_of(min1, max0, gamma):
+    return tuple(_pick_threshold(float(lo), float(hi), gamma) for lo, hi in zip(max0, min1))
+
+
+class TestAgainstPerNodeSearch:
+    """The search filters a node's k rows in one pass; the reference tries
+    them one at a time.  Both must spend the same nodes and find the same
+    witness, including when the budget runs out part way through a level."""
+
+    def test_fsd_matches_reference(self):
+        inexact = 0
+        for c, gamma, d_max, budget in seeded_classes(71, 150):
+            got = fsd(c, gamma, d_max, budget=budget)
+            d, subset, assignment, min1, max0, used, exact = per_node_fsd(c, gamma, d_max, budget)
+            assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
+            if not exact:
+                inexact += 1
+                assert got.nodes_explored == budget
+            if d == 0:
+                assert got.witness is None
+            else:
+                assert got.witness.subset == subset
+                assert got.witness.assignment == assignment
+                assert got.witness.thresholds == thresholds_of(min1, max0, gamma)
+        assert inexact >= 10
+
+    def test_is_gamma_shattered_matches_reference(self):
+        rng = np.random.default_rng(72)
+        outcomes = set()
+        for c, gamma, _, budget in seeded_classes(73, 150):
+            size = int(rng.integers(1, min(c.n, 3) + 1))
+            subset = tuple(sorted(rng.choice(c.n, size=size, replace=False).tolist()))
+            state = [budget, 0]
+            try:
+                want = per_node_search(c.matrix[:, subset], gamma, state)
+            except ReferenceBudgetExceeded:
+                outcomes.add("exhausted")
+                with pytest.raises(SearchBudgetExceeded):
+                    is_gamma_shattered(c, subset, gamma, budget=budget)
+                continue
+            got = is_gamma_shattered(c, subset, gamma, budget=budget)
+            if want is None:
+                outcomes.add("not shattered")
+                assert got is None
+            else:
+                outcomes.add("shattered")
+                assignment, min1, max0 = want
+                assert got.assignment == assignment
+                assert got.thresholds == thresholds_of(min1, max0, gamma)
+        assert outcomes == {"exhausted", "not shattered", "shattered"}
+
+    def test_env_budget_leaves_node_budget_alone(self, monkeypatch):
+        c = boolean_indicator_class(4)
+        monkeypatch.delenv("FSDP_BUDGET", raising=False)
+        unset = fsd(c, 0.5, 4)
+        monkeypatch.setenv("FSDP_BUDGET", "2")
+        assert fsd(c, 0.5, 4).nodes_explored == unset.nodes_explored > 2
+        assert unset.exact and unset.d == 4
+        assert is_gamma_shattered(c, (0, 1, 2, 3), 0.5) is not None
 
 
 class TestChooseM:

@@ -270,6 +270,8 @@ class TestExactRelease:
                 exponential_release_mcmc(d, c, p, 2, 10, np.random.default_rng(1), l1=bad)
             with pytest.raises(ValueError, match="L1 estimate"):
                 exact_output_distribution(d, c, p, 2, l1_estimate=bad)
+            with pytest.raises(ValueError, match="L1 estimate"):
+                quality_score(d, SparseSyntheticDatabase(np.array([1, 1])), c, bad)
         with pytest.raises(ValueError):
             exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1="bogus")
 
@@ -300,6 +302,11 @@ class TestMcmc:
     def test_zero_steps_disallowed(self):
         with pytest.raises(ValueError):
             exponential_release_mcmc(self.d, self.c, self.p, 2, 0, np.random.default_rng(0))
+        for rule in ExponentRule:
+            with pytest.raises(ValueError, match="m must be at least 1"):
+                exponential_release_mcmc(self.d, self.c, self.p, 0, 10, np.random.default_rng(0), rule)
+            with pytest.raises(ValueError, match="m must be at least 1"):
+                mcmc_state_counts(self.d, self.c, self.p, 0, 0, 10, np.random.default_rng(0), rule)
 
     def test_output_flagged_approximate(self):
         out = exponential_release_mcmc(self.d, self.c, self.p, 2, 50, np.random.default_rng(0))
