@@ -49,6 +49,7 @@ from .mechanisms import (
 )
 from .oracle import (
     CertificateResult,
+    OutputDistribution,
     best_sparse_db,
     exact_output_distribution,
     postprocessing_certificate,

@@ -269,8 +269,10 @@ def _cmd_oracle(args) -> int:
     distribution = exact_output_distribution(db, cls, p, args.m, rule)
     result = {
         "distribution": [
-            {"counts": [int(x) for x in element.counts], "probability": prob}
-            for element, prob in distribution
+            {"counts": counts, "probability": prob}
+            for counts, prob in zip(
+                distribution.counts.tolist(), distribution.probabilities.tolist()
+            )
         ]
     }
     if args.best_sparse:

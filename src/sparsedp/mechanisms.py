@@ -208,21 +208,28 @@ def quality_score(
 
 
 def score_rows(
-    d: Database, c: QueryClass, counts: np.ndarray, l1_estimate: float, m: int
+    c: QueryClass, counts: np.ndarray, true_answers, l1_estimates, m: int
 ) -> np.ndarray:
-    """``quality_score`` of every row of ``counts`` (each summing to m), one
-    matmul per slice of about 2^18/k rows.  Agrees with ``quality_score`` to
-    rounding only: a matmul may round differently in the last bit."""
+    """``quality_score`` of every row of ``counts`` (each summing to m) for a
+    batch of B databases, given their true answers (B x k) and L1 estimates
+    (B,): a (B, rows) matrix.  One matmul per slice of about 2^18/k rows;
+    within a slice the batch goes in groups that keep a pass near
+    ``SCORE_SLICE_CELLS`` cells.  Agrees with ``quality_score`` to rounding
+    only: a matmul may round differently in the last bit."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    true_answers = c.matrix @ d.entries
+    true_answers = np.asarray(true_answers, dtype=np.float64)[:, None, :]
+    factors = np.asarray(l1_estimates, dtype=np.float64)[:, None, None] / m
     step = max(1, SCORE_SLICE_CELLS // c.k)
-    scores = np.empty(counts.shape[0])
+    scores = np.empty((len(factors), counts.shape[0]))
     for start in range(0, counts.shape[0], step):
         candidate_answers = counts[start : start + step] @ c.matrix.T
-        scores[start : start + step] = -np.abs(
-            true_answers[None, :] - (l1_estimate / m) * candidate_answers
-        ).max(axis=1)
+        group = max(1, SCORE_SLICE_CELLS // candidate_answers.size)
+        for first in range(0, len(factors), group):
+            last = first + group
+            scores[first:last, start : start + step] = -np.abs(
+                true_answers[first:last] - factors[first:last] * candidate_answers
+            ).max(axis=2)
     return scores
 
 
@@ -241,10 +248,11 @@ def exponent_divisor(rule: ExponentRule, m: int) -> float:
 
 
 def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
-    """exp-and-normalize in log space (max subtracted first)."""
+    """exp-and-normalize along the last axis in log space (each row's max
+    subtracted first)."""
     logits = np.asarray(logits, dtype=np.float64)
-    weights = np.exp(logits - logits.max())
-    return weights / weights.sum()
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
 def _resolve_l1(
@@ -295,7 +303,7 @@ def exponential_release_exact(
     _check_budget(d.n, m, budget)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     counts = next(domain_blocks(d.n, m))
-    scores = score_rows(d, c, counts, l1_estimate, m)
+    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m)[0]
     probs = softmax_probabilities(scores * (alpha / exponent_divisor(exponent_rule, m)))
     idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(counts) - 1)
     chosen = SparseSyntheticDatabase(counts[idx])

@@ -10,11 +10,14 @@ These are the ground truth that the sampling mechanisms are tested against.
 They enumerate and score the domain with the exact sampler's enumerator and
 batched kernel (``domain_blocks`` and ``score_rows``), so their independence
 rests on the tests, which hold that kernel to the per-candidate
-``quality_score`` and the best surrogate to ``max_error``.
+``quality_score``, the best surrogate to ``max_error`` and the certificates,
+which score a whole grid in one batched pass, to a per-point reference.
 """
 
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ from .mechanisms import (
 
 __all__ = [
     "CertificateResult",
+    "OutputDistribution",
     "exact_output_distribution",
     "privacy_ratio_certificate",
     "postprocessing_certificate",
@@ -36,10 +40,37 @@ __all__ = [
 RATIO_SLACK = 1e-9
 
 
-def _probability_vector(d, c, p, m, exponent_rule, counts, l1_estimate, score_scale):
-    scores = score_rows(d, c, counts, l1_estimate, m)
+def _probabilities(c, p, m, exponent_rule, counts, true_answers, l1s, score_scale) -> np.ndarray:
+    """Exact output distributions over the rows of ``counts`` for a batch of
+    databases, given their true answers and L1 values: a (B, rows) matrix."""
+    scores = score_rows(c, counts, true_answers, l1s, m)
     logits = float(score_scale) * scores * p.alpha / exponent_divisor(exponent_rule, m)
     return softmax_probabilities(logits)
+
+
+class OutputDistribution(Sequence):
+    """A read-only sequence of ``(SparseSyntheticDatabase, probability)``
+    pairs over a (rows, n) count matrix and its probability vector, both
+    read-only.  A pair is built only when it is accessed."""
+
+    __slots__ = ("counts", "probabilities")
+
+    def __init__(self, counts: np.ndarray, probabilities: np.ndarray):
+        counts.setflags(write=False)
+        probabilities.setflags(write=False)
+        self.counts = counts
+        self.probabilities = probabilities
+
+    def __len__(self) -> int:
+        return len(self.probabilities)
+
+    def __getitem__(self, index) -> tuple[SparseSyntheticDatabase, float]:
+        index = operator.index(index)
+        return SparseSyntheticDatabase(self.counts[index]), float(self.probabilities[index])
+
+    def __iter__(self):
+        for row, prob in zip(self.counts, self.probabilities.tolist()):
+            yield SparseSyntheticDatabase(row), prob
 
 
 def exact_output_distribution(
@@ -52,7 +83,7 @@ def exact_output_distribution(
     l1_estimate: float | None = None,
     budget: int | None = None,
     score_scale: float = 1.0,
-) -> list[tuple[SparseSyntheticDatabase, float]]:
+) -> OutputDistribution:
     """Closed-form output distribution of the exact release mechanism, in the
     domain's enumeration order.  ``l1_estimate=None`` means the public true
     norm.  ``score_scale`` is a fault-injection knob for certifier tests
@@ -60,8 +91,9 @@ def exact_output_distribution(
     _check_dimensions(c, d.n)
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
     counts = composition_matrix(d.n, m, budget=budget)
-    probs = _probability_vector(d, c, p, m, exponent_rule, counts, l1, score_scale)
-    return [(SparseSyntheticDatabase(row), float(prob)) for row, prob in zip(counts, probs)]
+    true_answers = (c.matrix @ d.entries)[None]
+    probs = _probabilities(c, p, m, exponent_rule, counts, true_answers, [l1], score_scale)
+    return OutputDistribution(counts, probs[0])
 
 
 @dataclass(frozen=True)
@@ -97,24 +129,6 @@ class CertificateResult:
         }
 
 
-def _pushforward(probs: np.ndarray, labels: list) -> dict:
-    out: dict = {}
-    for label, prob in zip(labels, probs):
-        out[label] = out.get(label, 0.0) + float(prob)
-    return out
-
-
-def _max_label_ratio(p1: dict, p2: dict):
-    worst = 0.0
-    witness = None
-    for label, a in p1.items():
-        b = p2.get(label, 0.0)
-        ratio = math.inf if b == 0.0 and a > 0.0 else (1.0 if a == b == 0.0 else a / b)
-        if ratio > worst:
-            worst, witness = ratio, label
-    return worst, witness
-
-
 def _certificate(
     n: int,
     entry_cap: int,
@@ -131,60 +145,74 @@ def _certificate(
     _check_dimensions(c, n)
     if entry_cap < 1:
         raise ValueError("entry_cap must be at least 1")
+    if real_probes < 0:
+        raise ValueError(f"real_probes must be nonnegative, got {real_probes}")
     _check_budget(n, m, budget, passes=(entry_cap + 1) ** n)
+    if real_probes and rng is None:
+        raise ValueError("real-valued probes need a generator")
     counts = composition_matrix(n, m, budget=budget)
+
+    # Grid points in product order; the neighbour of a point one unit up on
+    # axis i sits stride[i] rows later.  Pairs go by point, then by axis.
+    grid = np.array(list(itertools.product(range(entry_cap + 1), repeat=n)))
+    stride = (entry_cap + 1) ** np.arange(n - 1, -1, -1)
+    lower, axis = np.nonzero(grid < entry_cap)
+    upper = lower + stride[axis]
+
+    probes_a, probes_b = [], []
+    for _ in range(real_probes):
+        a = rng.uniform(0.0, float(entry_cap), size=n)
+        i = int(rng.integers(n))
+        b = a.copy()
+        if a[i] >= 1.0 and rng.random() < 0.5:
+            b[i] -= 1.0
+        else:
+            b[i] += 1.0
+        probes_a.append(a)
+        probes_b.append(b)
+    points = np.vstack([grid.astype(np.float64), *probes_a, *probes_b])
+    probe_index = len(grid) + np.arange(real_probes)
+    pairs = np.column_stack((
+        np.concatenate((lower, probe_index)),
+        np.concatenate((upper, probe_index + real_probes)),
+    ))
+
+    # Each point's true answers by the same matvec a Database gets.
+    true_answers = np.array([c.matrix @ point for point in points])
+    l1s = points.sum(axis=1)
+    dist = _probabilities(c, p, m, exponent_rule, counts, true_answers, l1s, score_scale)
     if outcome_map is None:
-        labels = [tuple(int(x) for x in row) for row in counts]
+        labels = None
     else:
-        labels = [outcome_map(SparseSyntheticDatabase(row)) for row in counts]
+        # Each label's probability is the sum over its rows in row order.
+        index: dict = {}
+        label_of_row = [
+            index.setdefault(outcome_map(SparseSyntheticDatabase(row)), len(index)) for row in counts
+        ]
+        pushed = np.zeros((len(index), len(points)))
+        np.add.at(pushed, label_of_row, dist.T)
+        dist, labels = pushed.T, list(index)
 
-    def distribution(entries) -> dict:
-        d = Database(np.asarray(entries, dtype=np.float64))
-        probs = _probability_vector(d, c, p, m, exponent_rule, counts, l1_norm(d), score_scale)
-        return _pushforward(probs, labels)
-
-    grid = list(itertools.product(range(entry_cap + 1), repeat=n))
-    dists = {point: distribution(point) for point in grid}
-
-    max_ratio, witness_pair, witness_outcome, pairs_checked = 0.0, None, None, 0
-
-    def consider(a, b, dist_a, dist_b):
-        """Both orders of one neighboring pair."""
-        nonlocal max_ratio, witness_pair, witness_outcome, pairs_checked
-        for x, y, dist_x, dist_y in ((a, b, dist_a, dist_b), (b, a, dist_b, dist_a)):
-            ratio, label = _max_label_ratio(dist_x, dist_y)
-            if ratio > max_ratio:
-                max_ratio, witness_outcome = ratio, label
-                witness_pair = (tuple(x), tuple(y))
-        pairs_checked += 2
-
-    for point in grid:
-        for i in range(n):
-            if point[i] + 1 <= entry_cap:
-                up = point[:i] + (point[i] + 1,) + point[i + 1 :]
-                consider(point, up, dists[point], dists[up])
-
-    if real_probes:
-        if rng is None:
-            raise ValueError("real-valued probes need a generator")
-        for _ in range(real_probes):
-            a = rng.uniform(0.0, float(entry_cap), size=n)
-            i = int(rng.integers(n))
-            b = a.copy()
-            if a[i] >= 1.0 and rng.random() < 0.5:
-                b[i] -= 1.0
-            else:
-                b[i] += 1.0
-            consider(a, b, distribution(a), distribution(b))
+    # Both orders of every pair; a ratio is inf when only its denominator is
+    # 0 and 1 when both are.  The first maximum in (pair, order, label) order
+    # is the witness.
+    x, y = dist[pairs], dist[pairs[:, ::-1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where((x == 0.0) & (y == 0.0), 1.0, x / y)
+    pair, order, label = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    max_ratio = float(ratios[pair, order, label])
+    witness = pairs[pair] if order == 0 else pairs[pair, ::-1]
 
     bound = math.exp(p.alpha)
     return CertificateResult(
-        max_ratio=float(max_ratio),
+        max_ratio=max_ratio,
         bound=bound,
         passed=max_ratio <= bound + RATIO_SLACK,
-        witness_pair=witness_pair,
-        witness_outcome=witness_outcome,
-        pairs_checked=pairs_checked,
+        witness_pair=tuple(
+            tuple((grid[i] if i < len(grid) else points[i]).tolist()) for i in witness
+        ),
+        witness_outcome=tuple(counts[label].tolist()) if labels is None else labels[label],
+        pairs_checked=2 * len(pairs),
         real_probes=real_probes,
     )
 
@@ -245,10 +273,11 @@ def best_sparse_db(
     _check_dimensions(c, d.n)
     _check_budget(d.n, m, budget)
     l1 = l1_norm(d)
+    true_answers = (c.matrix @ d.entries)[None]
     best_error = math.inf
     best_row = None
     for block in domain_blocks(d.n, m, BLOCK_ROWS):
-        errors = -score_rows(d, c, block, l1, m)
+        errors = -score_rows(c, block, true_answers, [l1], m)[0]
         idx = int(np.flatnonzero(errors == errors.min())[-1])
         # Enumeration is lex-decreasing, so on exact ties the latest row seen
         # (within a block and across blocks) is the lex-smallest one.

@@ -7,10 +7,13 @@ agreement is meaningful.
 """
 
 import itertools
+import math
 
 import numpy as np
 
-from sparsedp import QueryClass
+from sparsedp import CertificateResult, Database, QueryClass, SparseSyntheticDatabase, l1_norm
+from sparsedp.mechanisms import composition_matrix, exponent_divisor, score_rows, softmax_probabilities
+from sparsedp.oracle import RATIO_SLACK
 
 
 def random_query_class(rng: np.random.Generator, k: int, n: int) -> QueryClass:
@@ -246,3 +249,71 @@ def vc_dimension(c: QueryClass) -> int:
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
+
+
+def per_point_certificate(
+    n, entry_cap, c, p, m, exponent_rule, outcome_map=None, *,
+    score_scale=1.0, real_probes=0, rng=None,
+):
+    """The ratio certificate one grid point at a time: each point's
+    distribution from its own kernel call, pushed forward through a dict, and
+    both orders of every pair scanned label by label with a strict ``>``.
+    The library computes the same certificate over whole arrays."""
+    counts = composition_matrix(n, m)
+    if outcome_map is None:
+        labels = [tuple(int(x) for x in row) for row in counts]
+    else:
+        labels = [outcome_map(SparseSyntheticDatabase(row)) for row in counts]
+
+    def distribution(entries) -> dict:
+        d = Database(np.asarray(entries, dtype=np.float64))
+        scores = score_rows(c, counts, [c.matrix @ d.entries], [l1_norm(d)], m)[0]
+        probs = softmax_probabilities(
+            float(score_scale) * scores * p.alpha / exponent_divisor(exponent_rule, m)
+        )
+        out: dict = {}
+        for label, prob in zip(labels, probs):
+            out[label] = out.get(label, 0.0) + float(prob)
+        return out
+
+    grid = list(itertools.product(range(entry_cap + 1), repeat=n))
+    dists = {point: distribution(point) for point in grid}
+    max_ratio, witness_pair, witness_outcome, pairs_checked = 0.0, None, None, 0
+
+    def consider(a, b, dist_a, dist_b):
+        nonlocal max_ratio, witness_pair, witness_outcome, pairs_checked
+        for x, y, dist_x, dist_y in ((a, b, dist_a, dist_b), (b, a, dist_b, dist_a)):
+            for label, u in dist_x.items():
+                v = dist_y.get(label, 0.0)
+                ratio = float("inf") if v == 0.0 and u > 0.0 else (1.0 if u == v == 0.0 else u / v)
+                if ratio > max_ratio:
+                    max_ratio, witness_outcome = ratio, label
+                    witness_pair = (tuple(x), tuple(y))
+        pairs_checked += 2
+
+    for point in grid:
+        for i in range(n):
+            if point[i] + 1 <= entry_cap:
+                up = point[:i] + (point[i] + 1,) + point[i + 1 :]
+                consider(point, up, dists[point], dists[up])
+
+    for _ in range(real_probes):
+        a = rng.uniform(0.0, float(entry_cap), size=n)
+        i = int(rng.integers(n))
+        b = a.copy()
+        if a[i] >= 1.0 and rng.random() < 0.5:
+            b[i] -= 1.0
+        else:
+            b[i] += 1.0
+        consider(a, b, distribution(a), distribution(b))
+
+    bound = math.exp(p.alpha)
+    return CertificateResult(
+        max_ratio=float(max_ratio),
+        bound=bound,
+        passed=max_ratio <= bound + RATIO_SLACK,
+        witness_pair=witness_pair,
+        witness_outcome=witness_outcome,
+        pairs_checked=pairs_checked,
+        real_probes=real_probes,
+    )

@@ -64,6 +64,17 @@ class TestVerifyPrivacyCommand:
             assert code == 0
             assert json.loads(out)["result"]["pass"] is True
 
+    def test_negative_probe_count_exits_1(self, files, capsys):
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+             "--alpha", "1", "--m", "1", "--probes", "-3"],
+        )
+        assert code == 1
+        assert out == ""
+        assert "real_probes must be nonnegative" in err
+
 
 class TestReleaseCommand:
     def test_explicit_m(self, files, capsys, tmp_path):

@@ -27,6 +27,7 @@ from sparsedp import (
     sparse_domain,
     utility_threshold,
 )
+from sparsedp import mechanisms
 from sparsedp.fsd import choose_m, fsd
 from sparsedp.mechanisms import (
     acceptance_probability,
@@ -112,17 +113,31 @@ class TestQualityScore:
         )
         assert score == -4.0
 
-    def test_batched_kernel_matches_per_candidate_score(self):
+    def test_batched_kernel_matches_per_candidate_score(self, monkeypatch):
         # 20,475 rows at k=64 span several of the kernel's matmul slices
         rng = np.random.default_rng(13)
         d = Database(rng.uniform(0, 50, size=5))
         c = QueryClass(rng.uniform(0, 1, size=(64, 5)))
         counts = composition_matrix(5, 24)
         assert len(counts) == 20_475
-        scores = score_rows(d, c, counts, 61.5, 24)
-        for row, score in zip(counts, scores):
+        scores = score_rows(c, counts, [c.matrix @ d.entries], [61.5], 24)
+        assert scores.shape == (1, 20_475)
+        for row, score in zip(counts, scores[0]):
             reference = quality_score(d, SparseSyntheticDatabase(row), c, 61.5)
             assert abs(score - reference) <= 1e-12
+
+        # A batch of databases, with slices small enough that both the rows
+        # (1,000 per slice) and the batch (groups of 1, and of 2 in the last
+        # 475-row slice) are split: every entry is its batch-of-one score.
+        monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", 64_000)
+        batch = [d] + [Database(rng.uniform(0, 50, size=5)) for _ in range(6)]
+        answers = [c.matrix @ db.entries for db in batch]
+        l1s = [61.5] + [float(x) for x in rng.uniform(0, 80, size=6)]
+        scores = score_rows(c, counts, answers, l1s, 24)
+        assert scores.shape == (7, 20_475)
+        for b in range(7):
+            alone = score_rows(c, counts, [answers[b]], [l1s[b]], 24)[0]
+            assert np.array_equal(scores[b], alone)
 
     def test_matches_max_error_of_rescaled(self):
         rng = np.random.default_rng(21)

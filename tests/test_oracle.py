@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from helpers_oracles import total_variation
+from helpers_oracles import per_point_certificate, total_variation
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -11,6 +12,7 @@ from sparsedp import (
     ExponentRule,
     PrivacyParams,
     QueryClass,
+    SparseSyntheticDatabase,
     best_sparse_db,
     choose_m,
     exact_output_distribution,
@@ -67,6 +69,30 @@ class TestExactDistribution:
         b = exact_output_distribution(d, CANONICAL_N2, PrivacyParams(1.0), 2)
         for (_, pa), (_, pb) in zip(a, b):
             assert pa / pb == 1.0
+
+    def test_array_backed_sequence(self):
+        from sparsedp.mechanisms import composition_matrix
+
+        d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
+        dist = exact_output_distribution(d, CANONICAL_N3, p, 3)
+        counts = composition_matrix(3, 3)
+        expected = [(row, float(prob)) for row, prob in zip(counts, dist.probabilities)]
+        assert len(dist) == len(expected) == len(counts)
+        assert np.array_equal(dist.counts, counts)
+        pairs = [(e.counts, pr) for e, pr in dist]
+        for index in (*range(len(expected)), -1, -len(expected)):
+            element, prob = dist[index]
+            assert isinstance(element, SparseSyntheticDatabase) and type(prob) is float
+            assert np.array_equal(element.counts, expected[index][0])
+            assert prob == expected[index][1]
+            assert np.array_equal(pairs[index][0], expected[index][0]) and pairs[index][1] == prob
+        with pytest.raises(IndexError):
+            dist[len(expected)]
+        with pytest.raises(TypeError):
+            dist[1:3]
+        for array in (dist.counts, dist.probabilities):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_caller_supplied_l1_matches_per_element_scores(self):
         from sparsedp import quality_score
@@ -126,6 +152,84 @@ class TestPrivacyCertificate:
     def test_probes_need_generator(self):
         with pytest.raises(ValueError):
             privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 1, real_probes=5)
+
+    def test_nan_probabilities_fail(self):
+        # A NaN ratio is the maximum, so a certificate over NaN distributions
+        # fails instead of passing with max_ratio 0.
+        cert = privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 2, score_scale=math.nan)
+        assert math.isnan(cert.max_ratio)
+        assert not cert.passed
+
+    def test_negative_probe_count_refused(self):
+        with pytest.raises(ValueError, match="real_probes must be nonnegative"):
+            privacy_ratio_certificate(
+                2, 1, CANONICAL_N2, PrivacyParams(1.0), 1, real_probes=-3, rng=np.random.default_rng(0)
+            )
+
+
+OUTCOME_MAPS = {
+    "none": None,
+    "first-coordinate": lambda dp: int(dp.counts[0]),
+    "constant": lambda dp: 0,
+    "parity": lambda dp: int(dp.counts[::2].sum()) % 2,
+}
+
+
+def certify(g, *args, **kwargs):
+    if g is None:
+        return privacy_ratio_certificate(*args, **kwargs)
+    return postprocessing_certificate(g, *args, **kwargs)
+
+
+class TestAgainstPerPointCertificate:
+    """The batched certificate against the per-point reference, field by field."""
+
+    def test_seeded_random_classes(self):
+        rng = np.random.default_rng(41)
+        for n, cap, m, rule in itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), ExponentRule):
+            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 6)), n)))
+            p = PrivacyParams(float(rng.uniform(0.2, 3.0)))
+            for g in OUTCOME_MAPS.values():
+                cert = certify(g, n, cap, c, p, m, rule)
+                assert cert.to_dict() == per_point_certificate(n, cap, c, p, m, rule, g).to_dict()
+
+    def test_real_probes(self):
+        rng = np.random.default_rng(43)
+        for trial in range(12):
+            n, cap, m = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            c = QueryClass(rng.uniform(0, 1, size=(4, n)))
+            p, rule = PrivacyParams(float(rng.uniform(0.2, 3.0))), list(ExponentRule)[trial % 2]
+            g = list(OUTCOME_MAPS.values())[trial % 4]
+            probes = dict(real_probes=25, rng=np.random.default_rng(trial))
+            cert = certify(g, n, cap, c, p, m, rule, **probes)
+            probes["rng"] = np.random.default_rng(trial)
+            reference = per_point_certificate(n, cap, c, p, m, rule, g, **probes)
+            assert cert.to_dict() == reference.to_dict()
+            assert cert.pairs_checked == 2 * n * cap * (cap + 1) ** (n - 1) + 50
+
+    def test_witness_on_a_failing_pair(self):
+        args = (3, 3, CANONICAL_N3, PrivacyParams(2.0), 3, ExponentRule.TIGHT_SENSITIVITY)
+        cert = privacy_ratio_certificate(*args, score_scale=2.0)
+        reference = per_point_certificate(*args, score_scale=2.0)
+        assert cert.to_dict() == reference.to_dict()
+        assert not cert.passed
+        # The witness's own ratio is the one that fails.
+        first, second = (
+            exact_output_distribution(Database(x), *args[2:], score_scale=2.0) for x in cert.witness_pair
+        )
+        row = [tuple(r) for r in first.counts.tolist()].index(cert.witness_outcome)
+        assert first.probabilities[row] / second.probabilities[row] == cert.max_ratio > cert.bound
+
+    def test_ties_keep_the_first_pair(self):
+        p, rule = PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
+        for n in (1, 2, 3):
+            c = QueryClass(np.full((2, n), 0.5))
+            cert = postprocessing_certificate(lambda dp: 0, n, 2, c, p, 2, rule)
+            assert cert.max_ratio == 1.0
+            assert cert.witness_pair == ((0,) * n, (1,) + (0,) * (n - 1))
+            assert cert.witness_outcome == 0
+            reference = per_point_certificate(n, 2, c, p, 2, rule, lambda dp: 0)
+            assert cert.to_dict() == reference.to_dict()
 
 
 class TestPostprocessing:
