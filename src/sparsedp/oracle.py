@@ -147,7 +147,8 @@ def _certificate(
         raise ValueError("entry_cap must be at least 1")
     if real_probes < 0:
         raise ValueError(f"real_probes must be nonnegative, got {real_probes}")
-    _check_budget(n, m, budget, passes=(entry_cap + 1) ** n)
+    # One pass over the domain per grid point and per probe point.
+    _check_budget(n, m, budget, passes=(entry_cap + 1) ** n + 2 * real_probes)
     if real_probes and rng is None:
         raise ValueError("real-valued probes need a generator")
     counts = composition_matrix(n, m, budget=budget)

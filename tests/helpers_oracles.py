@@ -11,8 +11,24 @@ import math
 
 import numpy as np
 
-from sparsedp import CertificateResult, Database, QueryClass, SparseSyntheticDatabase, l1_norm
-from sparsedp.mechanisms import composition_matrix, exponent_divisor, score_rows, softmax_probabilities
+from sparsedp import (
+    CertificateResult,
+    Database,
+    QueryClass,
+    SparseSyntheticDatabase,
+    config,
+    l1_norm,
+    mechanisms,
+    quality_score,
+)
+from sparsedp.mechanisms import (
+    acceptance_probability,
+    composition_matrix,
+    estimate_l1,
+    exponent_divisor,
+    score_rows,
+    softmax_probabilities,
+)
 from sparsedp.oracle import RATIO_SLACK
 
 
@@ -317,3 +333,53 @@ def per_point_certificate(
         pairs_checked=pairs_checked,
         real_probes=real_probes,
     )
+
+
+def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=None):
+    """The Metropolis walk one step at a time, rescoring every candidate from
+    scratch with ``quality_score``.  It reads the generator as the library's
+    chain does: the L1 estimate, then per block of ``mechanisms.CHAIN_BLOCK``
+    steps every source, every destination and one uniform per step.  Returns
+    the final state, its score, the L1 estimate and the occupation counts of
+    the steps from ``record`` on."""
+    n = d.n
+    alpha = p.alpha
+    if l1 == "public":
+        l1_estimate = l1_norm(d)
+    elif l1 == "private":
+        share = config.L1_ESTIMATE_ALPHA_SHARE
+        l1_estimate = estimate_l1(d, share * alpha, rng)
+        alpha = (1.0 - share) * alpha
+    else:
+        l1_estimate = float(l1)
+    scale = alpha / exponent_divisor(exponent_rule, m)
+
+    def score(state):
+        return quality_score(d, SparseSyntheticDatabase(np.array(state)), c, l1_estimate)
+
+    state = (m,) + (0,) * (n - 1)
+    current = score(state)
+    counts: dict = {}
+    step = 0
+    while step < steps:
+        size = min(mechanisms.CHAIN_BLOCK, steps - step)
+        if n > 1:
+            sources = rng.integers(n, size=size)
+            destinations = rng.integers(n - 1, size=size)
+        uniforms = rng.random(size)
+        for t in range(size):
+            if n > 1 and state[sources[t]] > 0:
+                i = int(sources[t])
+                j = int(destinations[t])
+                if j >= i:
+                    j += 1
+                candidate = list(state)
+                candidate[i] -= 1
+                candidate[j] += 1
+                candidate_score = score(candidate)
+                if acceptance_probability(current, candidate_score, scale) > uniforms[t]:
+                    state, current = tuple(candidate), candidate_score
+            if record is not None and step >= record:
+                counts[state] = counts.get(state, 0) + 1
+            step += 1
+    return state, current, l1_estimate, counts

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from helpers_oracles import boolean_indicator_class
-from sparsedp import save_database, save_query_class, Database
+from sparsedp import save_database, save_query_class, Database, QueryClass
 from sparsedp.cli import run
 
 
@@ -198,20 +198,40 @@ class TestOracleCommand:
 class TestContracts:
     def test_byte_identical_reruns(self, files, capsys, tmp_path):
         _, db, cls = files
-        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1.5",
-                "--m", "3", "--seed", "11"]
-        code1, out1, _ = run_capture(capsys, argv)
-        code2, out2, _ = run_capture(capsys, argv)
-        assert code1 == code2 == 0
-        assert out1 == out2
+        for sampler in (
+            [],
+            ["--sampler", "mcmc", "--steps", "500", "--l1", "public"],
+            ["--sampler", "mcmc", "--steps", "500", "--l1", "private"],
+        ):
+            argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1.5",
+                    "--m", "3", "--seed", "11", *sampler]
+            code1, out1, _ = run_capture(capsys, argv)
+            code2, out2, _ = run_capture(capsys, argv)
+            assert code1 == code2 == 0
+            assert out1 == out2
 
-        out_dir = tmp_path / "artifacts"
-        run_capture(capsys, argv + ["--out", str(out_dir)])
-        first_json = (out_dir / "release.json").read_bytes()
-        first_csv = (out_dir / "per_query.csv").read_bytes()
-        run_capture(capsys, argv + ["--out", str(out_dir)])
-        assert (out_dir / "release.json").read_bytes() == first_json
-        assert (out_dir / "per_query.csv").read_bytes() == first_csv
+            out_dir = tmp_path / "artifacts"
+            run_capture(capsys, argv + ["--out", str(out_dir)])
+            first_json = (out_dir / "release.json").read_bytes()
+            first_csv = (out_dir / "per_query.csv").read_bytes()
+            run_capture(capsys, argv + ["--out", str(out_dir)])
+            assert (out_dir / "release.json").read_bytes() == first_json
+            assert (out_dir / "per_query.csv").read_bytes() == first_csv
+
+    def test_single_coordinate_mcmc_release(self, capsys, tmp_path):
+        db = tmp_path / "db1.json"
+        cls = tmp_path / "cls1.json"
+        save_database(Database([3.0]), db)
+        save_query_class(QueryClass([[0.5], [1.0]]), cls)
+        code, out, _ = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--m", "4", "--sampler", "mcmc", "--steps", "50", "--seed", "3"],
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["d_prime"] == [4]
+        assert result["approximate"] is True
 
     def test_unknown_flag_exits_1(self, files, capsys):
         _, db, cls = files

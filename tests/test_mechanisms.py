@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers_oracles import total_variation
+from helpers_oracles import random_query_class, reference_walk, total_variation
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -328,12 +328,75 @@ class TestMcmc:
         assert out.approximate
         assert out.d_prime.m == 2
 
+    def test_score_is_quality_score_of_release(self):
+        # The walk's running score drifts from a fresh quality_score in the
+        # last bits on float classes; the release reports the exact one.
+        for seed in range(20):
+            rng = np.random.default_rng((5, seed))
+            c = QueryClass(rng.uniform(0, 1, size=(3, 3)))
+            d = Database(rng.uniform(0, 4, size=3))
+            out = exponential_release_mcmc(d, c, self.p, 5, 200, np.random.default_rng(seed))
+            assert out.score == quality_score(d, out.d_prime, c, out.l1_estimate)
+
     def test_chain_matches_exact_distribution(self):
         counts = mcmc_state_counts(self.d, self.c, self.p, 2, 2_000, 20_000, np.random.default_rng(9))
         total = sum(counts.values())
         empirical = {k: v / total for k, v in counts.items()}
         exact = {e.as_tuple(): pr for e, pr in exact_output_distribution(self.d, self.c, self.p, 2)}
         assert total_variation(empirical, exact) < 0.03
+
+
+class TestChainAgainstReferenceWalk:
+    """The chain against ``reference_walk``, which reads the same proposal
+    blocks and rescores every candidate from scratch."""
+
+    @staticmethod
+    def _cases():
+        for trial in range(72):
+            rng = np.random.default_rng((71, trial))
+            n = 1 + trial % 6
+            c = random_query_class(rng, int(rng.integers(1, 6)), n)
+            d = Database(rng.uniform(0.0, 4.0, size=n))
+            m = int(rng.integers(1, 9))
+            rule = list(ExponentRule)[trial // 6 % 2]
+            l1 = ("public", "private", 2.5)[trial // 12 % 3]
+            steps = int(rng.integers(1, 90))
+            burn_in = int(rng.integers(0, 40))
+            yield trial, d, c, m, rule, l1, steps, burn_in
+
+    @pytest.mark.parametrize("block", [7, mechanisms.CHAIN_BLOCK])
+    def test_release_and_counts_match(self, monkeypatch, block):
+        monkeypatch.setattr(mechanisms, "CHAIN_BLOCK", block)
+        p = PrivacyParams(1.3)
+        for trial, d, c, m, rule, l1, steps, burn_in in self._cases():
+            chain_rng, walk_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            out = exponential_release_mcmc(d, c, p, m, steps, chain_rng, rule, l1=l1)
+            state, score, l1_estimate, _ = reference_walk(d, c, p, m, steps, walk_rng, rule, l1)
+            assert out.d_prime.as_tuple() == state
+            assert out.score == score
+            assert out.l1_estimate == l1_estimate
+            assert chain_rng.random() == walk_rng.random()
+
+            chain_rng, walk_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            counts = mcmc_state_counts(d, c, p, m, burn_in, steps, chain_rng, rule, l1=l1)
+            *_, expected = reference_walk(
+                d, c, p, m, burn_in + steps, walk_rng, rule, l1, record=burn_in
+            )
+            assert counts == expected
+            assert chain_rng.random() == walk_rng.random()
+
+    def test_walk_across_full_blocks(self):
+        rng = np.random.default_rng(72)
+        c = random_query_class(rng, 4, 5)
+        d = Database(rng.uniform(0.0, 4.0, size=5))
+        p = PrivacyParams(0.8)
+        steps = 2 * mechanisms.CHAIN_BLOCK + 5
+        out = exponential_release_mcmc(d, c, p, 6, steps, np.random.default_rng(3), l1="private")
+        state, score, _, _ = reference_walk(
+            d, c, p, 6, steps, np.random.default_rng(3), ExponentRule.PAPER_QUARTER, "private"
+        )
+        assert out.d_prime.as_tuple() == state
+        assert out.score == score
 
 
 class TestLaplace:

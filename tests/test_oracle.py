@@ -149,6 +149,18 @@ class TestPrivacyCertificate:
         with pytest.raises(DomainTooLargeError):
             privacy_ratio_certificate(3, 3, CANONICAL_N3, PrivacyParams(1.0), 3, budget=10)
 
+    def test_probe_passes_count_against_budget(self):
+        # 4 grid points and 2 x 2000 probe points, each a pass over the
+        # 4-row domain of (n=2, m=3): 16,016 rows scored.
+        c = QueryClass([[1.0, 0.5]])
+        with pytest.raises(DomainTooLargeError, match="scored 4004 times"):
+            privacy_ratio_certificate(
+                2, 1, c, PrivacyParams(1.0), 3, budget=16, real_probes=2000,
+                rng=np.random.default_rng(0),
+            )
+        cert = privacy_ratio_certificate(2, 1, c, PrivacyParams(1.0), 3, budget=16)
+        assert cert.passed
+
     def test_probes_need_generator(self):
         with pytest.raises(ValueError):
             privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 1, real_probes=5)
