@@ -64,6 +64,6 @@ from .attack import (
     partition_buckets,
     reconstruct,
 )
-from .rng import child_rng, make_rng
+from .rng import make_rng
 
 __all__ = [name for name in dir() if not name.startswith("_")]

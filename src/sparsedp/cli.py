@@ -156,10 +156,14 @@ def _parse_l1(raw: str):
         raise _CliError(f"--l1 must be 'public', 'private', or a number, got {raw!r}")
 
 
+def _check_m(m: int | None) -> None:
+    if m is not None and m < 1:
+        raise _CliError("--m must be at least 1")
+
+
 def _derive_m(args, cls) -> int:
+    _check_m(args.m)
     if args.m is not None:
-        if args.m < 1:
-            raise _CliError("--m must be at least 1")
         return args.m
     if args.eta is None or args.gamma is None:
         raise _CliError("either --m or both --eta and --gamma are required")
@@ -212,6 +216,7 @@ def _cmd_attack(args) -> int:
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule.parse(args.exponent)
+    _check_m(args.m)
     d_max = args.dmax if args.dmax is not None else max(2, int(math.log2(cls.k)))
     family = build_family(cls, args.gamma, d_max)
     m = args.m if args.m is not None else family.d // 2

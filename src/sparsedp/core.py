@@ -169,7 +169,8 @@ class SparseSyntheticDatabase:
         return tuple(int(c) for c in self.counts)
 
 
-def _check_dims(a_n: int, b_n: int, what: str):
+def _check_dims(a_n: int, b_n: int, what: str) -> None:
+    """The one dimension check; ``what`` names the two objects compared."""
     if a_n != b_n:
         raise DimensionMismatchError(f"{what}: lengths {a_n} and {b_n} differ")
 

@@ -32,10 +32,10 @@ import numpy as np
 from . import config
 from .core import (
     Database,
-    DimensionMismatchError,
     DomainTooLargeError,
     QueryClass,
     SparseSyntheticDatabase,
+    _check_dims,
     l1_norm,
     rescale,
 )
@@ -53,6 +53,7 @@ __all__ = [
     "score_sensitivity",
     "exponent_divisor",
     "softmax_probabilities",
+    "exponential_probabilities",
     "exponential_release_exact",
     "exponential_release_mcmc",
     "mcmc_state_counts",
@@ -107,6 +108,7 @@ class ReleaseOutput:
     approximate: bool = False
 
     def answers(self, c: QueryClass) -> np.ndarray:
+        _check_dims(c.n, self.d_out.n, "ReleaseOutput.answers: class vs release")
         return c.matrix @ self.d_out.entries
 
 
@@ -136,11 +138,6 @@ def _check_budget(n: int, m: int, budget: int | None, passes: int = 1) -> int:
             count=passes * count,
         )
     return count
-
-
-def _check_dimensions(c: QueryClass, n: int) -> None:
-    if c.n != n:
-        raise DimensionMismatchError(f"class dimension {c.n} != database dimension {n}")
 
 
 def domain_blocks(n: int, m: int, max_rows: int | None = None):
@@ -198,11 +195,8 @@ def quality_score(
 ) -> float:
     """Negated worst-case error of the rescaled candidate:
     -max over q in C of |q(D) - (l1_estimate / m) * q(D')|."""
-    if d.n != dp.n or c.n != d.n:
-        raise DimensionMismatchError(
-            f"quality_score: database, candidate, and class dimensions must agree "
-            f"({d.n}, {dp.n}, {c.n})"
-        )
+    _check_dims(c.n, d.n, "quality_score: class vs database")
+    _check_dims(c.n, dp.n, "quality_score: class vs candidate")
     scalewd = (_checked_l1(l1_estimate) / dp.m) * (c.matrix @ dp.counts)
     return float(-np.abs(c.matrix @ d.entries - scalewd).max())
 
@@ -255,6 +249,18 @@ def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+def exponential_probabilities(
+    c: QueryClass, counts: np.ndarray, true_answers, l1_estimates, m: int, alpha: float,
+    exponent_rule: ExponentRule,
+) -> np.ndarray:
+    """The one map from scores to the exponential-weight law: for B databases
+    (true answers B x k, L1 estimates B), the (B, rows) softmax of
+    ``score_rows * alpha / exponent_divisor(exponent_rule, m)``.  The exact
+    sampler draws from it; the oracle prints and certifies it."""
+    scores = score_rows(c, counts, true_answers, l1_estimates, m)
+    return softmax_probabilities(scores * alpha / exponent_divisor(exponent_rule, m))
+
+
 def _resolve_l1(
     d: Database, p: PrivacyParams, l1, rng: np.random.Generator | None
 ) -> tuple[float, float]:
@@ -284,6 +290,20 @@ def _checked_l1(value) -> float:
     return value
 
 
+def _release(d, c, counts, m, exponent_rule, l1_estimate, approximate=False) -> ReleaseOutput:
+    """Release surrogate ``counts`` rescaled onto the L1 estimate, with its ``quality_score``."""
+    chosen = SparseSyntheticDatabase(counts)
+    return ReleaseOutput(
+        d_out=rescale(chosen, l1_estimate),
+        d_prime=chosen,
+        score=quality_score(d, chosen, c, l1_estimate),
+        m=m,
+        exponent_rule=exponent_rule,
+        l1_estimate=l1_estimate,
+        approximate=approximate,
+    )
+
+
 def exponential_release_exact(
     d: Database,
     c: QueryClass,
@@ -295,26 +315,20 @@ def exponential_release_exact(
     l1="public",
     budget: int | None = None,
 ) -> ReleaseOutput:
-    """Sample a surrogate from the exact exponential-weight distribution by
-    scoring the whole domain.  Meant for desk-scale domains; refuses over the
+    """Draw one uniform against the cumulative ``exponential_probabilities``
+    of the whole domain at the alpha left for the weights (0.9 alpha under
+    "private"): the law ``exact_output_distribution`` returns for that alpha
+    and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
     enumeration budget and names the MCMC fallback.  The reported score is
     ``quality_score`` of the drawn row, exactly."""
-    _check_dimensions(c, d.n)
-    _check_budget(d.n, m, budget)
+    _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
+    counts = composition_matrix(d.n, m, budget=budget)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
-    counts = next(domain_blocks(d.n, m))
-    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m)[0]
-    probs = softmax_probabilities(scores * (alpha / exponent_divisor(exponent_rule, m)))
+    probs = exponential_probabilities(
+        c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m, alpha, exponent_rule
+    )[0]
     idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(counts) - 1)
-    chosen = SparseSyntheticDatabase(counts[idx])
-    return ReleaseOutput(
-        d_out=rescale(chosen, l1_estimate),
-        d_prime=chosen,
-        score=quality_score(d, chosen, c, l1_estimate),
-        m=m,
-        exponent_rule=exponent_rule,
-        l1_estimate=l1_estimate,
-    )
+    return _release(d, c, counts[idx], m, exponent_rule, l1_estimate)
 
 
 def acceptance_probability(score_from: float, score_to: float, scale: float) -> float:
@@ -345,7 +359,7 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     ``record`` on (none when ``record`` is None)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    _check_dimensions(c, d.n)
+    _check_dims(c.n, d.n, "Metropolis chain: class vs database")
     n = d.n
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     scale = alpha / exponent_divisor(exponent_rule, m)
@@ -400,16 +414,7 @@ def exponential_release_mcmc(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     state, l1_estimate, _ = _chain(d, c, p, m, steps, rng, exponent_rule, l1, None)
-    chosen = SparseSyntheticDatabase(state)
-    return ReleaseOutput(
-        d_out=rescale(chosen, l1_estimate),
-        d_prime=chosen,
-        score=quality_score(d, chosen, c, l1_estimate),
-        m=m,
-        exponent_rule=exponent_rule,
-        l1_estimate=l1_estimate,
-        approximate=True,
-    )
+    return _release(d, c, state, m, exponent_rule, l1_estimate, approximate=True)
 
 
 def mcmc_state_counts(
@@ -452,7 +457,7 @@ def laplace_release(
     """Baseline: answer every query directly with independent Laplace noise
     at scale k/alpha (each linear query moves by at most 1 under a unit L1
     change, and the k answers compose)."""
-    _check_dimensions(c, d.n)
+    _check_dims(c.n, d.n, "laplace_release: class vs database")
     true_answers = c.matrix @ d.entries
     return true_answers + laplace_noise(rng, c.k / p.alpha, size=c.k)
 

@@ -7,11 +7,13 @@ integer databases on a bounded grid, the same ratios after an arbitrary
 post-processing map, and the best achievable surrogate for a given database.
 
 These are the ground truth that the sampling mechanisms are tested against.
-They enumerate and score the domain with the exact sampler's enumerator and
-batched kernel (``domain_blocks`` and ``score_rows``), so their independence
-rests on the tests, which hold that kernel to the per-candidate
-``quality_score``, the best surrogate to ``max_error`` and the certificates,
-which score a whole grid in one batched pass, to a per-point reference.
+They enumerate the domain with the exact sampler's enumerator
+(``domain_blocks``) and weigh it with the law the exact sampler draws from
+(``exponential_probabilities``, over the ``score_rows`` kernel), so what they
+print and certify is what the sampler runs.  Their independence rests on the
+tests, which hold that kernel to the per-candidate ``quality_score``, the
+best surrogate to ``max_error`` and the certificates, which score a whole
+grid in one batched pass, to a per-point reference.
 """
 
 import itertools
@@ -22,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Database, QueryClass, SparseSyntheticDatabase, l1_norm
+from .core import Database, QueryClass, SparseSyntheticDatabase, _check_dims, l1_norm
 from .mechanisms import (
-    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _check_dimensions, _checked_l1,
-    composition_matrix, domain_blocks, exponent_divisor, score_rows, softmax_probabilities,
+    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1,
+    composition_matrix, domain_blocks, exponential_probabilities, score_rows,
 )
 
 __all__ = [
@@ -38,14 +40,6 @@ __all__ = [
 ]
 
 RATIO_SLACK = 1e-9
-
-
-def _probabilities(c, p, m, exponent_rule, counts, true_answers, l1s, score_scale) -> np.ndarray:
-    """Exact output distributions over the rows of ``counts`` for a batch of
-    databases, given their true answers and L1 values: a (B, rows) matrix."""
-    scores = score_rows(c, counts, true_answers, l1s, m)
-    logits = float(score_scale) * scores * p.alpha / exponent_divisor(exponent_rule, m)
-    return softmax_probabilities(logits)
 
 
 class OutputDistribution(Sequence):
@@ -82,17 +76,16 @@ def exact_output_distribution(
     *,
     l1_estimate: float | None = None,
     budget: int | None = None,
-    score_scale: float = 1.0,
 ) -> OutputDistribution:
-    """Closed-form output distribution of the exact release mechanism, in the
-    domain's enumeration order.  ``l1_estimate=None`` means the public true
-    norm.  ``score_scale`` is a fault-injection knob for certifier tests
-    (scale != 1 deliberately mis-weights the scores)."""
-    _check_dimensions(c, d.n)
+    """Closed-form output distribution of the exact release mechanism at
+    ``p.alpha``, in the domain's enumeration order: the
+    ``exponential_probabilities`` that ``exponential_release_exact`` draws
+    from.  ``l1_estimate=None`` means the public true norm."""
+    _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
     counts = composition_matrix(d.n, m, budget=budget)
     true_answers = (c.matrix @ d.entries)[None]
-    probs = _probabilities(c, p, m, exponent_rule, counts, true_answers, [l1], score_scale)
+    probs = exponential_probabilities(c, counts, true_answers, [l1], m, p.alpha, exponent_rule)
     return OutputDistribution(counts, probs[0])
 
 
@@ -137,12 +130,11 @@ def _certificate(
     m: int,
     exponent_rule: ExponentRule,
     outcome_map,
-    score_scale: float,
     real_probes: int,
     rng,
     budget: int | None,
 ) -> CertificateResult:
-    _check_dimensions(c, n)
+    _check_dims(c.n, n, "certificate: class vs grid")
     if entry_cap < 1:
         raise ValueError("entry_cap must be at least 1")
     if real_probes < 0:
@@ -181,7 +173,7 @@ def _certificate(
     # Each point's true answers by the same matvec a Database gets.
     true_answers = np.array([c.matrix @ point for point in points])
     l1s = points.sum(axis=1)
-    dist = _probabilities(c, p, m, exponent_rule, counts, true_answers, l1s, score_scale)
+    dist = exponential_probabilities(c, counts, true_answers, l1s, m, p.alpha, exponent_rule)
     if outcome_map is None:
         labels = None
     else:
@@ -226,7 +218,6 @@ def privacy_ratio_certificate(
     m: int,
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
-    score_scale: float = 1.0,
     real_probes: int = 0,
     rng=None,
     budget: int | None = None,
@@ -238,9 +229,7 @@ def privacy_ratio_certificate(
     real-valued pairs at L1 distance exactly 1, since the privacy definition
     quantifies over real neighbors and the grid alone checks the weaker
     integer reading."""
-    return _certificate(
-        n, entry_cap, c, p, m, exponent_rule, None, score_scale, real_probes, rng, budget
-    )
+    return _certificate(n, entry_cap, c, p, m, exponent_rule, None, real_probes, rng, budget)
 
 
 def postprocessing_certificate(
@@ -252,7 +241,6 @@ def postprocessing_certificate(
     m: int,
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
-    score_scale: float = 1.0,
     real_probes: int = 0,
     rng=None,
     budget: int | None = None,
@@ -260,9 +248,7 @@ def postprocessing_certificate(
     """Same sweep as ``privacy_ratio_certificate`` but on the distributions
     pushed forward through a fixed outcome map ``g`` (database-independent
     post-processing cannot worsen the ratio)."""
-    return _certificate(
-        n, entry_cap, c, p, m, exponent_rule, g, score_scale, real_probes, rng, budget
-    )
+    return _certificate(n, entry_cap, c, p, m, exponent_rule, g, real_probes, rng, budget)
 
 
 def best_sparse_db(
@@ -271,7 +257,7 @@ def best_sparse_db(
     """Exhaustively find the surrogate minimizing the rescaled worst-case
     error, and that error divided by ||D||_1.  Exact ties resolve to the
     lexicographically smallest count vector."""
-    _check_dimensions(c, d.n)
+    _check_dims(c.n, d.n, "best_sparse_db: class vs database")
     _check_budget(d.n, m, budget)
     l1 = l1_norm(d)
     true_answers = (c.matrix @ d.entries)[None]

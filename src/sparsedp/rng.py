@@ -7,7 +7,9 @@ and trials can execute on any schedule without changing results.
 
 Splitting scheme: the root seed ``s`` owns the stream
 ``default_rng(SeedSequence(s))``; the i-th child stream (one per trial index,
-or per named sub-task index) is ``default_rng(SeedSequence(s, spawn_key=(i,)))``.
+or per named sub-task index) is ``default_rng(SeedSequence(s, spawn_key=(i,)))``,
+which is what the root generator's first ``Generator.spawn`` hands out, in
+index order.
 """
 
 import numpy as np
@@ -18,8 +20,3 @@ def make_rng(seed: int | np.random.SeedSequence | np.random.Generator) -> np.ran
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def child_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent stream for trial ``index`` under root ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))

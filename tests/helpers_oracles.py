@@ -268,13 +268,14 @@ def total_variation(p: dict, q: dict) -> float:
 
 
 def per_point_certificate(
-    n, entry_cap, c, p, m, exponent_rule, outcome_map=None, *,
-    score_scale=1.0, real_probes=0, rng=None,
+    n, entry_cap, c, p, m, exponent_rule, outcome_map=None, *, real_probes=0, rng=None,
 ):
     """The ratio certificate one grid point at a time: each point's
     distribution from its own kernel call, pushed forward through a dict, and
     both orders of every pair scanned label by label with a strict ``>``.
-    The library computes the same certificate over whole arrays."""
+    The library computes the same certificate over whole arrays.  The
+    divisor is read through ``mechanisms`` at call time, so a test that
+    patches ``mechanisms.exponent_divisor`` mis-weights this reference too."""
     counts = composition_matrix(n, m)
     if outcome_map is None:
         labels = [tuple(int(x) for x in row) for row in counts]
@@ -285,7 +286,7 @@ def per_point_certificate(
         d = Database(np.asarray(entries, dtype=np.float64))
         scores = score_rows(c, counts, [c.matrix @ d.entries], [l1_norm(d)], m)[0]
         probs = softmax_probabilities(
-            float(score_scale) * scores * p.alpha / exponent_divisor(exponent_rule, m)
+            scores * p.alpha / mechanisms.exponent_divisor(exponent_rule, m)
         )
         out: dict = {}
         for label, prob in zip(labels, probs):

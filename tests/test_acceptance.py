@@ -224,13 +224,12 @@ def test_09_laplace_baseline_noise_scale():
     _finish("laplace mean absolute noise equals k/alpha", t0, 30)
 
 
-def test_10_negative_control_catches_misscaled_exponent():
+def test_10_negative_control_catches_misscaled_exponent(misweighted_law):
     t0 = time.time()
     failures = []
+    misweighted_law(2.0)
     for n, m, alpha, rule in SWEEP:
-        cert = privacy_ratio_certificate(
-            n, ENTRY_CAP, CLASSES[n], PrivacyParams(alpha), m, rule, score_scale=2.0
-        )
+        cert = privacy_ratio_certificate(n, ENTRY_CAP, CLASSES[n], PrivacyParams(alpha), m, rule)
         if not cert.passed:
             failures.append((n, m, alpha, rule.value, cert.max_ratio))
     assert failures, "doubled-score control passed everywhere; certifier is vacuous"

@@ -18,6 +18,7 @@ from sparsedp import (
     exact_output_distribution,
     exponential_release_exact,
     laplace_release,
+    make_rng,
     partition_buckets,
     reconstruct,
 )
@@ -198,6 +199,27 @@ class TestAttackExperiment:
         assert report.mean_symdiff == 0.0
         assert report.symdiff_counts == {0: 300}
         assert report.reconstruction_bound_violations == 0
+
+    def test_trial_streams_follow_the_documented_split(self):
+        # Trial i draws from SeedSequence(seed, spawn_key=(i,)): its subset,
+        # its swapped pair, then whatever the mechanism draws.
+        seed, trials = 12345, 8
+        draws = []
+
+        def recording(db, rng):
+            draws.append(rng.random())
+            return db
+
+        attack_experiment(recording, self.family, trials, make_rng(seed))
+        half = len(self.family.bucket) // 2
+        expected = []
+        for i in range(trials):
+            stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+            stream.integers(len(self.family.subsets()))
+            stream.integers(half)
+            stream.integers(len(self.family.bucket) - half)
+            expected += [stream.random(), stream.random()]
+        assert draws == expected
 
     def test_exact_mechanism_bound_and_ground_truth(self):
         mech = lambda db, rng: exponential_release_exact(db, BOOL4, self.p, 2, rng)

@@ -179,6 +179,20 @@ class TestAttackCommand:
             assert payload["result"]["reconstruction_bound_violations"] == 0
 
 
+    @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_m_exits_1(self, files, capsys, mechanism, m):
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", mechanism, "--trials", "5", "--m", m],
+        )
+        assert code == 1
+        assert out == ""
+        assert "--m must be at least 1" in err
+
+
 class TestOracleCommand:
     def test_distribution_and_best_sparse(self, files, capsys):
         _, db, cls = files

@@ -27,7 +27,7 @@ from sparsedp import (
     sparse_domain,
     utility_threshold,
 )
-from sparsedp import mechanisms
+from sparsedp import config, mechanisms
 from sparsedp.fsd import choose_m, fsd
 from sparsedp.mechanisms import (
     acceptance_probability,
@@ -248,6 +248,51 @@ class TestExactRelease:
         assert out.score == quality_score(d, out.d_prime, c, out.l1_estimate)
         assert out.score <= 0.0
         assert np.allclose(out.d_out.entries, rescale(out.d_prime, out.l1_estimate).entries)
+
+    def test_draw_lands_where_the_printed_law_puts_it(self):
+        # The sampler draws from the law exact_output_distribution returns:
+        # a uniform u picks the first row whose cumulative probability
+        # exceeds u.  The pinned tight-rule instance is one where a sampler
+        # weighting by scores * (alpha / divisor), which rounds the quotient
+        # first, sends u to (1, 1).  The sweep covers both rules and both L1
+        # modes.
+        class FixedUniform:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, size=None):
+                return self.u
+
+        def check(d, c, alpha, m, rule, u, l1="public"):
+            out = exponential_release_exact(d, c, PrivacyParams(alpha), m, FixedUniform(u), rule, l1=l1)
+            if l1 == "private":
+                alpha *= 1.0 - config.L1_ESTIMATE_ALPHA_SHARE
+            dist = exact_output_distribution(
+                d, c, PrivacyParams(alpha), m, rule, l1_estimate=out.l1_estimate
+            )
+            row = int(np.searchsorted(np.cumsum(dist.probabilities), u, side="right"))
+            assert out.d_prime.as_tuple() == tuple(dist.counts[row].tolist())
+            return out.d_prime.as_tuple()
+
+        pinned = (Database([1.4, 0.92]), QueryClass([[0.25, 0.95], [0.19, 0.18]]), 2.0, 2)
+        assert check(*pinned, ExponentRule.TIGHT_SENSITIVITY, 0.3151814604361125) == (2, 0)
+
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            n = int(rng.integers(1, 4))
+            d = Database(rng.uniform(0, 3, size=n))
+            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 4)), n)))
+            alpha, m = float(rng.uniform(0.2, 4.0)), int(rng.integers(1, 5))
+            rule, l1 = list(ExponentRule)[trial % 2], ("public", "private")[trial // 2 % 2]
+            for u in rng.random(5):
+                check(d, c, alpha, m, rule, float(u), l1)
+
+    def test_answers_refuse_a_class_of_another_length(self):
+        c = QueryClass([[1, 0]])
+        out = exponential_release_exact(Database([1, 2]), c, PrivacyParams(1.0), 2, np.random.default_rng(0))
+        assert out.answers(c).shape == (1,)
+        with pytest.raises(DimensionMismatchError, match="ReleaseOutput.answers"):
+            out.answers(QueryClass([[1, 0, 1]]))
 
     def test_determinism_per_seed(self):
         d = Database([1, 2])

@@ -129,11 +129,11 @@ class TestPrivacyCertificate:
         assert cert.passed
         assert cert.real_probes == 100
 
-    def test_negative_control_doubled_score_fails(self):
+    def test_negative_control_doubled_score_fails(self, misweighted_law):
         # direct search found this failing instance; pin it
+        misweighted_law(2.0)
         cert = privacy_ratio_certificate(
-            3, 3, CANONICAL_N3, PrivacyParams(2.0), 3,
-            ExponentRule.TIGHT_SENSITIVITY, score_scale=2.0,
+            3, 3, CANONICAL_N3, PrivacyParams(2.0), 3, ExponentRule.TIGHT_SENSITIVITY
         )
         assert not cert.passed
         assert cert.max_ratio > math.exp(2.0) + 1e-9
@@ -165,10 +165,11 @@ class TestPrivacyCertificate:
         with pytest.raises(ValueError):
             privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 1, real_probes=5)
 
-    def test_nan_probabilities_fail(self):
+    def test_nan_probabilities_fail(self, misweighted_law):
         # A NaN ratio is the maximum, so a certificate over NaN distributions
         # fails instead of passing with max_ratio 0.
-        cert = privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 2, score_scale=math.nan)
+        misweighted_law(math.nan)
+        cert = privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 2)
         assert math.isnan(cert.max_ratio)
         assert not cert.passed
 
@@ -219,15 +220,16 @@ class TestAgainstPerPointCertificate:
             assert cert.to_dict() == reference.to_dict()
             assert cert.pairs_checked == 2 * n * cap * (cap + 1) ** (n - 1) + 50
 
-    def test_witness_on_a_failing_pair(self):
+    def test_witness_on_a_failing_pair(self, misweighted_law):
+        misweighted_law(2.0)
         args = (3, 3, CANONICAL_N3, PrivacyParams(2.0), 3, ExponentRule.TIGHT_SENSITIVITY)
-        cert = privacy_ratio_certificate(*args, score_scale=2.0)
-        reference = per_point_certificate(*args, score_scale=2.0)
+        cert = privacy_ratio_certificate(*args)
+        reference = per_point_certificate(*args)
         assert cert.to_dict() == reference.to_dict()
         assert not cert.passed
         # The witness's own ratio is the one that fails.
         first, second = (
-            exact_output_distribution(Database(x), *args[2:], score_scale=2.0) for x in cert.witness_pair
+            exact_output_distribution(Database(x), *args[2:]) for x in cert.witness_pair
         )
         row = [tuple(r) for r in first.counts.tolist()].index(cert.witness_outcome)
         assert first.probabilities[row] / second.probabilities[row] == cert.max_ratio > cert.bound
