@@ -3,8 +3,9 @@
 Subcommands: ``release`` (run a private release), ``fsd`` (shattering
 dimension search), ``attack`` (reconstruction experiment), ``verify-privacy``
 (brute-force ratio certificate), and ``oracle`` (closed-form distribution and
-best-surrogate dumps).  Every run prints one JSON document to stdout that
-embeds the resolved configuration and the library version; ``--out DIR``
+best-surrogate dumps).  Every run prints one JSON document to stdout, byte for
+byte as ``json.dumps(doc, indent=2, sort_keys=True)`` would, that embeds the
+resolved configuration and the library version; ``--out DIR``
 additionally writes the same document (plus per-trial / per-query CSV tables
 where applicable) to disk.  Identical configuration and seed give
 byte-identical outputs.
@@ -15,9 +16,12 @@ Exit codes: 0 success, 1 validation error (bad flags or malformed files),
 
 import argparse
 import csv
-import json
+import functools
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -136,8 +140,97 @@ def _payload(args, result: dict) -> dict:
     return {"version": __version__, "config": _resolved_config(args), "result": result}
 
 
+def _floatstr(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_one(value, depth: int) -> str:
+    """One value by ``json``'s own ``isinstance`` order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _floatstr(value)
+    if isinstance(value, (list, tuple)):
+        return _encode_lists([value], depth)[0]
+    if isinstance(value, dict):
+        return _encode_dicts([value], depth)[0]
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode_level(values: list, depth: int) -> list[str]:
+    """Encode a batch of values that sit ``depth`` levels deep.
+
+    A batch of one exact type goes through C-level ``map`` calls; equal-length
+    lists and same-key dicts are encoded one nesting level at a time, as one
+    batch per level.  Anything else falls back to one value at a time.
+    """
+    types = set(map(type, values))
+    if len(types) == 1:
+        kind = types.pop()
+        if kind is int:
+            return list(map(int.__repr__, values))
+        if kind is float:
+            if all(map(math.isfinite, values)):
+                return list(map(float.__repr__, values))
+            return list(map(_floatstr, values))
+        if kind is str:
+            return list(map(encode_basestring_ascii, values))
+        if (kind is list or kind is tuple) and len(set(map(len, values))) == 1:
+            return _encode_lists(values, depth)
+        if kind is dict and len(set(map(tuple, values))) == 1:
+            return _encode_dicts(values, depth)
+    return [_encode_one(value, depth) for value in values]
+
+
+def _encode_lists(lists: list, depth: int) -> list[str]:
+    """Equal-length lists: flatten one level, encode, regroup by one template."""
+    width = len(lists[0])
+    if not width:
+        return ["[]"] * len(lists)
+    inner = "\n" + "  " * (depth + 1)
+    template = "[" + inner + ("," + inner).join(["%s"] * width) + "\n" + "  " * depth + "]"
+    items = _encode_level(list(chain.from_iterable(lists)), depth + 1)
+    return list(map(template.__mod__, zip(*[iter(items)] * width)))
+
+
+def _encode_dicts(dicts: list, depth: int) -> list[str]:
+    """Dicts with one key tuple: one column per sorted key, one template."""
+    keys = list(dicts[0])
+    if not keys:
+        return ["{}"] * len(dicts)
+    for key in keys:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    keys.sort()
+    inner = "\n" + "  " * (depth + 1)
+    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
+    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
+    columns = [_encode_level(list(map(itemgetter(key), dicts)), depth + 1) for key in keys]
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _dumps(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for documents with
+    str keys; a non-str key raises ``TypeError``."""
+    return _encode_level([obj], 0)[0]
+
+
 def _emit(args, payload: dict, tables: dict[str, list] | None = None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload)
     print(text)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -246,6 +339,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify_privacy(args) -> int:
+    _check_m(args.m)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule.parse(args.exponent)
@@ -267,6 +361,7 @@ def _cmd_verify_privacy(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_m(args.m)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
@@ -299,11 +394,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``run`` uses, built on first use: a parse never changes it."""
+    return build_parser()
+
+
 def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -55,7 +55,11 @@ def domain_budget(override: int | None = None) -> int:
 def node_budget(override: int | None = None) -> int:
     """Resolve the shattering-search node budget: the explicit ``override``
     argument, else ``DEFAULT_NODE_BUDGET``.  ``FSDP_BUDGET`` does not apply:
-    a smaller search would silently turn the dimension into a lower bound."""
-    if override is not None:
-        return int(override)
-    return DEFAULT_NODE_BUDGET
+    a smaller search would silently turn the dimension into a lower bound.
+    A budget below 1 raises ``ValueError``: it could explore no node."""
+    if override is None:
+        return DEFAULT_NODE_BUDGET
+    budget = int(override)
+    if budget < 1:
+        raise ValueError(f"node budget must be at least 1, got {budget}")
+    return budget

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sparsedp
 from helpers_oracles import boolean_indicator_class
 from sparsedp import save_database, save_query_class, Database, QueryClass
+from sparsedp import cli
 from sparsedp.cli import run
 
 
@@ -38,6 +44,16 @@ class TestFsdCommand:
         assert payload["result"]["nodes_explored"] > 0
         assert payload["version"] == "0.1.0"
         assert payload["config"]["gamma"] == 0.5
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_exits_1(self, files, capsys, budget):
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["fsd", "--class", str(cls), "--gamma", "0.1", "--dmax", "2", "--budget", budget],
+        )
+        assert (code, out) == (1, "")
+        assert f"node budget must be at least 1, got {budget}" in err
 
 
 class TestVerifyPrivacyCommand:
@@ -74,6 +90,17 @@ class TestVerifyPrivacyCommand:
         assert code == 1
         assert out == ""
         assert "real_probes must be nonnegative" in err
+
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_nonpositive_m_exits_1(self, files, capsys, m):
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+             "--alpha", "1", "--m", m],
+        )
+        assert (code, out) == (1, "")
+        assert "--m must be at least 1" in err
 
 
 class TestReleaseCommand:
@@ -208,6 +235,15 @@ class TestOracleCommand:
         assert sum(entry["probability"] for entry in dist) == pytest.approx(1.0, abs=1e-12)
         assert "best_sparse" in payload["result"]
 
+    @pytest.mark.parametrize("m", ["0", "-1"])
+    def test_nonpositive_m_exits_1(self, files, capsys, m):
+        _, db, cls = files
+        code, out, err = run_capture(
+            capsys, ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", m]
+        )
+        assert (code, out) == (1, "")
+        assert "--m must be at least 1" in err
+
 
 class TestContracts:
     def test_byte_identical_reruns(self, files, capsys, tmp_path):
@@ -301,3 +337,60 @@ class TestContracts:
             capsys, ["fsd", "--class", str(cls), "--gamma", "0.7", "--dmax", "2"]
         )
         assert code == 1
+
+
+def subcommand_argvs(db, cls):
+    return {
+        "release": ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+                    "--m", "3", "--seed", "7"],
+        "fsd": ["fsd", "--class", str(cls), "--gamma", "0.5", "--dmax", "2"],
+        "attack": ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+                   "--mechanism", "exact", "--trials", "5", "--seed", "3"],
+        "verify-privacy": ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+                           "--alpha", "1", "--m", "2", "--probes", "3", "--seed", "1"],
+        "oracle": ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1",
+                   "--m", "2", "--best-sparse"],
+    }
+
+
+def run_fresh_process(argv, cwd):
+    """Run the CLI in a new interpreter, with this checkout's package first."""
+    env = dict(os.environ)
+    src = str(Path(sparsedp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsedp.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestOutputFormat:
+    @pytest.mark.parametrize("command", ["release", "fsd", "attack", "verify-privacy", "oracle"])
+    def test_stdout_is_stdlib_json_and_matches_out_file(self, files, capsys, tmp_path, command):
+        _, db, cls = files
+        out_dir = tmp_path / "art"
+        code, out, _ = run_capture(capsys, subcommand_argvs(db, cls)[command] + ["--out", str(out_dir)])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert (out_dir / f"{command}.json").read_text() == out
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_runs_in_one_process_match_fresh_processes(self, files, capsys, tmp_path):
+        _, db, cls = files
+        release = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1", "--seed", "5"]
+        sequence = [
+            ["fsd", "--class", str(cls), "--gamma", "0.5", "--dmax", "2", "--bogus", "1"],
+            ["fsd", "--class", str(cls), "--gamma", "0.5", "--dmax", "2"],
+            release + ["--m", "2"],
+            release + ["--eta", "0.5", "--gamma", "0.5"],
+        ]
+        in_process = [run_capture(capsys, argv) for argv in sequence]
+        assert [code for code, _, _ in in_process] == [1, 0, 0, 0]
+        for argv, got in zip(sequence, in_process):
+            assert got == run_fresh_process(argv, tmp_path)

@@ -25,6 +25,7 @@ from sparsedp import (
     is_gamma_shattered,
     verify_shattering,
 )
+from sparsedp.attack import build_family
 from sparsedp.fsd import _pick_threshold
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
@@ -214,6 +215,18 @@ class TestFsd:
     def test_dmax_validation(self):
         with pytest.raises(ValueError):
             fsd(FULL_N2, 0.5, 0)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_node_budget_below_one_refused(self, budget):
+        c = boolean_indicator_class(2)
+        message = f"node budget must be at least 1, got {budget}"
+        with pytest.raises(ValueError, match=message):
+            fsd(c, 0.5, 2, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            is_gamma_shattered(c, (0,), 0.5, budget=budget)
+        with pytest.raises(ValueError, match=message):
+            build_family(c, 0.5, 2, budget=budget)
+        assert fsd(c, 0.5, 2, budget=1).nodes_explored <= 1
 
 
 def seeded_classes(seed: int, count: int):
