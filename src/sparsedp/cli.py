@@ -11,7 +11,8 @@ where applicable) to disk.  Identical configuration and seed give
 byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error (bad flags or malformed files),
-2 enumeration-budget refusal.
+2 budget refusal (the domain enumeration, or a shattering search that
+``release --eta --gamma`` needs exact).
 """
 
 import argparse
@@ -261,8 +262,14 @@ def _derive_m(args, cls) -> int:
     if args.eta is None or args.gamma is None:
         raise _CliError("either --m or both --eta and --gamma are required")
     d_max = max(1, int(math.log2(cls.k)))
-    dimension = fsd(cls, args.gamma, d_max).d
-    return choose_m(args.eta, dimension)
+    result = fsd(cls, args.gamma, d_max)
+    if not result.exact:
+        # An m built from a lower bound on d would be too small for --eta.
+        raise SearchBudgetExceeded(
+            f"the shattering search at gamma={args.gamma} used its {result.nodes_explored}-node "
+            f"budget and proved only d >= {result.d}; pass --m to set the surrogate size"
+        )
+    return choose_m(args.eta, result.d)
 
 
 def _cmd_release(args) -> int:

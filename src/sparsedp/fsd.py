@@ -269,28 +269,74 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     shattering is downward closed (restrict the assignment to sub-patterns),
     so an empty level proves every larger level empty too.  Among equally
     large shattered subsets the lexicographically smallest index set wins.
+
+    The same closure prunes within a level: a d-subset with an unshattered
+    (d-1)-subset is skipped unsearched.  Verdicts are kept for two levels
+    only, the current one and the one below, whose scan stopped at its first
+    shattered subset and so left the later ones undecided.  Until the
+    current level has seen a search fail, a subset is skipped only when a
+    (d-1)-subset is already known to be unshattered (searched or skipped
+    below); after the first failure, its undecided (d-1)-subsets are also
+    searched, in lex order, until one proves unshattered or all are
+    shattered.  Waiting for a failure keeps a level whose first subset is
+    shattered at exactly its unpruned cost, as on boolean product classes;
+    deciding (d-1)-subsets from the start cost 3.7x the nodes there.
+
+    Every search, of a subset or of a (d-1)-subset, spends from one budget,
+    so ``nodes_explored`` counts the rows tried by all of them.  When the
+    search is exact, ``d`` and the witness are those of the unpruned scan:
+    every skipped subset is unshattered and the first shattered subset is
+    found by the same DFS.  Only the node count moves.  It usually falls
+    (1.8-1.9x on uniform random classes whose top level is empty), but it
+    rises where the searched (d-1)-subsets cost more than the skips save:
+    in two samples of 2,825 random small classes (k 2-23, n 2-9), 13% and
+    21% of the classes used more nodes, at worst 1.58x and 1.39x.  So a
+    budget-limited search can stop at a different point, and return a
+    different lower bound, than the unpruned scan would.
     """
     gamma = _validate_gamma(gamma)
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     tracker = _NodeBudget(config.node_budget(budget))
+
+    def search(subset: tuple[int, ...]):
+        return _search_assignment(c.matrix[:, subset], gamma, tracker)
+
     best_d = 0
     best_witness: ShatteringWitness | None = None
     exact = True
+    below: dict[tuple[int, ...], bool] = {}  # level d-1: subset -> shattered
     try:
         for d in range(1, min(d_max, c.n) + 1):
+            level: dict[tuple[int, ...], bool] = {}
             level_witness = None
+            failed = False
             for subset in itertools.combinations(range(c.n), d):
-                found = _search_assignment(c.matrix[:, subset], gamma, tracker)
+                faces = list(itertools.combinations(subset, d - 1)) if d > 1 else []
+                pruned = any(below.get(face) is False for face in faces)
+                if failed and not pruned:
+                    for face in faces:
+                        if face not in below:
+                            below[face] = search(face) is not None
+                            if not below[face]:
+                                pruned = True
+                                break
+                if pruned:
+                    level[subset] = False
+                    continue
+                found = search(subset)
+                level[subset] = found is not None
                 if found is not None:
                     assignment, thresholds = found
                     level_witness = ShatteringWitness(
                         subset=subset, thresholds=thresholds, assignment=assignment, gamma=gamma
                     )
                     break
+                failed = True
             if level_witness is None:
                 break
             best_d, best_witness = d, level_witness
+            below = level
     except SearchBudgetExceeded:
         exact = False
     return FsdResult(d=best_d, witness=best_witness, nodes_explored=tracker.used, exact=exact)

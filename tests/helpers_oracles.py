@@ -209,26 +209,60 @@ def per_node_search(basis: np.ndarray, gamma: float, budget: list[int]):
     return dict(zip(patterns, chosen)), tuple(min1), tuple(max0)
 
 
-def per_node_fsd(c: QueryClass, gamma: float, d_max: int, budget: int):
+def per_node_fsd(c: QueryClass, gamma: float, d_max: int, budget: int, *, prune: bool = True):
     """``fsd`` driven by ``per_node_search``: (d, subset, assignment, min1,
-    max0, nodes used, exact) with the last five None for d = 0."""
+    max0, nodes used, exact, skipped) with the middle four None for d = 0.
+
+    With ``prune`` a level skips a subset that has an unshattered
+    (d-1)-subset: one the level below searched or skipped, or, once this
+    level has seen a search fail, one searched now (undecided ones in
+    ``itertools.combinations`` order, stopping at the first unshattered).
+    ``skipped`` lists every subset skipped, in scan order.  Without
+    ``prune`` every subset is searched in lex order up to the first
+    shattered one and ``skipped`` is empty."""
     state = [budget, 0]
     best = (0, None, None, None, None)
     exact = True
+    skipped = []
+    below_yes: set = set()
+    below_no: set = set()
     try:
         for d in range(1, min(d_max, c.n) + 1):
             level = None
+            level_yes: set = set()
+            level_no: set = set()
+            failures = 0
             for subset in itertools.combinations(range(c.n), d):
+                if prune and d > 1:
+                    faces = list(itertools.combinations(subset, d - 1))
+                    skip = not below_no.isdisjoint(faces)
+                    if failures and not skip:
+                        for face in faces:
+                            if face in below_yes or face in below_no:
+                                continue
+                            if per_node_search(c.matrix[:, face], gamma, state) is None:
+                                below_no.add(face)
+                                skip = True
+                                break
+                            below_yes.add(face)
+                    if skip:
+                        skipped.append(subset)
+                        level_no.add(subset)
+                        continue
                 found = per_node_search(c.matrix[:, subset], gamma, state)
                 if found is not None:
                     level = (d, subset) + found
+                    level_yes.add(subset)
                     break
+                failures += 1
+                level_no.add(subset)
             if level is None:
                 break
             best = level
+            below_yes, below_no = level_yes, level_no
     except ReferenceBudgetExceeded:
         exact = False
-    return best + (state[1], exact)
+    return best + (state[1], exact, skipped)
 
 
 def fsd_by_sweep(c: QueryClass, gamma: float, d_max: int) -> int:

@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsedp
 from helpers_oracles import boolean_indicator_class
-from sparsedp import save_database, save_query_class, Database, QueryClass
+from sparsedp import save_database, save_query_class, config, fsd, Database, QueryClass
 from sparsedp import cli
 from sparsedp.cli import run
 
@@ -153,6 +154,25 @@ class TestReleaseCommand:
         )
         assert code == 0
         assert json.loads(out)["result"]["l1_estimate"] == 6.0
+
+    def test_inexact_dimension_search_refused(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        c = QueryClass(rng.uniform(0.0, 1.0, size=(64, 12)))
+        cls, db = tmp_path / "cls.json", tmp_path / "db.json"
+        save_query_class(c, cls)
+        save_database(Database(rng.uniform(0.0, 50.0, size=12)), db)
+        # The search release runs for m (d_max = log2(64) = 6) runs out of its
+        # default budget, so it proves only a lower bound on the dimension.
+        search = fsd(c, 0.1, 6)
+        assert not search.exact and search.nodes_explored == config.DEFAULT_NODE_BUDGET
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--eta", "0.25", "--gamma", "0.1", "--sampler", "mcmc", "--seed", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("budget refusal: ")
+        assert f"d >= {search.d}" in err and "--m" in err
 
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files

@@ -259,7 +259,7 @@ class TestAgainstPerNodeSearch:
         inexact = 0
         for c, gamma, d_max, budget in seeded_classes(71, 150):
             got = fsd(c, gamma, d_max, budget=budget)
-            d, subset, assignment, min1, max0, used, exact = per_node_fsd(c, gamma, d_max, budget)
+            d, subset, assignment, min1, max0, used, exact, _ = per_node_fsd(c, gamma, d_max, budget)
             assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
             if not exact:
                 inexact += 1
@@ -271,6 +271,108 @@ class TestAgainstPerNodeSearch:
                 assert got.witness.assignment == assignment
                 assert got.witness.thresholds == thresholds_of(min1, max0, gamma)
         assert inexact >= 10
+
+    def test_exact_search_matches_unpruned_reference(self):
+        # Pruning changes only the node count: an exact search must find the
+        # unpruned scan's dimension, subset, assignment and thresholds.
+        compared = 0
+        for c, gamma, d_max, budget in seeded_classes(71, 150):
+            got = fsd(c, gamma, d_max, budget=budget)
+            if not got.exact:
+                continue
+            d, subset, assignment, min1, max0, _, exact, skipped = per_node_fsd(
+                c, gamma, d_max, 10**7, prune=False
+            )
+            assert exact and skipped == []
+            assert got.d == d
+            if d == 0:
+                assert got.witness is None
+                continue
+            compared += 1
+            assert got.witness.subset == subset
+            assert got.witness.assignment == assignment
+            assert got.witness.thresholds == thresholds_of(min1, max0, gamma)
+        assert compared >= 60
+
+    def test_skipped_subsets_are_unshattered(self):
+        def real_classes():
+            rng = np.random.default_rng(74)
+            for _ in range(40):
+                k, n = int(rng.integers(4, 16)), int(rng.integers(3, 7))
+                gamma = float(rng.choice([0.1, 0.15, 0.2, 0.25]))
+                yield random_query_class(rng, k=k, n=n), gamma, n, 10**5
+
+        checked = 0
+        for classes in (seeded_classes(71, 150), real_classes()):
+            for c, gamma, d_max, budget in classes:
+                skipped = per_node_fsd(c, gamma, d_max, budget)[-1]
+                for subset in skipped:
+                    assert not threshold_sweep_shattered(c, subset, gamma), subset
+                checked += len(skipped)
+        assert checked >= 100
+
+    def test_skips_at_the_top_shattered_level_carry_to_the_next(self):
+        # A subset S skipped on level d is known unshattered on level d+1.
+        # Pick a class where some superset T of S has no other face known
+        # unshattered: every other face of T sorts at or after the level's
+        # shattered subset W, so the scan never decided it below W.
+        def carried(c, d, witness, skipped):
+            for s in skipped:
+                if len(s) != d:
+                    continue
+                for x in set(range(c.n)) - set(s):
+                    t = tuple(sorted(s + (x,)))
+                    faces = itertools.combinations(t, d)
+                    if all(face >= witness for face in faces if face != s):
+                        return True
+            return False
+
+        rng = np.random.default_rng(89)
+        while True:
+            c = random_query_class(rng, k=13, n=7)
+            d, witness, *_, total, _, skipped = per_node_fsd(c, 0.1, 4, 10**6)
+            if 2 <= d < 4 and carried(c, d, witness, skipped):
+                break
+        for budget in sorted(set(np.linspace(1, total, 12).astype(int).tolist())):
+            got = fsd(c, 0.1, 4, budget=budget)
+            want_d, *_, used, exact, _ = per_node_fsd(c, 0.1, 4, budget)
+            assert (got.d, got.nodes_explored, got.exact) == (want_d, used, exact)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_no_extra_nodes_when_each_level_starts_shattered(self, n):
+        # Every level's first subset is shattered, so no search fails and
+        # nothing is decided beyond what the unpruned scan searches.
+        classes = [boolean_indicator_class(n)]
+        rng = np.random.default_rng(75 + n)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            rows = [np.array(row)[perm] for row in itertools.product((0.0, 1.0), repeat=n)]
+            classes.append(QueryClass(rows))
+        for c in classes:
+            got = fsd(c, 0.5, n)
+            used, exact = per_node_fsd(c, 0.5, n, 10**7, prune=False)[5:7]
+            assert got.exact and exact and got.d == n
+            assert got.nodes_explored == used
+
+    def test_budget_running_out_anywhere_matches_reference(self):
+        # Classes whose levels skip subsets, cut off at budgets spread over
+        # the whole search: in the middle of subset searches and of the
+        # (d-1)-subset searches that pruning adds.
+        rng = np.random.default_rng(76)
+        pruned = 0
+        while pruned < 4:
+            c = random_query_class(rng, k=12, n=6)
+            full = per_node_fsd(c, 0.15, 4, 10**6)
+            if not full[-1]:
+                continue
+            pruned += 1
+            total = full[5]
+            for budget in sorted(set(np.linspace(1, total, 40).astype(int).tolist())):
+                got = fsd(c, 0.15, 4, budget=budget)
+                d, subset, _, _, _, used, exact, _ = per_node_fsd(c, 0.15, 4, budget)
+                assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
+                assert exact == (budget == total)
+                assert (got.witness.subset if got.witness else None) == subset
 
     def test_is_gamma_shattered_matches_reference(self):
         rng = np.random.default_rng(72)
