@@ -36,6 +36,7 @@ from .mechanisms import (
     ExponentRule,
     PrivacyParams,
     ReleaseOutput,
+    SparseDomain,
     domain_size,
     estimate_l1,
     exponential_release_exact,

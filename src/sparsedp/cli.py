@@ -32,6 +32,7 @@ from .fsd import SearchBudgetExceeded, choose_m, fsd
 from .mechanisms import (
     ExponentRule,
     PrivacyParams,
+    SparseDomain,
     exponential_release_exact,
     exponential_release_mcmc,
     laplace_release,
@@ -324,7 +325,10 @@ def _cmd_attack(args) -> int:
     if args.mechanism == "identity":
         mechanism = lambda db, rng: db
     elif args.mechanism == "exact":
-        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule)
+        # One domain for every trial; an over-budget one is refused here, not
+        # counted as a failure of each trial.
+        domain = SparseDomain(cls.n, m)
+        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, domain=domain)
     elif args.mechanism == "mcmc":
         mechanism = lambda db, rng: exponential_release_mcmc(db, cls, p, m, args.steps, rng, rule)
     else:

@@ -25,7 +25,7 @@ uniforms so every experiment is reproducible bit-for-bit per seed.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "sparse_domain",
     "domain_blocks",
     "composition_matrix",
+    "SparseDomain",
     "quality_score",
     "score_rows",
     "score_sensitivity",
@@ -148,8 +149,10 @@ def domain_blocks(n: int, m: int, max_rows: int | None = None):
     prefix set whose completions overflow a block is split in half, or, if it
     is one prefix, grown one level first."""
     domain_size(n, m)
-    # fill[w - 1, r]: ways to fill w more columns with total r.
-    fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
+    # fill[w - 1, r]: ways to fill w more columns with total r, needed only
+    # to split blocks.
+    if max_rows is not None:
+        fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
 
     def grow(prefix, rem):
         reps = rem + 1
@@ -188,6 +191,40 @@ def composition_matrix(n: int, m: int, *, budget: int | None = None) -> np.ndarr
     """The same enumeration as ``sparse_domain`` as one (count, n) int matrix."""
     _check_budget(n, m, budget)
     return next(domain_blocks(n, m))
+
+
+@dataclass(frozen=True, eq=False)
+class SparseDomain:
+    """The sparse domain of (n, m), enumerated once: ``counts`` is the
+    read-only ``composition_matrix(n, m)``.  Building it runs the budget
+    check; a caller that repeats exact releases or output distributions at
+    one (n, m) builds it once and passes it as ``domain=``.  A function
+    given a domain checks only that its n and m match, since the library
+    built the rows."""
+
+    n: int
+    m: int
+    _: KW_ONLY
+    budget: InitVar[int | None] = None
+    counts: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self, budget):
+        if self.m < 1:
+            raise ValueError("sparse domain requires m >= 1")
+        counts = composition_matrix(self.n, self.m, budget=budget)
+        counts.setflags(write=False)
+        object.__setattr__(self, "counts", counts)
+
+
+def _domain_counts(domain: SparseDomain, n: int, m: int, what: str) -> np.ndarray:
+    """The rows of a prepared ``domain``, refused unless it is a
+    ``SparseDomain`` of length n and surrogate size m."""
+    if not isinstance(domain, SparseDomain):
+        raise TypeError(f"{what}: domain must be a SparseDomain, got {type(domain).__name__}")
+    _check_dims(domain.n, n, f"{what}: domain vs database")
+    if domain.m != m:
+        raise ValueError(f"{what}: domain was built for m={domain.m}, but m={m} was given")
+    return domain.counts
 
 
 def quality_score(
@@ -314,15 +351,25 @@ def exponential_release_exact(
     *,
     l1="public",
     budget: int | None = None,
+    domain: SparseDomain | None = None,
 ) -> ReleaseOutput:
     """Draw one uniform against the cumulative ``exponential_probabilities``
     of the whole domain at the alpha left for the weights (0.9 alpha under
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
     enumeration budget and names the MCMC fallback.  The reported score is
-    ``quality_score`` of the drawn row, exactly."""
+    ``quality_score`` of the drawn row, exactly.
+
+    ``domain`` is a prepared ``SparseDomain(d.n, m)`` used instead of
+    enumerating the domain on this call; it was checked against its own
+    budget when it was built, so ``budget`` then does not apply.  The
+    release is the same, and reads the generator the same way, with or
+    without it."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
-    counts = composition_matrix(d.n, m, budget=budget)
+    if domain is None:
+        counts = composition_matrix(d.n, m, budget=budget)
+    else:
+        counts = _domain_counts(domain, d.n, m, "exponential_release_exact")
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     probs = exponential_probabilities(
         c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m, alpha, exponent_rule

@@ -17,6 +17,7 @@ from sparsedp import (
     ExponentRule,
     PrivacyParams,
     QueryClass,
+    SparseDomain,
     attack_experiment,
     best_sparse_db,
     build_family,
@@ -112,7 +113,8 @@ def test_04_reconstruction_bound_over_1e4_trials():
     family = build_family(c, 0.5, 4)
     assert family.d == 4 and family.gamma == 0.5
     p = PrivacyParams(1.0)
-    mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng)
+    domain = SparseDomain(4, 2)
+    mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng, domain=domain)
     report = attack_experiment(mechanism, family, 10_000, make_rng(4_000), alpha=1.0)
     assert report.completed == 10_000
     assert report.mechanism_failures == 0
@@ -191,13 +193,14 @@ def test_08_sampler_agreement():
     d = Database([1, 1])
     c = CLASSES[2]
     p = PrivacyParams(1.0)
-    exact = {e.as_tuple(): pr for e, pr in exact_output_distribution(d, c, p, 2)}
+    domain = SparseDomain(2, 2)
+    exact = {e.as_tuple(): pr for e, pr in exact_output_distribution(d, c, p, 2, domain=domain)}
 
     rng = make_rng(8_000)
     draws = 100_000
     counts: dict = {}
     for _ in range(draws):
-        key = exponential_release_exact(d, c, p, 2, rng).d_prime.as_tuple()
+        key = exponential_release_exact(d, c, p, 2, rng, domain=domain).d_prime.as_tuple()
         counts[key] = counts.get(key, 0) + 1
     empirical = {key: value / draws for key, value in counts.items()}
     assert total_variation(empirical, exact) < 0.02

@@ -341,6 +341,21 @@ class TestContracts:
         )
         assert code == 2
 
+    def test_over_budget_exact_attack_exits_2(self, files, capsys, monkeypatch, tmp_path):
+        # The 4-coordinate boolean class shatters d=4, so m=2 and the domain
+        # holds C(5, 3) = 10 rows, over a budget of 5: refused once, up
+        # front, instead of every trial failing.
+        cube = tmp_path / "cube4.json"
+        save_query_class(boolean_indicator_class(4), cube)
+        monkeypatch.setenv("FSDP_BUDGET", "5")
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", "exact", "--trials", "5", "--dmax", "4", "--seed", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("budget refusal: sparse domain for n=4, m=2 holds 10 elements")
+
     def test_infinite_alpha_exits_1(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(

@@ -12,6 +12,7 @@ from sparsedp import (
     ExponentRule,
     PrivacyParams,
     QueryClass,
+    SparseDomain,
     SparseSyntheticDatabase,
     domain_size,
     estimate_l1,
@@ -190,6 +191,78 @@ class TestSoftmax:
         probs = softmax_probabilities(np.array([-1e9, 0.0, -2e9]))
         assert probs[1] == pytest.approx(1.0)
         assert np.isfinite(probs).all()
+
+
+class TestPreparedDomain:
+    def test_prepared_release_matches_unprepared(self):
+        # Same row, score and estimate, and the generator left in the same
+        # state, over both rules and all three L1 modes.
+        rng = np.random.default_rng(9)
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 5))
+            d = Database(rng.uniform(0, 4, size=n))
+            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 5)), n)))
+            p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
+            rule = list(ExponentRule)[trial % 2]
+            l1 = ("public", "private", float(rng.uniform(0, 6)))[trial // 2 % 3]
+            domain = SparseDomain(n, m)
+            a_rng, b_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            a = exponential_release_exact(d, c, p, m, a_rng, rule, l1=l1)
+            b = exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, domain=domain)
+            assert b.d_prime.as_tuple() == a.d_prime.as_tuple()
+            assert b.score == a.score
+            assert b.l1_estimate == a.l1_estimate
+            assert b_rng.random() == a_rng.random()
+
+    def test_distribution_matches_unprepared(self):
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            d = Database(rng.uniform(0, 4, size=n))
+            c = QueryClass(rng.uniform(0, 1, size=(3, n)))
+            p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
+            plain = exact_output_distribution(d, c, p, m)
+            prepared = exact_output_distribution(d, c, p, m, domain=SparseDomain(n, m))
+            np.testing.assert_array_equal(prepared.counts, plain.counts)
+            np.testing.assert_array_equal(prepared.probabilities, plain.probabilities)
+
+    def test_mismatched_domain_is_refused(self):
+        d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
+        rng = np.random.default_rng(0)
+        for bad in (SparseDomain(3, 2), SparseDomain(1, 2)):
+            with pytest.raises(DimensionMismatchError, match="domain vs database"):
+                exponential_release_exact(d, c, p, 2, rng, domain=bad)
+            with pytest.raises(DimensionMismatchError, match="domain vs database"):
+                exact_output_distribution(d, c, p, 2, domain=bad)
+        for bad_m in (1, 3):
+            with pytest.raises(ValueError, match=f"m={bad_m}, but m=2"):
+                exponential_release_exact(d, c, p, 2, rng, domain=SparseDomain(2, bad_m))
+            with pytest.raises(ValueError, match=f"m={bad_m}, but m=2"):
+                exact_output_distribution(d, c, p, 2, domain=SparseDomain(2, bad_m))
+        with pytest.raises(TypeError, match="SparseDomain"):
+            exponential_release_exact(d, c, p, 2, rng, domain=composition_matrix(2, 2))
+        # A refusal comes before the generator is read.
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_build_refusals(self):
+        with pytest.raises(DomainTooLargeError) as plain:
+            composition_matrix(6, 4, budget=100)
+        with pytest.raises(DomainTooLargeError) as prepared:
+            SparseDomain(6, 4, budget=100)
+        assert str(prepared.value) == str(plain.value)
+        assert prepared.value.count == plain.value.count == math.comb(9, 5)
+        assert SparseDomain(6, 4, budget=126).counts.shape == (126, 6)
+        with pytest.raises(ValueError, match="m >= 1"):
+            SparseDomain(2, 0)
+
+    def test_counts_are_read_only(self):
+        domain = SparseDomain(3, 2)
+        np.testing.assert_array_equal(domain.counts, composition_matrix(3, 2))
+        with pytest.raises(ValueError):
+            domain.counts[0, 0] = 7
+        with pytest.raises(AttributeError):
+            domain.counts = np.zeros((1, 3), dtype=np.int64)
 
 
 class TestExactRelease:
