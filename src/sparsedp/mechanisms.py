@@ -197,10 +197,10 @@ def composition_matrix(n: int, m: int, *, budget: int | None = None) -> np.ndarr
 class SparseDomain:
     """The sparse domain of (n, m), enumerated once: ``counts`` is the
     read-only ``composition_matrix(n, m)``.  Building it runs the budget
-    check; a caller that repeats exact releases or output distributions at
-    one (n, m) builds it once and passes it as ``domain=``.  A function
-    given a domain checks only that its n and m match, since the library
-    built the rows."""
+    check; a caller that repeats exact releases at one (n, m) builds it
+    once and passes it as ``domain=``.  ``exponential_release_exact`` given
+    a domain checks only that its n and m match, since the library built
+    the rows."""
 
     n: int
     m: int
@@ -214,17 +214,6 @@ class SparseDomain:
         counts = composition_matrix(self.n, self.m, budget=budget)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-
-
-def _domain_counts(domain: SparseDomain, n: int, m: int, what: str) -> np.ndarray:
-    """The rows of a prepared ``domain``, refused unless it is a
-    ``SparseDomain`` of length n and surrogate size m."""
-    if not isinstance(domain, SparseDomain):
-        raise TypeError(f"{what}: domain must be a SparseDomain, got {type(domain).__name__}")
-    _check_dims(domain.n, n, f"{what}: domain vs database")
-    if domain.m != m:
-        raise ValueError(f"{what}: domain was built for m={domain.m}, but m={m} was given")
-    return domain.counts
 
 
 def quality_score(
@@ -361,15 +350,30 @@ def exponential_release_exact(
     ``quality_score`` of the drawn row, exactly.
 
     ``domain`` is a prepared ``SparseDomain(d.n, m)`` used instead of
-    enumerating the domain on this call; it was checked against its own
-    budget when it was built, so ``budget`` then does not apply.  The
-    release is the same, and reads the generator the same way, with or
+    enumerating the domain on this call.  It was checked against its own
+    budget when it was built, so passing ``budget`` with it is refused.
+    The release is the same, and reads the generator the same way, with or
     without it."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
     if domain is None:
         counts = composition_matrix(d.n, m, budget=budget)
     else:
-        counts = _domain_counts(domain, d.n, m, "exponential_release_exact")
+        if not isinstance(domain, SparseDomain):
+            raise TypeError(
+                "exponential_release_exact: domain must be a SparseDomain, "
+                f"got {type(domain).__name__}"
+            )
+        if budget is not None:
+            raise ValueError(
+                "exponential_release_exact: a prepared domain carries its own budget; "
+                "pass it as SparseDomain(n, m, budget=...)"
+            )
+        _check_dims(domain.n, d.n, "exponential_release_exact: domain vs database")
+        if domain.m != m:
+            raise ValueError(
+                f"exponential_release_exact: domain was built for m={domain.m}, but m={m} was given"
+            )
+        counts = domain.counts
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     probs = exponential_probabilities(
         c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m, alpha, exponent_rule

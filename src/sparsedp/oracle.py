@@ -26,8 +26,8 @@ import numpy as np
 
 from .core import Database, QueryClass, SparseSyntheticDatabase, _check_dims, l1_norm
 from .mechanisms import (
-    BLOCK_ROWS, ExponentRule, PrivacyParams, SparseDomain, _check_budget, _checked_l1,
-    _domain_counts, composition_matrix, domain_blocks, exponential_probabilities, score_rows,
+    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1,
+    composition_matrix, domain_blocks, exponential_probabilities, score_rows,
 )
 
 __all__ = [
@@ -76,20 +76,14 @@ def exact_output_distribution(
     *,
     l1_estimate: float | None = None,
     budget: int | None = None,
-    domain: SparseDomain | None = None,
 ) -> OutputDistribution:
     """Closed-form output distribution of the exact release mechanism at
     ``p.alpha``, in the domain's enumeration order: the
     ``exponential_probabilities`` that ``exponential_release_exact`` draws
-    from.  ``l1_estimate=None`` means the public true norm.  A prepared
-    ``domain`` is used as ``exponential_release_exact`` uses it (``budget``
-    then does not apply)."""
+    from.  ``l1_estimate=None`` means the public true norm."""
     _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
-    if domain is None:
-        counts = composition_matrix(d.n, m, budget=budget)
-    else:
-        counts = _domain_counts(domain, d.n, m, "exact_output_distribution")
+    counts = composition_matrix(d.n, m, budget=budget)
     true_answers = (c.matrix @ d.entries)[None]
     probs = exponential_probabilities(c, counts, true_answers, [l1], m, p.alpha, exponent_rule)
     return OutputDistribution(counts, probs[0])

@@ -215,33 +215,20 @@ class TestPreparedDomain:
             assert b.l1_estimate == a.l1_estimate
             assert b_rng.random() == a_rng.random()
 
-    def test_distribution_matches_unprepared(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            d = Database(rng.uniform(0, 4, size=n))
-            c = QueryClass(rng.uniform(0, 1, size=(3, n)))
-            p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
-            plain = exact_output_distribution(d, c, p, m)
-            prepared = exact_output_distribution(d, c, p, m, domain=SparseDomain(n, m))
-            np.testing.assert_array_equal(prepared.counts, plain.counts)
-            np.testing.assert_array_equal(prepared.probabilities, plain.probabilities)
-
     def test_mismatched_domain_is_refused(self):
         d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
         rng = np.random.default_rng(0)
         for bad in (SparseDomain(3, 2), SparseDomain(1, 2)):
             with pytest.raises(DimensionMismatchError, match="domain vs database"):
                 exponential_release_exact(d, c, p, 2, rng, domain=bad)
-            with pytest.raises(DimensionMismatchError, match="domain vs database"):
-                exact_output_distribution(d, c, p, 2, domain=bad)
         for bad_m in (1, 3):
             with pytest.raises(ValueError, match=f"m={bad_m}, but m=2"):
                 exponential_release_exact(d, c, p, 2, rng, domain=SparseDomain(2, bad_m))
-            with pytest.raises(ValueError, match=f"m={bad_m}, but m=2"):
-                exact_output_distribution(d, c, p, 2, domain=SparseDomain(2, bad_m))
         with pytest.raises(TypeError, match="SparseDomain"):
             exponential_release_exact(d, c, p, 2, rng, domain=composition_matrix(2, 2))
+        # A budget belongs to the domain, not to the call that uses it.
+        with pytest.raises(ValueError, match=r"SparseDomain\(n, m, budget=\.\.\.\)"):
+            exponential_release_exact(d, c, p, 2, rng, budget=10, domain=SparseDomain(2, 2))
         # A refusal comes before the generator is read.
         assert rng.random() == np.random.default_rng(0).random()
 
