@@ -65,6 +65,5 @@ from .attack import (
     partition_buckets,
     reconstruct,
 )
-from .rng import make_rng
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -114,7 +114,7 @@ class ShatteredFamily:
         return self.witness.assignment[tuple(int(i in members) for i in self.witness.subset)]
 
     def query_for(self, subset) -> LinearQuery:
-        return self.query_class.queries[self.query_index_for(subset)]
+        return self.query_class[self.query_index_for(subset)]
 
     def database_for(self, subset) -> Database:
         entries = np.zeros(self.n, dtype=np.float64)

@@ -25,6 +25,8 @@ from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, load_database, load_query_class
@@ -43,7 +45,6 @@ from .oracle import (
     postprocessing_certificate,
     privacy_ratio_certificate,
 )
-from .rng import make_rng
 
 
 class _CliError(Exception):
@@ -130,9 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _resolved_config(args: argparse.Namespace) -> dict:
     out = {}
     for key, value in sorted(vars(args).items()):
-        if key == "out":
-            value = str(value) if value is not None else None
-        elif isinstance(value, Path):
+        if isinstance(value, Path):
             value = str(value)
         out[key] = value
     return out
@@ -280,7 +279,7 @@ def _cmd_release(args) -> int:
     rule = ExponentRule.parse(args.exponent)
     l1 = _parse_l1(args.l1)
     m = _derive_m(args, cls)
-    rng = make_rng(args.seed)
+    rng = np.random.default_rng(args.seed)
     if args.sampler == "exact":
         out = exponential_release_exact(db, cls, p, m, rng, rule, l1=l1)
     else:
@@ -334,7 +333,8 @@ def _cmd_attack(args) -> int:
     else:
         mechanism = lambda db, rng: laplace_release(db, cls, p, rng)
 
-    report = attack_experiment(mechanism, family, args.trials, make_rng(args.seed), alpha=args.alpha)
+    rng = np.random.default_rng(args.seed)
+    report = attack_experiment(mechanism, family, args.trials, rng, alpha=args.alpha)
     result = report.to_dict()
     result["family"] = {
         "bucket": list(family.bucket),
@@ -354,7 +354,7 @@ def _cmd_verify_privacy(args) -> int:
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule.parse(args.exponent)
-    rng = make_rng(args.seed) if args.probes else None
+    rng = np.random.default_rng(args.seed) if args.probes else None
     if args.postprocess == "none":
         cert = privacy_ratio_certificate(
             args.n, args.entry_cap, cls, p, args.m, rule, real_probes=args.probes, rng=rng
@@ -419,10 +419,7 @@ def run(argv) -> int:
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DomainTooLargeError as e:
-        print(f"budget refusal: {e}", file=sys.stderr)
-        return 2
-    except SearchBudgetExceeded as e:
+    except (DomainTooLargeError, SearchBudgetExceeded) as e:
         print(f"budget refusal: {e}", file=sys.stderr)
         return 2
     except (ValueError, OSError, FamilySearchError, KeyError, IndexError) as e:

@@ -48,8 +48,23 @@ class DomainTooLargeError(RuntimeError):
         self.count = count
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype).copy()
+def _frozen_array(values, dtype, what: str) -> np.ndarray:
+    """A read-only copy of ``values`` as ``dtype``. Complex values, and values
+    the cast to an integer dtype would change (a count of 1.7), are refused,
+    never truncated."""
+    arr = np.array(values)
+    kind = arr.dtype.kind
+    if kind == "c":
+        raise ValueError(f"{what} must be real, not complex")
+    if kind not in "biuf":
+        # Strings, None and other objects: numpy's own per-element conversion.
+        arr = np.array(values, dtype=dtype)
+    elif arr.dtype != dtype:
+        with np.errstate(invalid="ignore"):
+            cast = arr.astype(dtype)
+        if cast.dtype.kind == "i" and not np.array_equal(cast, arr):
+            raise ValueError(f"{what} must be whole numbers in the int64 range")
+        arr = cast
     arr.setflags(write=False)
     return arr
 
@@ -61,7 +76,7 @@ class Database:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.entries, np.float64)
+        arr = _frozen_array(self.entries, np.float64, "database entries")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("database must be a nonempty 1-d vector")
         if not np.all(np.isfinite(arr)):
@@ -86,7 +101,7 @@ class LinearQuery:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.coefficients, np.float64)
+        arr = _frozen_array(self.coefficients, np.float64, "query coefficients")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("query must be a nonempty 1-d vector")
         if not np.all(np.isfinite(arr)):
@@ -99,41 +114,45 @@ class LinearQuery:
     def n(self) -> int:
         return self.coefficients.size
 
-    def basis_value(self, i: int) -> float:
-        """Answer on the i-th standard basis vector (the i-th coefficient)."""
-        return float(self.coefficients[i])
-
 
 class QueryClass:
-    """Finite ordered family of linear queries sharing one dimension."""
+    """Finite ordered family of linear queries sharing one dimension, held as
+    one read-only (k, n) coefficient matrix. ``c[i]`` and iteration build
+    ``LinearQuery`` objects from its rows on access."""
 
     def __init__(self, queries):
-        qs = tuple(
-            q if isinstance(q, LinearQuery) else LinearQuery(np.asarray(q)) for q in queries
-        )
-        if not qs:
+        rows = [q.coefficients if isinstance(q, LinearQuery) else q for q in queries]
+        if not rows:
             raise ValueError("query class must contain at least one query")
-        n = qs[0].n
-        if any(q.n != n for q in qs):
+        try:
+            matrix = _frozen_array(rows, np.float64, "query coefficients")
+        except (ValueError, TypeError):
+            matrix = None
+        if (
+            matrix is None
+            or matrix.ndim != 2
+            or matrix.shape[1] < 1
+            or not ((matrix >= 0) & (matrix <= 1)).all()
+        ):
+            # Name the first faulty query, as building each one would.
+            for row in rows:
+                LinearQuery(np.asarray(row))
             raise DimensionMismatchError("all queries in a class must share one dimension")
-        self.queries = qs
-        self.n = n
-        matrix = np.vstack([q.coefficients for q in qs])
-        matrix.setflags(write=False)
         self.matrix = matrix
+        self.n = matrix.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.queries)
+        return self.matrix.shape[0]
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return self.matrix.shape[0]
 
     def __getitem__(self, i: int) -> LinearQuery:
-        return self.queries[i]
+        return LinearQuery(self.matrix[i])
 
     def __iter__(self):
-        return iter(self.queries)
+        return map(LinearQuery, self.matrix)
 
     def __repr__(self) -> str:
         return f"QueryClass(k={self.k}, n={self.n})"
@@ -148,7 +167,7 @@ class SparseSyntheticDatabase:
     m: int = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        arr = _frozen_array(self.counts, np.int64)
+        arr = _frozen_array(self.counts, np.int64, "counts")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("counts must be a nonempty 1-d vector")
         if np.any(arr < 0):
@@ -271,11 +290,13 @@ def load_query_class(path) -> QueryClass:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError(f"{path}:1: query rows have inconsistent lengths {sorted(widths)}")
-        return QueryClass([np.asarray(r) for r in rows])
+        return QueryClass(rows)
     data = _load_json(path)
     if "queries" not in data:
         raise ValueError(f"{path}:1: missing 'queries' key")
-    cls = QueryClass([np.asarray(q, dtype=np.float64) for q in data["queries"]])
+    if not isinstance(data["queries"], list):
+        raise ValueError(f"{path}:1: 'queries' must be a list of rows")
+    cls = QueryClass(data["queries"])
     declared_n = data.get("n")
     if declared_n is not None and int(declared_n) != cls.n:
         raise ValueError(f"{path}:1: declared n={declared_n} but queries have length {cls.n}")
@@ -286,9 +307,7 @@ def save_query_class(c: QueryClass, path) -> None:
     path = Path(path)
     if path.suffix.lower() == ".csv":
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for q in c:
-                writer.writerow([repr(float(x)) for x in q.coefficients])
+            csv.writer(fh).writerows(c.matrix.tolist())
     else:
-        payload = {"n": c.n, "queries": [[float(x) for x in q.coefficients] for q in c]}
+        payload = {"n": c.n, "queries": c.matrix.tolist()}
         path.write_text(json.dumps(payload, indent=2) + "\n")

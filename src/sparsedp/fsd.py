@@ -114,9 +114,8 @@ def verify_shattering(c: QueryClass, w: ShatteringWitness) -> bool:
     for pattern, qi in w.assignment.items():
         if not 0 <= qi < c.k:
             raise IndexError(f"witness query index {qi} out of range for k={c.k}")
-        q = c.queries[qi]
         for t, i in enumerate(w.subset):
-            value = q.basis_value(i)
+            value = float(c.matrix[qi, i])
             if pattern[t] == 1:
                 if not value >= w.thresholds[t] + w.gamma:
                     return False

@@ -80,17 +80,13 @@ class ExponentRule(enum.Enum):
 
 @dataclass(frozen=True)
 class PrivacyParams:
-    """alpha: differential-privacy parameter; delta_util: acceptable failure
-    probability on the usefulness side."""
+    """alpha: differential-privacy parameter."""
 
     alpha: float
-    delta_util: float = 0.5
 
     def __post_init__(self):
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0.0 < self.delta_util < 1.0:
-            raise ValueError(f"delta_util must lie in (0, 1), got {self.delta_util}")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from sparsedp import (
     exponential_release_exact,
     fsd,
     laplace_release,
-    make_rng,
     max_error,
     postprocessing_certificate,
     privacy_ratio_certificate,
@@ -115,7 +114,7 @@ def test_04_reconstruction_bound_over_1e4_trials():
     p = PrivacyParams(1.0)
     domain = SparseDomain(4, 2)
     mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng, domain=domain)
-    report = attack_experiment(mechanism, family, 10_000, make_rng(4_000), alpha=1.0)
+    report = attack_experiment(mechanism, family, 10_000, np.random.default_rng(4_000), alpha=1.0)
     assert report.completed == 10_000
     assert report.mechanism_failures == 0
     assert report.reconstruction_bound_violations == 0
@@ -155,7 +154,7 @@ def test_06_relative_usefulness_above_threshold():
     threshold = utility_threshold(m, 4, eta, alpha)
     weights = rng.uniform(0.2, 1.0, size=4)
     d = Database(weights * (1.1 * threshold / weights.sum()))
-    p = PrivacyParams(alpha=alpha, delta_util=delta)
+    p = PrivacyParams(alpha=alpha)
     failures = 0
     for trial in range(200):
         out = exponential_release_exact(d, c, p, m, np.random.default_rng((6_000, trial)))
@@ -196,7 +195,7 @@ def test_08_sampler_agreement():
     domain = SparseDomain(2, 2)
     exact = {e.as_tuple(): pr for e, pr in exact_output_distribution(d, c, p, 2)}
 
-    rng = make_rng(8_000)
+    rng = np.random.default_rng(8_000)
     draws = 100_000
     counts: dict = {}
     for _ in range(draws):
@@ -205,7 +204,7 @@ def test_08_sampler_agreement():
     empirical = {key: value / draws for key, value in counts.items()}
     assert total_variation(empirical, exact) < 0.02
 
-    chain = mcmc_state_counts(d, c, p, 2, 10_000, 10_000, make_rng(8_001))
+    chain = mcmc_state_counts(d, c, p, 2, 10_000, 10_000, np.random.default_rng(8_001))
     total = sum(chain.values())
     chain_empirical = {key: value / total for key, value in chain.items()}
     assert total_variation(chain_empirical, exact) < 0.02
@@ -218,7 +217,7 @@ def test_09_laplace_baseline_noise_scale():
     c = QueryClass([[1, 0], [0, 1], [1, 1], [0.5, 0.5]])
     p = PrivacyParams(alpha=2.0)
     truth = c.matrix @ d.entries
-    rng = make_rng(9_000)
+    rng = np.random.default_rng(9_000)
     abs_errors = []
     for _ in range(25_000):  # 1e5 noise draws, 4 per call
         abs_errors.append(np.abs(laplace_release(d, c, p, rng) - truth))

@@ -18,7 +18,6 @@ from sparsedp import (
     exact_output_distribution,
     exponential_release_exact,
     laplace_release,
-    make_rng,
     partition_buckets,
     reconstruct,
 )
@@ -170,8 +169,8 @@ class TestReconstruct:
             d_t = family.database_for(t)
             answers = Database(np.abs(d_t.entries + rng.uniform(-0.3, 0.3, size=4)))
             eps_hat = max(
-                abs(evaluate(family.query_class.queries[qi], d_t)
-                    - evaluate(family.query_class.queries[qi], answers))
+                abs(evaluate(family.query_class[qi], d_t)
+                    - evaluate(family.query_class[qi], answers))
                 for qi in family.query_indices()
             )
             star = reconstruct(answers, family)
@@ -210,7 +209,7 @@ class TestAttackExperiment:
             draws.append(rng.random())
             return db
 
-        attack_experiment(recording, self.family, trials, make_rng(seed))
+        attack_experiment(recording, self.family, trials, np.random.default_rng(seed))
         half = len(self.family.bucket) // 2
         expected = []
         for i in range(trials):
@@ -344,7 +343,7 @@ def jittered_cube_class(rng):
 def brute_force_trials(family, calls):
     """Recompute each trial from the recorded (database, output) pairs with
     ``evaluate``: (eps_hat, symdiff, x in T*, x in T*_swapped)."""
-    queries = family.query_class.queries
+    queries = family.query_class
 
     def answer(output, qi):
         if isinstance(output, Database):

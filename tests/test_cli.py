@@ -321,6 +321,16 @@ class TestContracts:
         assert code == 1
         assert "bad.json:" in err
 
+    def test_queries_not_a_list_exits_1(self, capsys, tmp_path):
+        bad = tmp_path / "cls.json"
+        for queries in (5, {"a": 1}, "0.5", None):
+            bad.write_text(json.dumps({"queries": queries}))
+            code, out, err = run_capture(
+                capsys, ["fsd", "--class", str(bad), "--gamma", "0.5", "--dmax", "1"]
+            )
+            assert (code, out) == (1, "")
+            assert err == f"error: {bad}:1: 'queries' must be a list of rows\n"
+
     def test_budget_refusal_exits_2(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(

@@ -62,6 +62,112 @@ class TestConstruction:
         with pytest.raises(ValueError):
             d.entries[0] = 5.0
 
+    def test_value_types_refuse_complex_input(self):
+        with pytest.raises(ValueError, match="database entries must be real"):
+            Database(np.array([1 + 2j, 3]))
+        with pytest.raises(ValueError, match="database entries must be real"):
+            Database([1 + 2j, 3])
+        with pytest.raises(ValueError, match="query coefficients must be real"):
+            LinearQuery(np.array([0.5 + 0.5j, 0.5]))
+        with pytest.raises(ValueError, match="counts must be real"):
+            SparseSyntheticDatabase(np.array([1 + 0j, 2]))
+        with pytest.raises(ValueError, match="query coefficients must be real"):
+            QueryClass([np.array([0.5 + 0.5j, 0.5])])
+        with pytest.raises(ValueError, match="query coefficients must be real"):
+            QueryClass(np.array([[0.5, 0.5], [0.5 + 0j, 1.0]]))
+
+    def test_sparse_db_refuses_non_whole_counts(self):
+        for counts in ([1.7, 2.2], np.array([1.0, 0.5]), [1.0, math.nan], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match="counts must be whole numbers"):
+                SparseSyntheticDatabase(counts)
+        dp = SparseSyntheticDatabase([1.0, 2.0])
+        assert dp.counts.dtype == np.int64 and dp.as_tuple() == (1, 2) and dp.m == 3
+
+
+# Exception type and message for each faulty input, as validating the queries
+# one at a time gives them: the first faulty query in input order names the
+# fault, and only a class with no faulty query reports the length mismatch.
+NAN, INF = math.nan, math.inf
+RANGE = (ValueError, "query coefficients must lie in [0, 1]")
+FINITE = (ValueError, "query coefficients must be finite")
+ONE_D = (ValueError, "query must be a nonempty 1-d vector")
+RAGGED = (DimensionMismatchError, "all queries in a class must share one dimension")
+CLASS_ERRORS = [
+    ([], (ValueError, "query class must contain at least one query")),
+    ([[0.5, 0.5], [0.5]], RAGGED),
+    ([LinearQuery([0.5, 0.25]), [1.0]], RAGGED),
+    ([[0.5, 0.5], [0.5], [2.0, 0.0]], RANGE),
+    ([[2.0, 0.0], [0.5, 0.5], [0.5]], RANGE),
+    ([[NAN, 0.5]], FINITE),
+    ([[0.5, INF]], FINITE),
+    ([[0.5, -INF]], FINITE),
+    ([[0.5, -0.1]], RANGE),
+    ([[0.5, 1.5]], RANGE),
+    ([[0.5, 1.5], [NAN, 0.5]], RANGE),
+    ([[NAN, 0.5], [0.5, 1.5]], FINITE),
+    ([0.5, 0.2], ONE_D),
+    (["0.5", "0.2"], ONE_D),
+    ([[[0.5, 0.5]]], ONE_D),
+    ([[]], ONE_D),
+    (None, (TypeError, "'NoneType' object is not iterable")),
+    ([[0.5, None]], FINITE),
+    ([["a", 0.5]], (ValueError, "could not convert string to float: np.str_('a')")),
+]
+
+
+class TestQueryClassMatrix:
+    @pytest.mark.parametrize("queries, expected", CLASS_ERRORS)
+    def test_errors_match_per_query_validation(self, queries, expected):
+        with pytest.raises(Exception) as info:
+            QueryClass(queries)
+        assert (type(info.value), str(info.value)) == expected
+
+    @pytest.mark.parametrize(
+        "queries, matrix",
+        [
+            ([["0.5", "0.2"]], [[0.5, 0.2]]),
+            ([[True, False], [False, True]], [[1.0, 0.0], [0.0, 1.0]]),
+            ([LinearQuery([0.5, 0.25]), LinearQuery([1.0, 0.0])], [[0.5, 0.25], [1.0, 0.0]]),
+            (
+                [LinearQuery([0.5, 0.25]), [1.0, 0.0], np.array([0.0, 1.0])],
+                [[0.5, 0.25], [1.0, 0.0], [0.0, 1.0]],
+            ),
+            (np.array([[0.5, 0.25], [1.0, 0.0]]), [[0.5, 0.25], [1.0, 0.0]]),
+            (np.array([[0, 1], [1, 1]]), [[0.0, 1.0], [1.0, 1.0]]),
+            ((row for row in [[0.5, 0.5]]), [[0.5, 0.5]]),
+        ],
+    )
+    def test_accepted_inputs_give_the_same_matrix(self, queries, matrix):
+        c = QueryClass(queries)
+        assert c.matrix.dtype == np.float64
+        assert c.matrix.tolist() == matrix
+        assert (c.k, c.n, len(c)) == (len(matrix), len(matrix[0]), len(matrix))
+
+    def test_queries_are_built_from_matrix_rows(self):
+        c = QueryClass([[1, 0, 0.5], [0.1, 1 / 3, 0.75]])
+        assert isinstance(c[0], LinearQuery) and isinstance(c[-1], LinearQuery)
+        assert [q.coefficients.tolist() for q in c] == c.matrix.tolist()
+        assert np.array_equal(c[1].coefficients, c.matrix[1])
+        with pytest.raises(IndexError):
+            c[2]
+
+    def test_matrix_is_read_only_and_not_aliased(self):
+        source = np.array([[0.5, 0.25], [1.0, 0.0]])
+        rows = source.tolist()
+        classes = (QueryClass(source), QueryClass(rows), QueryClass(list(source)))
+        source[0, 0] = 0.0
+        rows[0][0] = 0.0
+        for c in classes:
+            assert c.matrix.tolist() == [[0.5, 0.25], [1.0, 0.0]]
+            with pytest.raises(ValueError):
+                c.matrix[0, 0] = 0.0
+
+    def test_class_stores_no_query_objects(self):
+        c = QueryClass([LinearQuery([0.5, 0.25]), [1.0, 0.0]])
+        assert set(vars(c)) == {"matrix", "n"}
+        assert not hasattr(c, "queries")
+        assert not any(isinstance(v, (LinearQuery, tuple, list)) for v in vars(c).values())
+
 
 class TestEvaluate:
     def test_dot_product(self):
@@ -228,6 +334,28 @@ class TestFiles:
         path = tmp_path / "cls.csv"
         save_query_class(c, path)
         assert np.array_equal(load_query_class(path).matrix, c.matrix)
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            (
+                "cls.json",
+                b'{\n  "n": 3,\n  "queries": [\n    [\n      1.0,\n      0.0,\n      0.5\n'
+                b'    ],\n    [\n      0.1,\n      0.3333333333333333,\n      0.75\n    ]\n'
+                b"  ]\n}\n",
+            ),
+            ("cls.csv", b"1.0,0.0,0.5\r\n0.1,0.3333333333333333,0.75\r\n"),
+        ],
+    )
+    def test_query_class_file_bytes(self, tmp_path, name, content):
+        # Pinned bytes: saved class files must not change format.
+        c = QueryClass([[1, 0, 0.5], [0.1, 1 / 3, 0.75]])
+        path = tmp_path / name
+        save_query_class(c, path)
+        assert path.read_bytes() == content
+        again = tmp_path / ("again" + path.suffix)
+        save_query_class(load_query_class(path), again)
+        assert again.read_bytes() == content
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -48,10 +48,6 @@ class TestPrivacyParams:
             PrivacyParams(alpha=-1.0)
         with pytest.raises(ValueError):
             PrivacyParams(alpha=math.inf)
-        with pytest.raises(ValueError):
-            PrivacyParams(alpha=1.0, delta_util=0.0)
-        with pytest.raises(ValueError):
-            PrivacyParams(alpha=1.0, delta_util=1.0)
 
     def test_rule_parsing(self):
         assert ExponentRule.parse("paper") is ExponentRule.PAPER_QUARTER
@@ -583,7 +579,7 @@ class TestUtility:
         threshold = utility_threshold(m, 4, eta, alpha)
         weights = rng.uniform(0.2, 1.0, size=4)
         d = Database(weights * (1.1 * threshold / weights.sum()))
-        p = PrivacyParams(alpha=alpha, delta_util=delta)
+        p = PrivacyParams(alpha=alpha)
         failures = 0
         for trial in range(100):
             out = exponential_release_exact(d, c, p, m, np.random.default_rng((57, trial)))
