@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, config
 from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, load_database, load_query_class
 from .fsd import SearchBudgetExceeded, choose_m, fsd
@@ -81,7 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fsd.add_argument("--class", dest="query_class", required=True, type=Path)
     p_fsd.add_argument("--gamma", required=True, type=float)
     p_fsd.add_argument("--dmax", required=True, type=int)
-    p_fsd.add_argument("--budget", type=int, default=None)
+    p_fsd.add_argument(
+        "--budget", type=int, default=None,
+        help="search budget in comparisons of a query row with a threshold "
+        f"(default {config.DEFAULT_NODE_BUDGET:,})",
+    )
     common(p_fsd)
 
     p_attack = sub.add_parser("attack", help="reconstruction experiment against a mechanism")
@@ -266,8 +270,8 @@ def _derive_m(args, cls) -> int:
     if not result.exact:
         # An m built from a lower bound on d would be too small for --eta.
         raise SearchBudgetExceeded(
-            f"the shattering search at gamma={args.gamma} used its {result.nodes_explored}-node "
-            f"budget and proved only d >= {result.d}; pass --m to set the surrogate size"
+            f"the shattering search at gamma={args.gamma} used its {result.nodes_explored}-"
+            f"comparison budget and proved only d >= {result.d}; pass --m to set the surrogate size"
         )
     return choose_m(args.eta, result.d)
 

@@ -14,8 +14,10 @@ import os
 # the caller at the MCMC sampler.
 DEFAULT_DOMAIN_BUDGET = 10_000_000
 
-# Node budget for the exponential-time shattering search.  Exceeding it turns
-# the result into a best-found lower bound (``exact=False``).
+# Node budget for the exponential-time shattering search, counted in
+# comparisons: one query row tested against one threshold candidate, so a
+# coordinate's pass over u candidates spends k*u.  Exceeding it turns the
+# result into a best-found lower bound (``exact=False``).
 DEFAULT_NODE_BUDGET = 2_000_000
 
 # Multiplier in the sample-size rule m = ceil(c_m * (d*ln^2(1/eta) + ln 2)/eta^2).
@@ -56,7 +58,7 @@ def node_budget(override: int | None = None) -> int:
     """Resolve the shattering-search node budget: the explicit ``override``
     argument, else ``DEFAULT_NODE_BUDGET``.  ``FSDP_BUDGET`` does not apply:
     a smaller search would silently turn the dimension into a lower bound.
-    A budget below 1 raises ``ValueError``: it could explore no node."""
+    A budget below 1 raises ``ValueError``: it could make no comparison."""
     if override is None:
         return DEFAULT_NODE_BUDGET
     budget = int(override)

@@ -271,7 +271,11 @@ def load_database(path) -> Database:
     data = _load_json(path)
     if "entries" not in data:
         raise ValueError(f"{path}:1: missing 'entries' key")
-    return Database(np.asarray(data["entries"], dtype=np.float64))
+    try:
+        entries = np.asarray(data["entries"], dtype=np.float64)
+    except TypeError as e:
+        raise ValueError(f"{path}:1: 'entries' must hold numbers: {e}") from e
+    return Database(entries)
 
 
 def save_database(d: Database, path) -> None:
@@ -296,9 +300,18 @@ def load_query_class(path) -> QueryClass:
         raise ValueError(f"{path}:1: missing 'queries' key")
     if not isinstance(data["queries"], list):
         raise ValueError(f"{path}:1: 'queries' must be a list of rows")
-    cls = QueryClass(data["queries"])
+    try:
+        cls = QueryClass(data["queries"])
+    except TypeError as e:
+        raise ValueError(f"{path}:1: 'queries' must hold numbers: {e}") from e
     declared_n = data.get("n")
-    if declared_n is not None and int(declared_n) != cls.n:
+    if declared_n is None:
+        return cls
+    if isinstance(declared_n, bool) or not (
+        isinstance(declared_n, int) or isinstance(declared_n, float) and declared_n.is_integer()
+    ):
+        raise ValueError(f"{path}:1: 'n' must be a whole number, got {declared_n!r}")
+    if declared_n != cls.n:
         raise ValueError(f"{path}:1: declared n={declared_n} but queries have length {cls.n}")
     return cls
 

@@ -6,19 +6,25 @@ query whose basis values sit at least ``gamma`` above ``r`` on the 1-marked
 coordinates and at least ``gamma`` below it on the 0-marked ones.  The
 dimension is the largest cardinality of a shattered subset.
 
-The search eliminates ``r`` analytically instead of scanning it: an
-assignment ``b -> q_b`` extends to a valid ``r`` iff on every coordinate the
-smallest 1-side basis value clears the largest 0-side basis value by at least
-``2*gamma`` (any valid ``r`` forces the 1-side to ``>= r+gamma`` and the
-0-side to ``<= r-gamma``, so the gap is at least ``2*gamma``; conversely the
-midpoint of the two extremes satisfies both displayed inequalities).  That
-leaves a finite depth-first search over pattern assignments with
-per-coordinate interval pruning.
+The search scans threshold vectors drawn from the class itself.  Choosing a
+realizing query ``q_b`` for every pattern extends to a valid ``r`` iff on
+every coordinate the smallest 1-side value clears the largest 0-side value
+by at least ``2*gamma`` (any valid ``r`` puts the 1-side at ``>= r+gamma``
+and the 0-side at ``<= r-gamma``; conversely the midpoint of the two
+extremes works).  So ``S`` is shattered iff some ``v``, with each ``v_t`` a
+value of column ``t``, gives every pattern a query with ``q_t - v_t >=
+2*gamma`` where ``b_t = 1`` and ``q_t <= v_t`` where ``b_t = 0``: take
+``v_t`` the largest 0-side value of a valid choice; conversely, rows that
+realize every pattern under ``v`` have 0-side values ``<= v_t``, and float
+subtraction is monotone, so their 1-side values clear the 0-side maximum by
+``2*gamma`` too.  That leaves at most k^d candidate vectors, searched by
+branch and bound over coordinates.
 
 Everything here is exponential-time by design: the dimension is a
 combinatorial quantity and exactness at small scale is the goal.  Searches
-are guarded by a subset-size cap and a node budget; running out of budget
-degrades the answer to a best-found lower bound flagged ``exact=False``.
+are guarded by a subset-size cap and a budget of comparisons (one row tested
+against one threshold candidate); running out of budget degrades the answer
+to a best-found lower bound flagged ``exact=False``.
 """
 
 import itertools
@@ -42,7 +48,8 @@ __all__ = [
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The shattering search ran out of its node budget before finishing."""
+    """The shattering search ran out of its budget of comparisons before
+    finishing."""
 
 
 def _validate_gamma(gamma: float) -> float:
@@ -132,15 +139,15 @@ class _NodeBudget:
         self.remaining = int(limit)
         self.used = 0
 
-    def spend(self, nodes: int):
-        """Spend ``nodes`` search nodes; if fewer remain, spend what is left
+    def spend(self, units: int):
+        """Spend ``units`` comparisons; if fewer remain, spend what is left
         and raise, so an exhausted search always reports ``used == limit``."""
-        if nodes > self.remaining:
+        if units > self.remaining:
             self.used += self.remaining
             self.remaining = 0
             raise SearchBudgetExceeded("shattering search exceeded its node budget")
-        self.remaining -= nodes
-        self.used += nodes
+        self.remaining -= units
+        self.used += units
 
 
 def _pick_threshold(low: float, high: float, gamma: float) -> float:
@@ -152,64 +159,69 @@ def _pick_threshold(low: float, high: float, gamma: float) -> float:
     raise AssertionError("no representable threshold despite a 2*gamma gap")
 
 
-def _search_assignment(basis: np.ndarray, gamma: float, budget: _NodeBudget):
-    """DFS for a full pattern->query assignment over ``basis`` (k x d basis
-    values restricted to the candidate subset).  Returns (assignment dict,
-    thresholds) or None.
+def _search_thresholds(basis: np.ndarray, gamma: float, budget: _NodeBudget):
+    """Lex-first threshold vector ``v`` over the columns of ``basis`` (k x d)
+    under which every pattern has a realizing row: (v, first realizing row
+    per pattern in ``itertools.product`` order), or None.
 
-    The state is one vector ``bounds = [max0, -min1]``: the largest basis
-    value on each coordinate's 0-side so far and the negated smallest on its
-    1-side.  Against the row ``[v, -v]`` a pattern checks one half per
-    coordinate (``v - max0`` where it is 1, ``-v - (-min1) == min1 - v``
-    where it is 0; each must reach 2*gamma) and raises the bound in the
-    other half.  A value that does not widen its interval passes the check,
-    since the interval already has that gap, so checking every coordinate
-    decides as checking only the widening ones does.  A node tests all k
-    rows at once and recurses only into the rows that fit, in row order.
-    The budget counts every row tried, fitting or not: the rows skipped
-    before a candidate are spent with it, and the rows after the last
-    candidate once it fails."""
+    Coordinates are fixed in order, each column's distinct values tried in
+    increasing order.  ``live[p]`` marks the rows that realize partial
+    pattern ``p`` over the coordinates fixed so far; a row realizes at most
+    one pattern, so ``v_t`` survives only if each of the 2^(t+1) extended
+    partial patterns keeps at least 2^(d-t-1) rows.  One pass counts those
+    rows for every candidate the budget can still pay for.  The budget
+    charges k comparisons per candidate tried: the candidates skipped before
+    a survivor are spent with it, the rest once the last survivor fails."""
     k, d = basis.shape
-    patterns = list(itertools.product((0, 1), repeat=d))
-    ones = np.array(patterns, dtype=bool)
-    checked = np.hstack([ones, ~ones])
-    # Subtracting +inf from the unchecked half of the bounds makes it pass.
-    unchecked_offset = np.where(checked, 0.0, np.inf)
-    signed = np.hstack([basis, -basis])
-    chosen: list[int] = []
-    threshold = 2.0 * gamma
+    margin = 2.0 * gamma
+    candidates = [np.unique(column) for column in basis.T]
+    chosen: list[float] = []
 
-    def fitting_rows(idx: int, bounds: np.ndarray) -> np.ndarray:
-        # A function of its own so that the k gaps are freed before the
-        # recursion: a frame per pattern would otherwise hold 2^d of them.
-        gaps = np.minimum.reduce(signed - (bounds - unchecked_offset[idx]), axis=1)
-        return (gaps >= threshold).nonzero()[0]
-
-    def recurse(idx: int, bounds: np.ndarray):
-        if idx == len(patterns):
-            return bounds
-        fitting = fitting_rows(idx, bounds)
+    def recurse(t: int, live: np.ndarray):
+        if t == d:
+            return tuple(chosen), live.argmax(axis=1)
+        column, values = basis[:, t], candidates[t]
+        # Candidates past the remaining budget are never tested.
+        reach = values[: budget.remaining // k, None]
+        low, high = column <= reach, column - reach >= margin
+        need = 1 << (d - 1 - t)
+        weights = live.astype(np.float64)
+        fits = (weights @ low.T >= need).all(axis=0) & (weights @ high.T >= need).all(axis=0)
         tried = -1
-        if fitting.size:
-            raised = np.maximum(bounds, np.where(checked[idx], -np.inf, signed[fitting]))
-            for qi, child in zip(fitting.tolist(), raised):
-                budget.spend(qi - tried)
-                tried = qi
-                chosen.append(qi)
-                found = recurse(idx + 1, child)
-                if found is not None:
-                    return found
-                chosen.pop()
-        budget.spend(k - 1 - tried)
+        for j in fits.nonzero()[0].tolist():
+            budget.spend(k * (j - tried))
+            tried = j
+            chosen.append(float(values[j]))
+            # Partial pattern p extends to 2p (bit 0) and 2p + 1 (bit 1).
+            found = recurse(t + 1, np.stack([live & low[j], live & high[j]], axis=1).reshape(-1, k))
+            if found is not None:
+                return found
+            chosen.pop()
+        budget.spend(k * (values.size - 1 - tried))
         return None
 
-    found = recurse(0, np.full(2 * d, -np.inf))
+    return recurse(0, np.ones((1, k), dtype=bool))
+
+
+def _find_witness(c: QueryClass, subset: tuple[int, ...], gamma: float, budget: _NodeBudget):
+    """Witness for ``subset`` from the lex-first threshold vector, or None:
+    each pattern takes its first realizing row (see the module docstring for
+    why ``_pick_threshold`` then finds ``r``)."""
+    basis = c.matrix[:, subset]
+    found = _search_thresholds(basis, gamma, budget)
     if found is None:
         return None
-    max0, min1 = found[:d], -found[d:]
-    assignment = {pattern: qi for pattern, qi in zip(patterns, chosen)}
-    thresholds = tuple(_pick_threshold(float(max0[t]), float(min1[t]), gamma) for t in range(d))
-    return assignment, thresholds
+    rows = found[1]
+    patterns = list(itertools.product((0, 1), repeat=len(subset)))
+    ones = np.array(patterns, dtype=bool)
+    values = basis[rows]
+    max0 = np.where(ones, -np.inf, values).max(axis=0)
+    min1 = np.where(ones, values, np.inf).min(axis=0)
+    thresholds = tuple(_pick_threshold(float(lo), float(hi), gamma) for lo, hi in zip(max0, min1))
+    assignment = dict(zip(patterns, rows.tolist()))
+    return ShatteringWitness(
+        subset=subset, thresholds=thresholds, assignment=assignment, gamma=gamma
+    )
 
 
 def is_gamma_shattered(
@@ -221,8 +233,9 @@ def is_gamma_shattered(
 ) -> ShatteringWitness | None:
     """Decide whether ``subset`` is gamma-shattered; return a witness if so.
 
-    Raises ``SearchBudgetExceeded`` if the node budget runs out before the
-    search completes (so ``None`` always means a definite "not shattered").
+    Raises ``SearchBudgetExceeded`` if the comparison budget runs out before
+    the search completes (so ``None`` always means a definite "not
+    shattered").
     """
     gamma = _validate_gamma(gamma)
     subset = tuple(int(i) for i in subset)
@@ -233,18 +246,15 @@ def is_gamma_shattered(
     for i in subset:
         if not 0 <= i < c.n:
             raise IndexError(f"subset index {i} out of range for n={c.n}")
-    tracker = _NodeBudget(config.node_budget(budget))
-    found = _search_assignment(c.matrix[:, subset], gamma, tracker)
-    if found is None:
-        return None
-    assignment, thresholds = found
-    return ShatteringWitness(subset=subset, thresholds=thresholds, assignment=assignment, gamma=gamma)
+    return _find_witness(c, subset, gamma, _NodeBudget(config.node_budget(budget)))
 
 
 @dataclass(frozen=True)
 class FsdResult:
-    """Outcome of a dimension search.  ``exact=False`` means the node budget
-    ran out and ``d`` is only a lower bound."""
+    """Outcome of a dimension search.  ``nodes_explored`` counts comparisons,
+    one row tested against one threshold candidate, over every subset
+    searched.  ``exact=False`` means the budget ran out and ``d`` is only a
+    lower bound."""
 
     d: int
     witness: ShatteringWitness | None
@@ -264,81 +274,35 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     """Largest ``d <= d_max`` such that some size-d subset of basis vectors is
     gamma-shattered, together with a witness.
 
-    Searches subset sizes bottom-up and stops at the first empty level:
-    shattering is downward closed (restrict the assignment to sub-patterns),
-    so an empty level proves every larger level empty too.  Among equally
-    large shattered subsets the lexicographically smallest index set wins.
-
-    The same closure prunes within a level: a d-subset with an unshattered
-    (d-1)-subset is skipped unsearched.  Verdicts are kept for two levels
-    only, the current one and the one below, whose scan stopped at its first
-    shattered subset and so left the later ones undecided.  Until the
-    current level has seen a search fail, a subset is skipped only when a
-    (d-1)-subset is already known to be unshattered (searched or skipped
-    below); after the first failure, its undecided (d-1)-subsets are also
-    searched, in lex order, until one proves unshattered or all are
-    shattered.  Waiting for a failure keeps a level whose first subset is
-    shattered at exactly its unpruned cost, as on boolean product classes;
-    deciding (d-1)-subsets from the start cost 3.7x the nodes there.
-
-    Every search, of a subset or of a (d-1)-subset, spends from one budget,
-    so ``nodes_explored`` counts the rows tried by all of them.  When the
-    search is exact, ``d`` and the witness are those of the unpruned scan:
-    every skipped subset is unshattered and the first shattered subset is
-    found by the same DFS.  Only the node count moves.  It usually falls
-    (1.8-1.9x on uniform random classes whose top level is empty), but it
-    rises where the searched (d-1)-subsets cost more than the skips save:
-    in two samples of 2,825 random small classes (k 2-23, n 2-9), 13% and
-    21% of the classes used more nodes, at worst 1.58x and 1.39x.  So a
-    budget-limited search can stop at a different point, and return a
-    different lower bound, than the unpruned scan would.
+    Searches subset sizes bottom-up, each level's subsets in lex order, and
+    stops at the first empty level: shattering is downward closed (restrict
+    the witness to sub-patterns), so an empty level proves every larger level
+    empty too.  Among equally large shattered subsets the lexicographically
+    smallest index set wins; its witness comes from the lex-first threshold
+    vector.  Every subset search spends from one budget of ``budget``
+    comparisons (``DEFAULT_NODE_BUDGET`` when None), so ``nodes_explored``
+    counts them all.
     """
     gamma = _validate_gamma(gamma)
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     tracker = _NodeBudget(config.node_budget(budget))
-
-    def search(subset: tuple[int, ...]):
-        return _search_assignment(c.matrix[:, subset], gamma, tracker)
-
-    best_d = 0
-    best_witness: ShatteringWitness | None = None
+    best: ShatteringWitness | None = None
     exact = True
-    below: dict[tuple[int, ...], bool] = {}  # level d-1: subset -> shattered
     try:
         for d in range(1, min(d_max, c.n) + 1):
-            level: dict[tuple[int, ...], bool] = {}
-            level_witness = None
-            failed = False
             for subset in itertools.combinations(range(c.n), d):
-                faces = list(itertools.combinations(subset, d - 1)) if d > 1 else []
-                pruned = any(below.get(face) is False for face in faces)
-                if failed and not pruned:
-                    for face in faces:
-                        if face not in below:
-                            below[face] = search(face) is not None
-                            if not below[face]:
-                                pruned = True
-                                break
-                if pruned:
-                    level[subset] = False
-                    continue
-                found = search(subset)
-                level[subset] = found is not None
+                found = _find_witness(c, subset, gamma, tracker)
                 if found is not None:
-                    assignment, thresholds = found
-                    level_witness = ShatteringWitness(
-                        subset=subset, thresholds=thresholds, assignment=assignment, gamma=gamma
-                    )
                     break
-                failed = True
-            if level_witness is None:
+            if found is None:
                 break
-            best_d, best_witness = d, level_witness
-            below = level
+            best = found
     except SearchBudgetExceeded:
         exact = False
-    return FsdResult(d=best_d, witness=best_witness, nodes_explored=tracker.used, exact=exact)
+    return FsdResult(
+        d=best.d if best else 0, witness=best, nodes_explored=tracker.used, exact=exact
+    )
 
 
 def choose_m(eta: float, d: int, c_m: float = config.DEFAULT_CM) -> int:

@@ -1,9 +1,9 @@
 """Independent brute-force oracles and generators used by the test suite.
 
 These deliberately re-derive results through different algorithms than the
-library (full enumeration instead of pruned search, threshold sweeps instead
-of assignment DFS, definitional grids instead of analytic elimination) so
-agreement is meaningful.
+library (full enumeration instead of pruned search, threshold sweeps and
+assignment DFS instead of a vectorised branch and bound, definitional grids
+instead of analytic elimination) so agreement is meaningful.
 """
 
 import itertools
@@ -15,6 +15,7 @@ from sparsedp import (
     CertificateResult,
     Database,
     QueryClass,
+    ShatteringWitness,
     SparseSyntheticDatabase,
     config,
     l1_norm,
@@ -29,6 +30,7 @@ from sparsedp.mechanisms import (
     score_rows,
     softmax_probabilities,
 )
+from sparsedp.fsd import _pick_threshold
 from sparsedp.oracle import RATIO_SLACK
 
 
@@ -209,60 +211,134 @@ def per_node_search(basis: np.ndarray, gamma: float, budget: list[int]):
     return dict(zip(patterns, chosen)), tuple(min1), tuple(max0)
 
 
-def per_node_fsd(c: QueryClass, gamma: float, d_max: int, budget: int, *, prune: bool = True):
-    """``fsd`` driven by ``per_node_search``: (d, subset, assignment, min1,
-    max0, nodes used, exact, skipped) with the middle four None for d = 0.
-
-    With ``prune`` a level skips a subset that has an unshattered
-    (d-1)-subset: one the level below searched or skipped, or, once this
-    level has seen a search fail, one searched now (undecided ones in
-    ``itertools.combinations`` order, stopping at the first unshattered).
-    ``skipped`` lists every subset skipped, in scan order.  Without
-    ``prune`` every subset is searched in lex order up to the first
-    shattered one and ``skipped`` is empty."""
+def per_node_fsd(c: QueryClass, gamma: float, d_max: int, budget: int):
+    """``fsd`` driven by ``per_node_search``, every subset searched in lex
+    order up to each level's first shattered one: (d, subset, assignment,
+    min1, max0, nodes used, exact) with the middle four None for d = 0."""
     state = [budget, 0]
     best = (0, None, None, None, None)
     exact = True
-    skipped = []
-    below_yes: set = set()
-    below_no: set = set()
     try:
         for d in range(1, min(d_max, c.n) + 1):
             level = None
-            level_yes: set = set()
-            level_no: set = set()
-            failures = 0
             for subset in itertools.combinations(range(c.n), d):
-                if prune and d > 1:
-                    faces = list(itertools.combinations(subset, d - 1))
-                    skip = not below_no.isdisjoint(faces)
-                    if failures and not skip:
-                        for face in faces:
-                            if face in below_yes or face in below_no:
-                                continue
-                            if per_node_search(c.matrix[:, face], gamma, state) is None:
-                                below_no.add(face)
-                                skip = True
-                                break
-                            below_yes.add(face)
-                    if skip:
-                        skipped.append(subset)
-                        level_no.add(subset)
-                        continue
                 found = per_node_search(c.matrix[:, subset], gamma, state)
                 if found is not None:
                     level = (d, subset) + found
-                    level_yes.add(subset)
                     break
-                failures += 1
-                level_no.add(subset)
             if level is None:
                 break
             best = level
-            below_yes, below_no = level_yes, level_no
     except ReferenceBudgetExceeded:
         exact = False
-    return best + (state[1], exact, skipped)
+    return best + (state[1], exact)
+
+
+def _realizes(row, v, pattern, margin: float) -> bool:
+    return all(
+        (q - r >= margin) if bit else (q <= r) for q, r, bit in zip(row, v, pattern)
+    )
+
+
+def brute_force_thresholds(c: QueryClass, subset, gamma: float):
+    """Scan every threshold vector ``v`` (each ``v_t`` a value of column
+    ``t``, in lex order) for the first under which every pattern has a
+    realizing row: (v, first realizing row per pattern in
+    ``itertools.product`` order), or None."""
+    basis = c.matrix[:, list(subset)].tolist()
+    d = len(subset)
+    patterns = list(itertools.product((0, 1), repeat=d))
+    margin = 2.0 * gamma
+    columns = [sorted(set(row[t] for row in basis)) for t in range(d)]
+    for v in itertools.product(*columns):
+        rows = []
+        for pattern in patterns:
+            row = next(
+                (q for q, row in enumerate(basis) if _realizes(row, v, pattern, margin)), None
+            )
+            if row is None:
+                break
+            rows.append(row)
+        else:
+            return v, rows
+    return None
+
+
+def witness_from_rows(c: QueryClass, subset, gamma: float, rows) -> ShatteringWitness:
+    """The witness that assigns pattern i (in ``itertools.product`` order) to
+    ``rows[i]``, each threshold picked from its coordinate's 0-side maximum
+    and 1-side minimum."""
+    d = len(subset)
+    patterns = list(itertools.product((0, 1), repeat=d))
+    thresholds = []
+    for t, i in enumerate(subset):
+        max0 = max(float(c.matrix[q, i]) for q, b in zip(rows, patterns) if b[t] == 0)
+        min1 = min(float(c.matrix[q, i]) for q, b in zip(rows, patterns) if b[t] == 1)
+        thresholds.append(_pick_threshold(max0, min1, gamma))
+    return ShatteringWitness(
+        subset=tuple(subset), thresholds=tuple(thresholds),
+        assignment=dict(zip(patterns, rows)), gamma=gamma,
+    )
+
+
+def per_candidate_search(basis: np.ndarray, gamma: float, budget: list[int]):
+    """Reference threshold search that tries a column's candidates one at a
+    time, in increasing order, and spends k comparisons on each before
+    testing it.  ``budget`` is [remaining, used]; when fewer than k remain it
+    spends them and raises ``ReferenceBudgetExceeded`` carrying the
+    coordinate, the candidate's index and the column's candidate count.
+    Returns (v, first realizing row per pattern) or None."""
+    k, d = basis.shape
+    columns = basis.T.tolist()
+    margin = 2.0 * gamma
+
+    def recurse(t, live, chosen):
+        # live[p]: the rows realizing partial pattern p over coordinates < t
+        if t == d:
+            return tuple(chosen), [rows[0] for rows in live]
+        column = columns[t]
+        candidates = sorted(set(column))
+        for index, v in enumerate(candidates):
+            spent = min(k, budget[0])
+            budget[0] -= spent
+            budget[1] += spent
+            if spent < k:
+                raise ReferenceBudgetExceeded(t, index, len(candidates))
+            extended = []
+            for rows in live:
+                extended.append([q for q in rows if column[q] <= v])
+                extended.append([q for q in rows if column[q] - v >= margin])
+            if all(len(rows) >= 2 ** (d - 1 - t) for rows in extended):
+                found = recurse(t + 1, extended, chosen + [v])
+                if found is not None:
+                    return found
+        return None
+
+    return recurse(0, [list(range(k))], [])
+
+
+def per_candidate_fsd(c: QueryClass, gamma: float, d_max: int, budget: int):
+    """``fsd`` driven by ``per_candidate_search``: (d, witness, nodes used,
+    exact, stop), the witness None for d = 0.  ``stop`` is None for an exact
+    search, else (level, index of the subset in its level, coordinate,
+    candidate index, candidate count) where the budget ran out."""
+    state = [budget, 0]
+    best = None
+    stop = None
+    try:
+        for d in range(1, min(d_max, c.n) + 1):
+            level = None
+            for position, subset in enumerate(itertools.combinations(range(c.n), d)):
+                found = per_candidate_search(c.matrix[:, subset], gamma, state)
+                if found is not None:
+                    level = witness_from_rows(c, subset, gamma, found[1])
+                    break
+            if level is None:
+                break
+            best = level
+    except ReferenceBudgetExceeded as e:
+        stop = (d, position) + e.args
+    return (best.d if best else 0), best, state[1], stop is None, stop
 
 
 def fsd_by_sweep(c: QueryClass, gamma: float, d_max: int) -> int:

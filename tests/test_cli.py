@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import sparsedp
 from helpers_oracles import boolean_indicator_class
-from sparsedp import save_database, save_query_class, config, fsd, Database, QueryClass
+from sparsedp import save_database, save_query_class, choose_m, config, fsd, Database, QueryClass
 from sparsedp import cli
 from sparsedp.cli import run
 
@@ -174,6 +175,22 @@ class TestReleaseCommand:
         assert err.startswith("budget refusal: ")
         assert f"d >= {search.d}" in err and "--m" in err
 
+    def test_shuffled_cube_dimension_is_exact(self, capsys, tmp_path):
+        # All 64 boolean queries on 6 coordinates, rows in seeded order: the
+        # search finds d = 6 exactly, so release derives m from it.
+        rng = np.random.default_rng(6)
+        rows = np.array(list(itertools.product((0.0, 1.0), repeat=6)))
+        cls, db = tmp_path / "cls.json", tmp_path / "db.json"
+        save_query_class(QueryClass(rng.permutation(rows)), cls)
+        save_database(Database(rng.uniform(0.0, 50.0, size=6)), db)
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--eta", "0.25", "--gamma", "0.5", "--sampler", "mcmc", "--seed", "1"],
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["m"] == choose_m(0.25, 6)
+
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(
@@ -330,6 +347,36 @@ class TestContracts:
             )
             assert (code, out) == (1, "")
             assert err == f"error: {bad}:1: 'queries' must be a list of rows\n"
+
+    def test_non_numeric_row_or_entry_exits_1(self, files, capsys, tmp_path):
+        _, db, cls = files
+        bad_cls, bad_db = tmp_path / "bad_cls.json", tmp_path / "bad_db.json"
+        bad_cls.write_text(json.dumps({"queries": [[{"a": 1}, 0.5]]}))
+        bad_db.write_text(json.dumps({"entries": [None, {"a": 1}]}))
+        for argv, path, key in (
+            (["fsd", "--class", str(bad_cls), "--gamma", "0.5", "--dmax", "1"], bad_cls, "queries"),
+            (["oracle", "--db", str(bad_db), "--class", str(cls), "--alpha", "1", "--m", "1"],
+             bad_db, "entries"),
+        ):
+            code, out, err = run_capture(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err.startswith(f"error: {path}:1: '{key}' must hold numbers: ")
+
+    def test_declared_n_must_be_a_whole_number(self, capsys, tmp_path):
+        path = tmp_path / "cls.json"
+        argv = ["fsd", "--class", str(path), "--gamma", "0.25", "--dmax", "1"]
+        for n, shown in ((2.7, "2.7"), ("x", "'x'"), (True, "True"), ([2], "[2]")):
+            path.write_text(json.dumps({"queries": [[0.5, 0.5]], "n": n}))
+            code, out, err = run_capture(capsys, argv)
+            assert (code, out) == (1, "")
+            assert err == f"error: {path}:1: 'n' must be a whole number, got {shown}\n"
+        path.write_text(json.dumps({"queries": [[0.5, 0.5]], "n": 3.0}))
+        code, _, err = run_capture(capsys, argv)
+        assert code == 1
+        assert err == f"error: {path}:1: declared n=3.0 but queries have length 2\n"
+        for n in (2, 2.0):
+            path.write_text(json.dumps({"queries": [[0.5, 0.5]], "n": n}))
+            assert run_capture(capsys, argv)[0] == 0
 
     def test_budget_refusal_exits_2(self, files, capsys):
         _, db, cls = files

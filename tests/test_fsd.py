@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from helpers_oracles import (
     ReferenceBudgetExceeded,
     assignment_enumeration_shattered,
     boolean_indicator_class,
+    brute_force_thresholds,
     fsd_by_sweep,
+    per_candidate_fsd,
+    per_candidate_search,
     per_node_fsd,
-    per_node_search,
     random_query_class,
     rgrid_shattered,
     threshold_sweep_shattered,
     vc_dimension,
+    witness_from_rows,
 )
 from sparsedp import (
     QueryClass,
@@ -26,7 +30,7 @@ from sparsedp import (
     verify_shattering,
 )
 from sparsedp.attack import build_family
-from sparsedp.fsd import _pick_threshold
+from sparsedp.fsd import _NodeBudget, _search_thresholds
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
 
@@ -122,6 +126,27 @@ class TestIsGammaShattered:
             if rgrid_shattered(c, subset, gamma, resolution=gamma / 4):
                 assert is_gamma_shattered(c, subset, gamma) is not None
 
+    def test_matches_brute_force_threshold_scan(self):
+        # Real, boolean and quarter-grid classes (ties between rows and
+        # candidates sitting exactly 2*gamma apart): the same decision, the
+        # same lex-first threshold vector, and the witness built from it.
+        decided = set()
+        for c, gamma, _, _ in seeded_classes(77, 120):
+            for size in range(1, min(c.n, 3) + 1):
+                subset = tuple(range(c.n - size, c.n))
+                want = brute_force_thresholds(c, subset, gamma)
+                got = is_gamma_shattered(c, subset, gamma)
+                found = _search_thresholds(c.matrix[:, subset], gamma, _NodeBudget(10**7))
+                decided.add((size, want is not None))
+                if want is None:
+                    assert got is None and found is None
+                    continue
+                assert found[0] == want[0]
+                assert found[1].tolist() == want[1]
+                assert_same_witness(got, witness_from_rows(c, subset, gamma, want[1]))
+                assert verify_shattering(c, got)
+        assert decided == {(size, shattered) for size in (1, 2, 3) for shattered in (False, True)}
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             is_gamma_shattered(FULL_N2, (0, 0), 0.5)
@@ -164,6 +189,35 @@ class TestFsd:
             result = fsd(c, 0.25, d_max=4)
             assert result.exact
             assert result.d == fsd_by_sweep(c, 0.25, 4)
+
+    def test_matches_brute_force_threshold_scan(self):
+        # The dimension, the lex-first subset and its witness from a scan of
+        # every subset and every threshold vector.
+        levels = set()
+        for c, gamma, d_max, _ in seeded_classes(78, 60):
+            got = fsd(c, gamma, d_max)
+            assert got.exact
+            want = None
+            for d in range(1, min(d_max, c.n) + 1):
+                level = next(
+                    (
+                        (subset, found)
+                        for subset in itertools.combinations(range(c.n), d)
+                        if (found := brute_force_thresholds(c, subset, gamma)) is not None
+                    ),
+                    None,
+                )
+                if level is None:
+                    break
+                want = level
+            levels.add(len(want[0]) if want else 0)
+            if want is None:
+                assert got.d == 0 and got.witness is None
+            else:
+                assert got.d == len(want[0])
+                assert_same_witness(got.witness, witness_from_rows(c, want[0], gamma, want[1][1]))
+                assert verify_shattering(c, got.witness)
+        assert {0, 1, 2, 3} <= levels
 
     def test_monotone_in_gamma(self):
         rng = np.random.default_rng(47)
@@ -212,6 +266,19 @@ class TestFsd:
         assert not result.exact
         assert result.d <= 4
 
+    def test_a_column_pass_stays_within_the_budget(self):
+        # Only the candidates the budget can pay for are compared: with 2,000
+        # queries and 200,000 comparisons, 100 of a column's 2,000 values.
+        c = random_query_class(np.random.default_rng(79), k=2000, n=3)
+        tracemalloc.start()
+        try:
+            result = fsd(c, 0.1, 3, budget=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.exact and result.nodes_explored == 200_000
+        assert peak < 16 * 2**20
+
     def test_dmax_validation(self):
         with pytest.raises(ValueError):
             fsd(FULL_N2, 0.5, 0)
@@ -246,133 +313,96 @@ def seeded_classes(seed: int, count: int):
         yield c, gamma, int(rng.integers(1, 5)), int(rng.choice([20, 60, 200, 1000, 10**5]))
 
 
-def thresholds_of(min1, max0, gamma):
-    return tuple(_pick_threshold(float(lo), float(hi), gamma) for lo, hi in zip(max0, min1))
+def assert_same_witness(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert (got.subset, got.assignment, got.thresholds) == (
+            want.subset, want.assignment, want.thresholds
+        )
 
 
 class TestAgainstPerNodeSearch:
-    """The search filters a node's k rows in one pass; the reference tries
-    them one at a time.  Both must spend the same nodes and find the same
-    witness, including when the budget runs out part way through a level."""
+    """The search tests all of a column's threshold candidates in one pass;
+    the per-candidate reference tries them one at a time and spends k
+    comparisons on each.  Both must spend the same comparisons and find the
+    same witness, including when the budget runs out part way through a
+    level or a column.  The per-node assignment DFS stays the reference for
+    the dimension, exactness and the subset."""
 
     def test_fsd_matches_reference(self):
         inexact = 0
         for c, gamma, d_max, budget in seeded_classes(71, 150):
             got = fsd(c, gamma, d_max, budget=budget)
-            d, subset, assignment, min1, max0, used, exact, _ = per_node_fsd(c, gamma, d_max, budget)
+            d, witness, used, exact, _ = per_candidate_fsd(c, gamma, d_max, budget)
             assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
+            assert_same_witness(got.witness, witness)
             if not exact:
                 inexact += 1
                 assert got.nodes_explored == budget
-            if d == 0:
-                assert got.witness is None
-            else:
-                assert got.witness.subset == subset
-                assert got.witness.assignment == assignment
-                assert got.witness.thresholds == thresholds_of(min1, max0, gamma)
         assert inexact >= 10
 
     def test_exact_search_matches_unpruned_reference(self):
-        # Pruning changes only the node count: an exact search must find the
-        # unpruned scan's dimension, subset, assignment and thresholds.
+        # Every exact search finds the assignment DFS's dimension and subset,
+        # and a witness that verifies.
         compared = 0
         for c, gamma, d_max, budget in seeded_classes(71, 150):
             got = fsd(c, gamma, d_max, budget=budget)
             if not got.exact:
                 continue
-            d, subset, assignment, min1, max0, _, exact, skipped = per_node_fsd(
-                c, gamma, d_max, 10**7, prune=False
-            )
-            assert exact and skipped == []
+            d, subset, *_, exact = per_node_fsd(c, gamma, d_max, 10**7)
+            assert exact
             assert got.d == d
             if d == 0:
                 assert got.witness is None
                 continue
             compared += 1
             assert got.witness.subset == subset
-            assert got.witness.assignment == assignment
-            assert got.witness.thresholds == thresholds_of(min1, max0, gamma)
+            assert verify_shattering(c, got.witness)
         assert compared >= 60
-
-    def test_skipped_subsets_are_unshattered(self):
-        def real_classes():
-            rng = np.random.default_rng(74)
-            for _ in range(40):
-                k, n = int(rng.integers(4, 16)), int(rng.integers(3, 7))
-                gamma = float(rng.choice([0.1, 0.15, 0.2, 0.25]))
-                yield random_query_class(rng, k=k, n=n), gamma, n, 10**5
-
-        checked = 0
-        for classes in (seeded_classes(71, 150), real_classes()):
-            for c, gamma, d_max, budget in classes:
-                skipped = per_node_fsd(c, gamma, d_max, budget)[-1]
-                for subset in skipped:
-                    assert not threshold_sweep_shattered(c, subset, gamma), subset
-                checked += len(skipped)
-        assert checked >= 100
-
-    def test_skips_at_the_top_shattered_level_carry_to_the_next(self):
-        # A subset S skipped on level d is known unshattered on level d+1.
-        # Pick a class where some superset T of S has no other face known
-        # unshattered: every other face of T sorts at or after the level's
-        # shattered subset W, so the scan never decided it below W.
-        def carried(c, d, witness, skipped):
-            for s in skipped:
-                if len(s) != d:
-                    continue
-                for x in set(range(c.n)) - set(s):
-                    t = tuple(sorted(s + (x,)))
-                    faces = itertools.combinations(t, d)
-                    if all(face >= witness for face in faces if face != s):
-                        return True
-            return False
-
-        rng = np.random.default_rng(89)
-        while True:
-            c = random_query_class(rng, k=13, n=7)
-            d, witness, *_, total, _, skipped = per_node_fsd(c, 0.1, 4, 10**6)
-            if 2 <= d < 4 and carried(c, d, witness, skipped):
-                break
-        for budget in sorted(set(np.linspace(1, total, 12).astype(int).tolist())):
-            got = fsd(c, 0.1, 4, budget=budget)
-            want_d, *_, used, exact, _ = per_node_fsd(c, 0.1, 4, budget)
-            assert (got.d, got.nodes_explored, got.exact) == (want_d, used, exact)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_no_extra_nodes_when_each_level_starts_shattered(self, n):
-        # Every level's first subset is shattered, so no search fails and
-        # nothing is decided beyond what the unpruned scan searches.
+        # Boolean cubes with their rows and coordinates shuffled: every
+        # level's first subset is shattered, so the search is exact at d = n
+        # and spends only what the per-candidate reference spends.  The
+        # assignment DFS ran out of its budget on the shuffled rows at n = 5
+        # and 6.
         classes = [boolean_indicator_class(n)]
         rng = np.random.default_rng(75 + n)
         for _ in range(3):
             perm = rng.permutation(n)
             rows = [np.array(row)[perm] for row in itertools.product((0.0, 1.0), repeat=n)]
-            classes.append(QueryClass(rows))
+            classes.append(QueryClass(rng.permutation(rows)))
         for c in classes:
             got = fsd(c, 0.5, n)
-            used, exact = per_node_fsd(c, 0.5, n, 10**7, prune=False)[5:7]
-            assert got.exact and exact and got.d == n
-            assert got.nodes_explored == used
+            assert got.exact and got.d == n
+            assert verify_shattering(c, got.witness)
+            d, witness, used, exact, _ = per_candidate_fsd(c, 0.5, n, 10**7)
+            assert exact and got.nodes_explored == used
+            assert_same_witness(got.witness, witness)
 
     def test_budget_running_out_anywhere_matches_reference(self):
-        # Classes whose levels skip subsets, cut off at budgets spread over
-        # the whole search: in the middle of subset searches and of the
-        # (d-1)-subset searches that pruning adds.
+        # Searches cut off at budgets spread over their whole length: in
+        # the middle of a level (after a failed subset) and of a column
+        # (between its first and last candidate).
         rng = np.random.default_rng(76)
-        pruned = 0
-        while pruned < 4:
+        mid_level = mid_column = 0
+        for _ in range(4):
             c = random_query_class(rng, k=12, n=6)
-            full = per_node_fsd(c, 0.15, 4, 10**6)
-            if not full[-1]:
-                continue
-            pruned += 1
-            total = full[5]
+            total = per_candidate_fsd(c, 0.15, 4, 10**7)[2]
             for budget in sorted(set(np.linspace(1, total, 40).astype(int).tolist())):
                 got = fsd(c, 0.15, 4, budget=budget)
-                d, subset, _, _, _, used, exact, _ = per_node_fsd(c, 0.15, 4, budget)
+                d, witness, used, exact, stop = per_candidate_fsd(c, 0.15, 4, budget)
                 assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
+                assert_same_witness(got.witness, witness)
                 assert exact == (budget == total)
-                assert (got.witness.subset if got.witness else None) == subset
+                if not exact:
+                    assert got.nodes_explored == budget
+                    _, position, _, index, candidates = stop
+                    mid_level += position > 0
+                    mid_column += 0 < index < candidates - 1
+        assert mid_level >= 20 and mid_column >= 20
 
     def test_is_gamma_shattered_matches_reference(self):
         rng = np.random.default_rng(72)
@@ -382,7 +412,7 @@ class TestAgainstPerNodeSearch:
             subset = tuple(sorted(rng.choice(c.n, size=size, replace=False).tolist()))
             state = [budget, 0]
             try:
-                want = per_node_search(c.matrix[:, subset], gamma, state)
+                want = per_candidate_search(c.matrix[:, subset], gamma, state)
             except ReferenceBudgetExceeded:
                 outcomes.add("exhausted")
                 with pytest.raises(SearchBudgetExceeded):
@@ -394,9 +424,12 @@ class TestAgainstPerNodeSearch:
                 assert got is None
             else:
                 outcomes.add("shattered")
-                assignment, min1, max0 = want
-                assert got.assignment == assignment
-                assert got.thresholds == thresholds_of(min1, max0, gamma)
+                assert_same_witness(got, witness_from_rows(c, subset, gamma, want[1]))
+            # The reference's spend is exactly enough, and one less is not.
+            assert (is_gamma_shattered(c, subset, gamma, budget=state[1]) is None) == (want is None)
+            if state[1] > 1:
+                with pytest.raises(SearchBudgetExceeded):
+                    is_gamma_shattered(c, subset, gamma, budget=state[1] - 1)
         assert outcomes == {"exhausted", "not shattered", "shattered"}
 
     def test_env_budget_leaves_node_budget_alone(self, monkeypatch):
