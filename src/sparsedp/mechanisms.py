@@ -54,6 +54,7 @@ __all__ = [
     "score_sensitivity",
     "exponent_divisor",
     "softmax_probabilities",
+    "exponential_law",
     "exponential_probabilities",
     "exponential_release_exact",
     "exponential_release_mcmc",
@@ -271,16 +272,24 @@ def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
     return weights / weights.sum(axis=-1, keepdims=True)
 
 
+def exponential_law(
+    scores: np.ndarray, m: int, alpha: float, exponent_rule: ExponentRule
+) -> np.ndarray:
+    """The one map from scores to the exponential-weight law: the softmax of
+    ``scores * alpha / exponent_divisor(exponent_rule, m)`` along the last
+    axis."""
+    return softmax_probabilities(scores * alpha / exponent_divisor(exponent_rule, m))
+
+
 def exponential_probabilities(
     c: QueryClass, counts: np.ndarray, true_answers, l1_estimates, m: int, alpha: float,
     exponent_rule: ExponentRule,
 ) -> np.ndarray:
-    """The one map from scores to the exponential-weight law: for B databases
-    (true answers B x k, L1 estimates B), the (B, rows) softmax of
-    ``score_rows * alpha / exponent_divisor(exponent_rule, m)``.  The exact
-    sampler draws from it; the oracle prints and certifies it."""
+    """The exponential-weight law of B databases (true answers B x k, L1
+    estimates B): the (B, rows) ``exponential_law`` of their ``score_rows``.
+    The exact sampler draws from it; the oracle prints and certifies it."""
     scores = score_rows(c, counts, true_answers, l1_estimates, m)
-    return softmax_probabilities(scores * alpha / exponent_divisor(exponent_rule, m))
+    return exponential_law(scores, m, alpha, exponent_rule)
 
 
 def _resolve_l1(

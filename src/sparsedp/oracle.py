@@ -27,7 +27,7 @@ import numpy as np
 from .core import Database, QueryClass, SparseSyntheticDatabase, _check_dims, l1_norm
 from .mechanisms import (
     BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1,
-    composition_matrix, domain_blocks, exponential_probabilities, score_rows,
+    composition_matrix, domain_blocks, exponential_law, exponential_probabilities, score_rows,
 )
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "privacy_ratio_certificate",
     "postprocessing_certificate",
     "best_sparse_db",
+    "best_surrogate",
 ]
 
 RATIO_SLACK = 1e-9
@@ -44,16 +45,18 @@ RATIO_SLACK = 1e-9
 
 class OutputDistribution(Sequence):
     """A read-only sequence of ``(SparseSyntheticDatabase, probability)``
-    pairs over a (rows, n) count matrix and its probability vector, both
-    read-only.  A pair is built only when it is accessed."""
+    pairs over a (rows, n) count matrix, its probability vector and the
+    ``score_rows`` vector the probabilities came from, all three read-only.
+    A pair is built only when it is accessed."""
 
-    __slots__ = ("counts", "probabilities")
+    __slots__ = ("counts", "probabilities", "scores")
 
-    def __init__(self, counts: np.ndarray, probabilities: np.ndarray):
-        counts.setflags(write=False)
-        probabilities.setflags(write=False)
+    def __init__(self, counts: np.ndarray, probabilities: np.ndarray, scores: np.ndarray):
+        for array in (counts, probabilities, scores):
+            array.setflags(write=False)
         self.counts = counts
         self.probabilities = probabilities
+        self.scores = scores
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -80,13 +83,15 @@ def exact_output_distribution(
     """Closed-form output distribution of the exact release mechanism at
     ``p.alpha``, in the domain's enumeration order: the
     ``exponential_probabilities`` that ``exponential_release_exact`` draws
-    from.  ``l1_estimate=None`` means the public true norm."""
+    from.  ``l1_estimate=None`` means the public true norm; at that norm
+    ``best_surrogate`` over the scores it keeps is ``best_sparse_db``'s
+    answer."""
     _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
     counts = composition_matrix(d.n, m, budget=budget)
-    true_answers = (c.matrix @ d.entries)[None]
-    probs = exponential_probabilities(c, counts, true_answers, [l1], m, p.alpha, exponent_rule)
-    return OutputDistribution(counts, probs[0])
+    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1], m)
+    probs = exponential_law(scores, m, p.alpha, exponent_rule)
+    return OutputDistribution(counts, probs[0], scores[0])
 
 
 @dataclass(frozen=True)
@@ -170,8 +175,8 @@ def _certificate(
         np.concatenate((upper, probe_index + real_probes)),
     ))
 
-    # Each point's true answers by the same matvec a Database gets.
-    true_answers = np.array([c.matrix @ point for point in points])
+    # Each point's true answers, bit for bit the matvec a Database gets.
+    true_answers = (c.matrix @ points[:, :, None])[:, :, 0]
     l1s = points.sum(axis=1)
     dist = exponential_probabilities(c, counts, true_answers, l1s, m, p.alpha, exponent_rule)
     if outcome_map is None:
@@ -251,24 +256,38 @@ def postprocessing_certificate(
     return _certificate(n, entry_cap, c, p, m, exponent_rule, g, real_probes, rng, budget)
 
 
+def _best_row(scores: np.ndarray) -> int:
+    """The index of the smallest error, that is of the largest score.  Exact
+    ties go to the last row: in enumeration order, which is lex-decreasing,
+    that is the lex-smallest count vector."""
+    return int(np.flatnonzero(scores == scores.max())[-1])
+
+
+def best_surrogate(
+    counts: np.ndarray, scores: np.ndarray, l1: float
+) -> tuple[SparseSyntheticDatabase, float]:
+    """The best row of ``counts`` by ``best_sparse_db``'s rule, given its
+    ``score_rows`` ``scores`` at the true norm ``l1``, and its error divided
+    by ``l1`` (0 when ``l1`` is 0)."""
+    best = _best_row(scores)
+    return SparseSyntheticDatabase(counts[best]), float(-scores[best] / l1 if l1 > 0 else 0.0)
+
+
 def best_sparse_db(
     d: Database, c: QueryClass, m: int, *, budget: int | None = None
 ) -> tuple[SparseSyntheticDatabase, float]:
     """Exhaustively find the surrogate minimizing the rescaled worst-case
     error, and that error divided by ||D||_1.  Exact ties resolve to the
-    lexicographically smallest count vector."""
+    lexicographically smallest count vector.  The domain is scored a block
+    at a time, and the same rule picks among the blocks' best rows."""
     _check_dims(c.n, d.n, "best_sparse_db: class vs database")
     _check_budget(d.n, m, budget)
     l1 = l1_norm(d)
     true_answers = (c.matrix @ d.entries)[None]
-    best_error = math.inf
-    best_row = None
+    rows, scores = [], []
     for block in domain_blocks(d.n, m, BLOCK_ROWS):
-        errors = -score_rows(c, block, true_answers, [l1], m)[0]
-        idx = int(np.flatnonzero(errors == errors.min())[-1])
-        # Enumeration is lex-decreasing, so on exact ties the latest row seen
-        # (within a block and across blocks) is the lex-smallest one.
-        if errors[idx] <= best_error:
-            best_error = float(errors[idx])
-            best_row = block[idx].copy()
-    return SparseSyntheticDatabase(best_row), float(best_error / l1 if l1 > 0 else 0.0)
+        block_scores = score_rows(c, block, true_answers, [l1], m)[0]
+        best = _best_row(block_scores)
+        rows.append(block[best].copy())
+        scores.append(block_scores[best])
+    return best_surrogate(np.array(rows), np.array(scores), l1)

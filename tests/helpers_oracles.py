@@ -7,6 +7,7 @@ instead of analytic elimination) so agreement is meaningful.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -14,11 +15,18 @@ import numpy as np
 from sparsedp import (
     CertificateResult,
     Database,
+    ExponentRule,
+    PrivacyParams,
     QueryClass,
     ShatteringWitness,
     SparseSyntheticDatabase,
+    __version__,
+    best_sparse_db,
     config,
+    exact_output_distribution,
     l1_norm,
+    load_database,
+    load_query_class,
     mechanisms,
     quality_score,
 )
@@ -377,6 +385,23 @@ def total_variation(p: dict, q: dict) -> float:
     return 0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
 
 
+def real_probe_pairs(rng, n: int, entry_cap: int, count: int) -> list:
+    """The certificates' real-valued probe pairs, drawn from ``rng`` in the
+    library's order: a point in [0, entry_cap]^n, then one coordinate moved
+    down by 1 (when it can be, with probability 1/2) or else up by 1."""
+    pairs = []
+    for _ in range(count):
+        a = rng.uniform(0.0, float(entry_cap), size=n)
+        i = int(rng.integers(n))
+        b = a.copy()
+        if a[i] >= 1.0 and rng.random() < 0.5:
+            b[i] -= 1.0
+        else:
+            b[i] += 1.0
+        pairs.append((a, b))
+    return pairs
+
+
 def per_point_certificate(
     n, entry_cap, c, p, m, exponent_rule, outcome_map=None, *, real_probes=0, rng=None,
 ):
@@ -424,14 +449,7 @@ def per_point_certificate(
                 up = point[:i] + (point[i] + 1,) + point[i + 1 :]
                 consider(point, up, dists[point], dists[up])
 
-    for _ in range(real_probes):
-        a = rng.uniform(0.0, float(entry_cap), size=n)
-        i = int(rng.integers(n))
-        b = a.copy()
-        if a[i] >= 1.0 and rng.random() < 0.5:
-            b[i] -= 1.0
-        else:
-            b[i] += 1.0
+    for a, b in real_probe_pairs(rng, n, entry_cap, real_probes):
         consider(a, b, distribution(a), distribution(b))
 
     bound = math.exp(p.alpha)
@@ -494,3 +512,29 @@ def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=No
                 counts[state] = counts.get(state, 0) + 1
             step += 1
     return state, current, l1_estimate, counts
+
+
+def oracle_stdout_by_dicts(
+    db_path, class_path, alpha: float, m: int, exponent: str, best_sparse: bool
+) -> str:
+    """What ``sparsedp oracle`` prints, built from one dict per domain row,
+    ``best_sparse_db``'s own search for the best surrogate and
+    ``json.dumps``; the CLI encodes the columns directly and takes the best
+    surrogate from the distribution's scores."""
+    d, c = load_database(db_path), load_query_class(class_path)
+    dist = exact_output_distribution(d, c, PrivacyParams(alpha), m, ExponentRule.parse(exponent))
+    result = {
+        "distribution": [
+            {"counts": counts, "probability": prob}
+            for counts, prob in zip(dist.counts.tolist(), dist.probabilities.tolist())
+        ]
+    }
+    if best_sparse:
+        best, relative_error = best_sparse_db(d, c, m)
+        result["best_sparse"] = {"counts": best.counts.tolist(), "relative_error": relative_error}
+    config = {
+        "alpha": alpha, "best_sparse": best_sparse, "command": "oracle", "db": str(db_path),
+        "exponent": exponent, "m": m, "out": None, "query_class": str(class_path),
+    }
+    document = {"version": __version__, "config": config, "result": result}
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import sparsedp
-from helpers_oracles import boolean_indicator_class
+from helpers_oracles import boolean_indicator_class, oracle_stdout_by_dicts
 from sparsedp import save_database, save_query_class, choose_m, config, fsd, Database, QueryClass
+from sparsedp import PrivacyParams, best_sparse_db, exact_output_distribution, mechanisms, oracle
 from sparsedp import cli
 from sparsedp.cli import run
 
@@ -257,6 +258,37 @@ class TestAttackCommand:
         assert "--m must be at least 1" in err
 
 
+def _seeded_oracle_configs(seed: int, count: int) -> dict:
+    rng = np.random.default_rng(seed)
+    configs = {}
+    for i in range(count):
+        n, k = int(rng.integers(1, 5)), int(rng.choice([3, 5, 6, 11]))
+        configs[f"seeded {i}"] = (
+            rng.uniform(0, 4, size=n).tolist(), rng.uniform(0, 1, size=(k, n)).tolist(),
+            int(rng.integers(2, 7)), False,
+        )
+    return configs
+
+
+# name: (database entries, query rows, m, whether the best score is tied).
+# Dyadic entries and coefficients make the tied scores exactly equal.
+ORACLE_CONFIGS = {
+    **_seeded_oracle_configs(59, 6),
+    "all-zero database": ([0.0, 0.0, 0.0], [[1, 0, 0.5], [0.25, 1, 0], [0, 0, 1]], 4, True),
+    "duplicated columns": (
+        [1.0, 2.0, 2.0], [[0.5, 0.25, 0.25], [1, 0, 0], [0, 1, 1], [0.5, 0, 0], [0, 0.5, 0.5]], 3, True,
+    ),
+    "n = 1": ([2.5], [[0.5], [1.0], [0.25]], 3, False),
+}
+
+
+def _oracle_files(tmp_path, entries, queries):
+    db, cls = tmp_path / "db.json", tmp_path / "cls.json"
+    save_database(Database(entries), db)
+    save_query_class(QueryClass(queries), cls)
+    return db, cls
+
+
 class TestOracleCommand:
     def test_distribution_and_best_sparse(self, files, capsys):
         _, db, cls = files
@@ -280,6 +312,46 @@ class TestOracleCommand:
         )
         assert (code, out) == (1, "")
         assert "--m must be at least 1" in err
+
+    @pytest.mark.parametrize("split", ["whole", "blocks", "blocks and slices"])
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_best_sparse_matches_best_sparse_db(self, tmp_path, capsys, monkeypatch, name, split):
+        # The CLI takes the best surrogate from the distribution's scores,
+        # which score the domain whole; best_sparse_db scores it in blocks
+        # (7 rows here), each sliced by score_rows (12-row slices at k = 5
+        # under a 64-cell slice), and must find the same row and error.
+        entries, queries, m, ties = ORACLE_CONFIGS[name]
+        db, cls = _oracle_files(tmp_path, entries, queries)
+        if split != "whole":
+            monkeypatch.setattr(oracle, "BLOCK_ROWS", 7)
+        if split == "blocks and slices":
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", 64)
+        code, out, _ = run_capture(
+            capsys,
+            ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", str(m),
+             "--best-sparse"],
+        )
+        assert code == 0
+        printed = json.loads(out)["result"]["best_sparse"]
+        best, relative_error = best_sparse_db(Database(entries), QueryClass(queries), m)
+        assert printed["counts"] == best.counts.tolist()
+        assert repr(printed["relative_error"]) == repr(relative_error)
+        scores = exact_output_distribution(
+            Database(entries), QueryClass(queries), PrivacyParams(1.0), m
+        ).scores
+        assert ((scores == scores.max()).sum() > 1) == ties
+
+    @pytest.mark.parametrize("exponent", ["paper", "tight"])
+    @pytest.mark.parametrize("best_sparse", [False, True])
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_stdout_is_the_dict_built_document(self, tmp_path, capsys, name, best_sparse, exponent):
+        entries, queries, m, _ = ORACLE_CONFIGS[name]
+        db, cls = _oracle_files(tmp_path, entries, queries)
+        argv = ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "0.7", "--m", str(m),
+                "--exponent", exponent] + ["--best-sparse"] * best_sparse
+        code, out, err = run_capture(capsys, argv)
+        assert (code, err) == (0, "")
+        assert out == oracle_stdout_by_dicts(db, cls, 0.7, m, exponent, best_sparse)
 
 
 class TestContracts:

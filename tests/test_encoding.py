@@ -5,10 +5,11 @@ import enum
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparsedp.cli import _dumps
+from sparsedp.cli import _Columns, _dumps
 
 
 def reference(obj) -> str:
@@ -155,3 +156,71 @@ def test_non_str_key_raises_type_error(doc):
 def test_unserializable_value_raises_type_error(doc):
     with pytest.raises(TypeError, match="not JSON serializable"):
         _dumps(doc)
+
+
+# Columnar values: named, equal-length int or float columns, printed as
+# their list of per-row dicts.
+COLUMN_INTS = [0, 1, -1, 2**63 - 1, -(2**63)]
+COLUMN_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1, 1 / 3]
+COLUMN_KINDS = {
+    "int64": (np.int64, st.integers(-(2**63), 2**63 - 1) | st.sampled_from(COLUMN_INTS)),
+    "uint64": (np.uint64, st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1])),
+    "int8": (np.int8, st.integers(-128, 127)),
+    "float64": (np.float64, st.floats() | st.sampled_from(COLUMN_FLOATS)),
+}
+
+
+@st.composite
+def columnar(draw):
+    """A ``_Columns`` and the list of per-row dicts it stands for."""
+    rows = draw(st.sampled_from([0, 1, 2, 3, 7]))
+    names = draw(st.lists(keys, min_size=1, max_size=3, unique=True))
+    columns = {}
+    for name in names:
+        dtype, values = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        shape = (rows,) if draw(st.booleans()) else (rows, draw(st.integers(0, 3)))
+        flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        columns[name] = np.array(flat, dtype=dtype).reshape(shape)
+    dicts = [{name: column[i].tolist() for name, column in columns.items()} for i in range(rows)]
+    return _Columns(columns), dicts
+
+
+def wrapped(value, path):
+    """``value`` placed ``len(path)`` levels deep: "l" in a list, "d" in a dict."""
+    for step in reversed(path):
+        value = [0.5, value] if step == "l" else {"b": value, "a": [1]}
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(columnar(), st.lists(st.sampled_from("ld"), max_size=3))
+def test_columns_match_json_dumps_of_row_dicts(table_and_dicts, path):
+    table, dicts = table_and_dicts
+    assert _dumps(wrapped(table, path)) == reference(wrapped(dicts, path))
+
+
+def test_columns_beside_other_values():
+    counts = np.array([[3, 0], [2, 1], [0, 3]])
+    probs = np.array([0.5, math.nan, -math.inf])
+    doc = {"result": {"distribution": _Columns({"counts": counts, "probability": probs}), "m": 3}}
+    rows = [{"counts": c, "probability": p} for c, p in zip(counts.tolist(), probs.tolist())]
+    assert _dumps(doc) == reference({"result": {"distribution": rows, "m": 3}})
+    assert _dumps([_Columns({"x": counts[:, 0]})] * 2) == reference([[{"x": 3}, {"x": 2}, {"x": 0}]] * 2)
+
+
+@pytest.mark.parametrize("columns, error", [
+    ({}, ValueError),
+    ({"a": np.zeros(2), "b": np.zeros(3)}, ValueError),
+    ({"a": np.array([True, False])}, TypeError),
+    ({"a": np.array(["x"])}, TypeError),
+    ({"a": np.zeros((2, 2, 2))}, TypeError),
+    ({"a": np.zeros(2, dtype=complex)}, TypeError),
+])
+def test_columns_refuse_what_they_cannot_print(columns, error):
+    with pytest.raises(error):
+        _Columns(columns)
+
+
+def test_columns_with_a_non_str_key_raise_type_error():
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dumps(_Columns({1: np.zeros(2)}))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers_oracles import per_point_certificate, total_variation
+from helpers_oracles import per_point_certificate, real_probe_pairs, total_variation
+from sparsedp import oracle
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -90,9 +91,21 @@ class TestExactDistribution:
             dist[len(expected)]
         with pytest.raises(TypeError):
             dist[1:3]
-        for array in (dist.counts, dist.probabilities):
+        for array in (dist.counts, dist.probabilities, dist.scores):
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_keeps_the_scores_its_law_came_from(self):
+        from sparsedp.mechanisms import exponential_probabilities, score_rows
+
+        d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
+        for rule in ExponentRule:
+            dist = exact_output_distribution(d, CANONICAL_N3, p, 4, rule)
+            answers, l1s = [CANONICAL_N3.matrix @ d.entries], [4.0]
+            scores = score_rows(CANONICAL_N3, dist.counts, answers, l1s, 4)[0]
+            law = exponential_probabilities(CANONICAL_N3, dist.counts, answers, l1s, 4, p.alpha, rule)
+            assert dist.scores.tobytes() == scores.tobytes()
+            assert dist.probabilities.tobytes() == law[0].tobytes()
 
     def test_caller_supplied_l1_matches_per_element_scores(self):
         from sparsedp import quality_score
@@ -244,6 +257,34 @@ class TestAgainstPerPointCertificate:
             assert cert.witness_outcome == 0
             reference = per_point_certificate(n, 2, c, p, 2, rule, lambda dp: 0)
             assert cert.to_dict() == reference.to_dict()
+
+    def test_true_answers_are_each_points_database_matvec(self, monkeypatch):
+        # The certificate computes every point's answers in one stacked
+        # matmul; each must be, bit for bit, the matvec its Database gets.
+        seen = []
+        law = oracle.exponential_probabilities
+
+        def spy(c, counts, true_answers, *rest):
+            seen.append(true_answers)
+            return law(c, counts, true_answers, *rest)
+
+        monkeypatch.setattr(oracle, "exponential_probabilities", spy)
+        rng = np.random.default_rng(47)
+        for trial in range(60):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 71))
+            cap, probes = (int(rng.integers(1, 4)) if n <= 4 else 1), int(rng.integers(0, 20))
+            c = QueryClass(rng.uniform(0, 1, size=(k, n)))
+            privacy_ratio_certificate(
+                n, cap, c, PrivacyParams(1.0), 1, real_probes=probes, rng=np.random.default_rng(trial)
+            )
+            pairs = real_probe_pairs(np.random.default_rng(trial), n, cap, probes)
+            points = [
+                *itertools.product(range(cap + 1), repeat=n),
+                *(a for a, _ in pairs), *(b for _, b in pairs),
+            ]
+            expected = np.array([c.matrix @ Database(point).entries for point in points])
+            assert seen[-1].shape == expected.shape
+            assert seen[-1].tobytes() == expected.tobytes()
 
 
 class TestPostprocessing:
