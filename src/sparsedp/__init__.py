@@ -33,6 +33,7 @@ from .fsd import (
     verify_shattering,
 )
 from .mechanisms import (
+    ExactLawTable,
     ExponentRule,
     PrivacyParams,
     ReleaseOutput,

@@ -62,10 +62,11 @@ def partition_buckets(witness: ShatteringWitness) -> tuple[int, tuple[int, ...]]
 class ShatteredFamily:
     """A bucket of basis indices plus everything a reconstruction trial
     reads, computed once.  Subset ``s`` is ``subsets()[s]`` (lexicographic
-    order).  ``used`` holds the distinct indices of the queries the family
-    uses, increasing, and ``used_rows`` their coefficient rows; subset s's
-    query is ``used[used_position[s]]``.  ``base[s]`` is q_T(D_T) for T =
-    subset s, by ``evaluate``."""
+    order) and ``databases[s]`` its indicator D_T.  ``used`` holds the
+    distinct indices of the queries the family uses, increasing, and
+    ``used_rows`` their coefficient rows; subset s's query is
+    ``used[used_position[s]]``.  ``base[s]`` is q_T(D_T) for T = subset s,
+    by ``evaluate``."""
 
     def __init__(
         self,
@@ -91,11 +92,18 @@ class ShatteredFamily:
         self.thresholds = thresholds
         self.gamma = witness.gamma
         self._subsets = tuple(itertools.combinations(bucket, len(bucket) // 2))
+        self._position = {tuple(sorted(t)): s for s, t in enumerate(self._subsets)}
+        indicators = np.zeros((len(self._subsets), self.n))
+        for row, t in zip(indicators, self._subsets):
+            row[list(t)] = 1.0
+        self.databases = tuple(map(Database, indicators))
 
         queries = [self.query_index_for(t) for t in self._subsets]
         self.used, self.used_position = np.unique(queries, return_inverse=True)
         self.used_rows = query_class.matrix[self.used]
-        self.base = np.array([evaluate(self.query_for(t), self.database_for(t)) for t in self._subsets])
+        self.base = np.array(
+            [evaluate(self.query_for(t), d_t) for t, d_t in zip(self._subsets, self.databases)]
+        )
 
     @property
     def d(self) -> int:
@@ -117,9 +125,12 @@ class ShatteredFamily:
         return self.query_class[self.query_index_for(subset)]
 
     def database_for(self, subset) -> Database:
-        entries = np.zeros(self.n, dtype=np.float64)
-        entries[list(subset)] = 1.0
-        return Database(entries)
+        """The held indicator of a half-size subset of the bucket, given in
+        any order."""
+        position = self._position.get(tuple(sorted(subset)))
+        if position is None:
+            raise ValueError(f"{tuple(subset)} is not a half-size subset of the bucket {self.bucket}")
+        return self.databases[position]
 
     def query_indices(self) -> tuple[int, ...]:
         """Distinct indices of the queries the family actually uses."""
@@ -293,14 +304,15 @@ def attack_experiment(
     per_trial: list[tuple[float, int]] = []
 
     for trial_rng in children:
-        t_hidden = subsets[int(trial_rng.integers(len(subsets)))]
+        s_hidden = int(trial_rng.integers(len(subsets)))
+        t_hidden = subsets[s_hidden]
         inside = list(t_hidden)
         outside = [i for i in family.bucket if i not in t_hidden]
         x = inside[int(trial_rng.integers(len(inside)))]
         y = outside[int(trial_rng.integers(len(outside)))]
         t_swapped = tuple(sorted(set(t_hidden) - {x} | {y}))
 
-        d_hidden = family.database_for(t_hidden)
+        d_hidden = family.databases[s_hidden]
         d_swapped = family.database_for(t_swapped)
         try:
             out_hidden = mechanism(d_hidden, trial_rng)

@@ -32,6 +32,7 @@ from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
 from .fsd import SearchBudgetExceeded, choose_m, fsd
 from .mechanisms import (
+    ExactLawTable,
     ExponentRule,
     PrivacyParams,
     SparseDomain,
@@ -327,6 +328,11 @@ def _check_m(m: int | None) -> None:
         raise _CliError("--m must be at least 1")
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise _CliError("--trials must be at least 1")
+
+
 def _derive_m(args, cls) -> int:
     _check_m(args.m)
     if args.m is not None:
@@ -385,6 +391,7 @@ def _cmd_fsd(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    _check_trials(args.trials)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule.parse(args.exponent)
@@ -396,10 +403,11 @@ def _cmd_attack(args) -> int:
     if args.mechanism == "identity":
         mechanism = lambda db, rng: db
     elif args.mechanism == "exact":
-        # One domain for every trial; an over-budget one is refused here, not
-        # counted as a failure of each trial.
-        domain = SparseDomain(cls.n, m)
-        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, domain=domain)
+        # Every trial releases from one of the family's databases, so each
+        # one's law is kept after its first release; an over-budget domain or
+        # table is refused here, not counted as a failure of each trial.
+        laws = ExactLawTable(family.databases, cls, p, m, rule, SparseDomain(cls.n, m))
+        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, domain=laws)
     elif args.mechanism == "mcmc":
         mechanism = lambda db, rng: exponential_release_mcmc(db, cls, p, m, args.steps, rng, rule)
     else:

@@ -57,6 +57,7 @@ __all__ = [
     "exponential_law",
     "exponential_probabilities",
     "exponential_release_exact",
+    "ExactLawTable",
     "exponential_release_mcmc",
     "mcmc_state_counts",
     "acceptance_probability",
@@ -213,6 +214,15 @@ class SparseDomain:
         object.__setattr__(self, "counts", counts)
 
 
+def _check_domain(domain, n: int, m: int, what: str) -> None:
+    """A prepared domain must be a ``SparseDomain`` of the caller's n and m."""
+    if not isinstance(domain, SparseDomain):
+        raise TypeError(f"{what}: domain must be a SparseDomain, got {type(domain).__name__}")
+    _check_dims(domain.n, n, f"{what}: domain vs database")
+    if domain.m != m:
+        raise ValueError(f"{what}: domain was built for m={domain.m}, but m={m} was given")
+
+
 def quality_score(
     d: Database, dp: SparseSyntheticDatabase, c: QueryClass, l1_estimate: float
 ) -> float:
@@ -345,7 +355,7 @@ def exponential_release_exact(
     *,
     l1="public",
     budget: int | None = None,
-    domain: SparseDomain | None = None,
+    domain: "SparseDomain | ExactLawTable | None" = None,
 ) -> ReleaseOutput:
     """Draw one uniform against the cumulative ``exponential_probabilities``
     of the whole domain at the alpha left for the weights (0.9 alpha under
@@ -355,36 +365,109 @@ def exponential_release_exact(
     ``quality_score`` of the drawn row, exactly.
 
     ``domain`` is a prepared ``SparseDomain(d.n, m)`` used instead of
-    enumerating the domain on this call.  It was checked against its own
-    budget when it was built, so passing ``budget`` with it is refused.
-    The release is the same, and reads the generator the same way, with or
-    without it."""
+    enumerating the domain on this call, or an ``ExactLawTable`` built over
+    one, which also keeps the laws and releases of its databases.  It was
+    checked against its own budget when it was built, so passing ``budget``
+    with it is refused.  The release is the same, and reads the generator
+    the same way, with or without it."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
     if domain is None:
         counts = composition_matrix(d.n, m, budget=budget)
     else:
-        if not isinstance(domain, SparseDomain):
-            raise TypeError(
-                "exponential_release_exact: domain must be a SparseDomain, "
-                f"got {type(domain).__name__}"
-            )
+        table = domain if isinstance(domain, ExactLawTable) else None
+        if table is not None:
+            domain = table.domain
+        _check_domain(domain, d.n, m, "exponential_release_exact")
         if budget is not None:
             raise ValueError(
                 "exponential_release_exact: a prepared domain carries its own budget; "
                 "pass it as SparseDomain(n, m, budget=...)"
             )
-        _check_dims(domain.n, d.n, "exponential_release_exact: domain vs database")
-        if domain.m != m:
-            raise ValueError(
-                f"exponential_release_exact: domain was built for m={domain.m}, but m={m} was given"
-            )
+        if table is not None:
+            return table._draw_release(d, c, p, rng, exponent_rule, l1)
         counts = domain.counts
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
+    cumulative = _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)
+    idx = _draw(cumulative, rng.random())
+    return _release(d, c, counts[idx], m, exponent_rule, l1_estimate)
+
+
+def _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule) -> np.ndarray:
+    """The cumulative exact law of one database: the running sum of its
+    batch-of-one ``exponential_probabilities`` row."""
     probs = exponential_probabilities(
         c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m, alpha, exponent_rule
     )[0]
-    idx = min(int(np.searchsorted(np.cumsum(probs), rng.random(), side="right")), len(counts) - 1)
-    return _release(d, c, counts[idx], m, exponent_rule, l1_estimate)
+    return np.cumsum(probs)
+
+
+def _draw(cumulative: np.ndarray, u: float) -> int:
+    """The one exact draw: the first row whose cumulative probability exceeds
+    the uniform ``u``, or the last row when rounding left the total below it."""
+    return min(int(cumulative.searchsorted(u, "right")), len(cumulative) - 1)
+
+
+class ExactLawTable:
+    """A prepared domain for ``exponential_release_exact`` that also keeps,
+    for a fixed set of databases, each database's cumulative law and each
+    release drawn from it.  It is built for one class, alpha, m and rule,
+    and releases only at the public L1 norm.
+
+    A database's law is computed on its first release, by the per-call
+    sampler's own batch-of-one call, and the ``ReleaseOutput`` of a
+    (database, row) pair on its first draw; later releases only draw one
+    uniform.  A release is therefore the one the per-call sampler makes
+    from the same generator, which it leaves in the same state.  A database
+    is known by its entries; one not in the table is refused, as are a
+    different class, alpha or rule and a non-public ``l1``.
+
+    The table may come to hold ``len(databases)`` laws, each the size of a
+    pass over ``domain``, so it counts that many passes against the domain
+    budget when it is built."""
+
+    def __init__(
+        self,
+        databases,
+        c: QueryClass,
+        p: PrivacyParams,
+        m: int,
+        exponent_rule: ExponentRule,
+        domain: SparseDomain,
+    ):
+        databases = tuple(databases)
+        _check_domain(domain, c.n, m, "ExactLawTable")
+        for d in databases:
+            _check_dims(c.n, d.n, "ExactLawTable: class vs database")
+        _check_budget(domain.n, m, None, passes=len(databases))
+        self.domain = domain
+        self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
+        self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
+        self._l1 = [l1_norm(d) for d in databases]
+        self._cumulative: list[np.ndarray | None] = [None] * len(databases)
+        self._releases: dict[tuple[int, int], ReleaseOutput] = {}
+
+    def _draw_release(self, d, c, p, rng, exponent_rule, l1) -> ReleaseOutput:
+        if (c is not self.c and not np.array_equal(c.matrix, self.c.matrix)) or (
+            p.alpha != self.alpha or exponent_rule != self.exponent_rule
+        ):
+            raise ValueError("ExactLawTable: built for another class, alpha or exponent rule")
+        if not (isinstance(l1, str) and l1 == "public"):
+            raise ValueError(f"ExactLawTable: keeps laws at the public L1 norm, got l1={l1!r}")
+        s = self._index.get(d.entries.tobytes())
+        if s is None:
+            raise ValueError("ExactLawTable: the database is not one of the table's")
+        cumulative = self._cumulative[s]
+        if cumulative is None:
+            cumulative = self._cumulative[s] = _cumulative_law(
+                d, c, self.domain.counts, self._l1[s], self.m, self.alpha, exponent_rule
+            )
+        idx = _draw(cumulative, rng.random())
+        out = self._releases.get((s, idx))
+        if out is None:
+            out = self._releases[s, idx] = _release(
+                d, c, self.domain.counts[idx], self.m, exponent_rule, self._l1[s]
+            )
+        return out
 
 
 def acceptance_probability(score_from: float, score_to: float, scale: float) -> float:

@@ -14,6 +14,7 @@ import pytest
 from helpers_oracles import boolean_indicator_class, total_variation
 from sparsedp import (
     Database,
+    ExactLawTable,
     ExponentRule,
     PrivacyParams,
     QueryClass,
@@ -112,8 +113,8 @@ def test_04_reconstruction_bound_over_1e4_trials():
     family = build_family(c, 0.5, 4)
     assert family.d == 4 and family.gamma == 0.5
     p = PrivacyParams(1.0)
-    domain = SparseDomain(4, 2)
-    mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng, domain=domain)
+    laws = ExactLawTable(family.databases, c, p, 2, ExponentRule.PAPER_QUARTER, SparseDomain(4, 2))
+    mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng, domain=laws)
     report = attack_experiment(mechanism, family, 10_000, np.random.default_rng(4_000), alpha=1.0)
     assert report.completed == 10_000
     assert report.mechanism_failures == 0

@@ -8,10 +8,13 @@ from helpers_oracles import boolean_indicator_class, random_query_class
 from sparsedp import (
     Database,
     DimensionMismatchError,
+    ExactLawTable,
+    ExponentRule,
     FamilySearchError,
     PrivacyParams,
     QueryClass,
     ShatteringWitness,
+    SparseDomain,
     attack_experiment,
     build_family,
     evaluate,
@@ -121,6 +124,17 @@ class TestBuildFamily:
         c = QueryClass([[0.4, 0.4], [0.4, 0.4]])
         with pytest.raises(FamilySearchError):
             build_family(c, 0.25, 2)
+
+    def test_family_holds_its_databases(self):
+        family = build_family(boolean_indicator_class(6), 0.5, 6)
+        assert len(family.databases) == len(family.subsets()) == 20
+        for t, d_t in zip(family.subsets(), family.databases):
+            assert d_t.entries.tolist() == [float(i in t) for i in range(6)]
+            assert family.database_for(t) is d_t
+            assert family.database_for(t[::-1]) is d_t
+        for bad in ((0, 1), (0, 1, 2, 3), (0, 1, 6)):
+            with pytest.raises(ValueError, match="not a half-size subset"):
+                family.database_for(bad)
 
     def test_odd_bucket_truncated_to_even(self):
         # three thresholds land in one bucket, so one index is dropped
@@ -260,6 +274,21 @@ class TestAttackExperiment:
         # a private mechanism must pay at least the accuracy floor the
         # recovery argument implies
         assert report.mean_eps_hat > report.epsilon_floor
+
+    @pytest.mark.parametrize("dimension", [4, 6])
+    def test_law_table_report_equals_per_call_sampler_report(self, dimension):
+        c = boolean_indicator_class(dimension)
+        family = build_family(c, 0.5, dimension)
+        m = dimension // 2
+        domain = SparseDomain(dimension, m)
+        for rule in ExponentRule:
+            laws = ExactLawTable(family.databases, c, self.p, m, rule, domain)
+            table = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule, domain=laws)
+            per_call = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule)
+            a = attack_experiment(table, family, 300, np.random.default_rng(8), alpha=1.0)
+            b = attack_experiment(per_call, family, 300, np.random.default_rng(8), alpha=1.0)
+            assert a == b
+            assert a.completed == 300 and len(set(a.per_trial)) > 1
 
     def test_huge_noise_flags_vacuous_reconstruction(self):
         def noisy(db, rng):

@@ -485,6 +485,40 @@ class TestContracts:
         assert (code, out) == (2, "")
         assert err.startswith("budget refusal: sparse domain for n=4, m=2 holds 10 elements")
 
+    def test_over_budget_law_table_exits_2(self, files, capsys, monkeypatch, tmp_path):
+        # The 10-row domain fits a budget of 30, but the six databases' laws
+        # are six passes over it.
+        cube = tmp_path / "cube4.json"
+        save_query_class(boolean_indicator_class(4), cube)
+        monkeypatch.setenv("FSDP_BUDGET", "30")
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", "exact", "--trials", "5", "--dmax", "4", "--seed", "1"],
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "budget refusal: sparse domain for n=4, m=2 holds 10 elements, scored 6 times, "
+            "over the budget of 30; exponential_release_mcmc samples without enumerating it\n"
+        )
+
+    @pytest.mark.parametrize("mechanism", ["exact", "identity"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_1_before_any_search(
+        self, files, capsys, monkeypatch, tmp_path, mechanism, trials
+    ):
+        # Checked before the shattering search and the domain build, so the
+        # over-budget domain is never reached.
+        cube = tmp_path / "cube4.json"
+        save_query_class(boolean_indicator_class(4), cube)
+        monkeypatch.setenv("FSDP_BUDGET", "5")
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", mechanism, "--trials", trials, "--dmax", "4"],
+        )
+        assert (code, out, err) == (1, "", "error: --trials must be at least 1\n")
+
     def test_infinite_alpha_exits_1(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(

@@ -248,6 +248,175 @@ class TestPreparedDomain:
             domain.counts = np.zeros((1, 3), dtype=np.int64)
 
 
+class FixedUniform:
+    """A generator stand-in whose every uniform is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return self.u
+
+
+def law_table_configs(seed: int, count: int):
+    """(databases, class, params, m, rule) of ``count`` random tables: n 2-6,
+    m 1-4, k 1-6, both rules, 2-5 databases each with entries 0-4 in
+    halves, so their L1 norms differ."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for trial in range(count):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+        databases = [Database(0.5 * rng.integers(0, 9, size=n)) for _ in range(int(rng.integers(2, 6)))]
+        c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 7)), n)))
+        p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
+        configs.append((databases, c, p, m, list(ExponentRule)[trial % 2]))
+    return configs
+
+
+def assert_same_release(got, want):
+    """Two ``ReleaseOutput``s hold the same values, floats bit for bit."""
+    assert got.d_out.entries.tobytes() == want.d_out.entries.tobytes()
+    assert got.d_prime.as_tuple() == want.d_prime.as_tuple()
+    assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
+    assert (got.m, got.exponent_rule, got.approximate) == (want.m, want.exponent_rule, want.approximate)
+    assert np.float64(got.l1_estimate).tobytes() == np.float64(want.l1_estimate).tobytes()
+
+
+class TestExactLawTable:
+    @pytest.mark.parametrize("slice_cells", [None, 48, 8])
+    def test_releases_match_the_per_call_sampler(self, monkeypatch, slice_cells):
+        # Same release, and the generator left in the same state, for every
+        # database of every table, before and after its law is kept;
+        # uniforms on and just below each cumulative value of the per-call
+        # law pin the kept cumulative rows bit for bit.  Small
+        # SCORE_SLICE_CELLS split the scoring into several slices.
+        if slice_cells is not None:
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+        sliced = 0
+        rng = np.random.default_rng(17)
+        for databases, c, p, m, rule in law_table_configs(16, 60):
+            domain = SparseDomain(c.n, m)
+            table = mechanisms.ExactLawTable(databases, c, p, m, rule, domain)
+            sliced += len(domain.counts) > mechanisms.SCORE_SLICE_CELLS // c.k
+            for d in databases + [Database(databases[-1].entries.copy())]:
+                for seed in rng.integers(2**31, size=3).tolist():
+                    a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = exponential_release_exact(d, c, p, m, a_rng, rule, domain=table)
+                    want = exponential_release_exact(d, c, p, m, b_rng, rule, domain=domain)
+                    assert_same_release(got, want)
+                    assert a_rng.random() == b_rng.random()
+                law = mechanisms.exponential_probabilities(
+                    c, domain.counts, (c.matrix @ d.entries)[None], [d.l1()], m, p.alpha, rule
+                )[0]
+                cumulative = np.cumsum(law)
+                for row in rng.choice(len(cumulative), size=min(6, len(cumulative)), replace=False):
+                    for u in (cumulative[row], np.nextafter(cumulative[row], 0.0)):
+                        fixed = FixedUniform(float(u))
+                        want = exponential_release_exact(d, c, p, m, fixed, rule, domain=domain)
+                        # The first row whose cumulative probability exceeds u.
+                        first = min(int((cumulative <= u).sum()), len(cumulative) - 1)
+                        assert want.d_prime.as_tuple() == tuple(domain.counts[first].tolist())
+                        got = exponential_release_exact(d, c, p, m, fixed, rule, domain=table)
+                        assert_same_release(got, want)
+                        # Built on the first draw of the row, then reused.
+                        assert exponential_release_exact(d, c, p, m, fixed, rule, domain=table) is got
+        if slice_cells is not None:
+            assert sliced >= 20
+
+    @pytest.mark.parametrize("slice_cells", [None, 48, 8])
+    def test_batched_law_rows_equal_batch_of_one_rows(self, monkeypatch, slice_cells):
+        if slice_cells is not None:
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+        for databases, c, p, m, rule in law_table_configs(18, 60):
+            counts = composition_matrix(c.n, m)
+            answers = np.array([c.matrix @ d.entries for d in databases])
+            l1s = [d.l1() for d in databases]
+            batched = mechanisms.exponential_probabilities(c, counts, answers, l1s, m, p.alpha, rule)
+            cumulative = np.cumsum(batched, axis=1)
+            for s, (single_answers, l1) in enumerate(zip(answers, l1s)):
+                single = mechanisms.exponential_probabilities(
+                    c, counts, single_answers[None], [l1], m, p.alpha, rule
+                )[0]
+                assert batched[s].tobytes() == single.tobytes()
+                assert cumulative[s].tobytes() == np.cumsum(single).tobytes()
+
+    def test_refusals(self, monkeypatch):
+        c, p = QueryClass([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 1, 1]]), PrivacyParams(1.0)
+        databases = [
+            Database(np.eye(4)[list(t)].sum(axis=0)) for t in itertools.combinations(range(4), 2)
+        ]
+        domain = SparseDomain(4, 2)
+        rule = ExponentRule.PAPER_QUARTER
+        table = mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+        release = lambda d, rng, c=c, p=p, rule=rule, **kw: exponential_release_exact(
+            d, c, p, 2, rng, rule, domain=table, **kw
+        )
+        rng = np.random.default_rng(3)
+        for unknown in (Database([1, 1, 1, 0]), Database([0.5, 0.5, 0.5, 0.5])):
+            with pytest.raises(ValueError, match="not one of the table's"):
+                release(unknown, rng)
+        with pytest.raises(DimensionMismatchError, match="class vs database"):
+            release(Database([1, 1, 0]), rng)
+        other = QueryClass([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 1, 0]])
+        for kw in ({"c": other}, {"p": PrivacyParams(1.5)}, {"rule": ExponentRule.TIGHT_SENSITIVITY}):
+            with pytest.raises(ValueError, match="another class, alpha or exponent rule"):
+                release(databases[0], rng, **kw)
+        for l1 in ("private", 2.0):
+            with pytest.raises(ValueError, match="public L1 norm"):
+                release(databases[0], rng, l1=l1)
+        with pytest.raises(ValueError, match="carries its own budget"):
+            release(databases[0], rng, budget=100)
+        with pytest.raises(ValueError, match="m=2, but m=3"):
+            exponential_release_exact(databases[0], c, p, 3, rng, rule, domain=table)
+        # A refusal comes before the generator is read.
+        assert rng.random() == np.random.default_rng(3).random()
+        # An equal class is accepted.
+        same = QueryClass(c.matrix.copy())
+        got = release(databases[0], np.random.default_rng(4), c=same)
+        assert release(databases[0], np.random.default_rng(4)) is got
+
+        # The table may keep six laws: six passes over the 10-row domain.
+        monkeypatch.setenv("FSDP_BUDGET", "59")
+        with pytest.raises(DomainTooLargeError) as refused:
+            mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+        assert refused.value.count == 60
+        assert str(refused.value) == (
+            "sparse domain for n=4, m=2 holds 10 elements, scored 6 times, over the budget "
+            "of 59; exponential_release_mcmc samples without enumerating it"
+        )
+        monkeypatch.setenv("FSDP_BUDGET", "60")
+        mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+
+        with pytest.raises(ValueError, match="m=2, but m=3"):
+            mechanisms.ExactLawTable(databases, c, p, 3, rule, domain)
+        with pytest.raises(TypeError, match="SparseDomain"):
+            mechanisms.ExactLawTable(databases, c, p, 2, rule, composition_matrix(4, 2))
+        with pytest.raises(TypeError, match="SparseDomain"):
+            mechanisms.ExactLawTable(databases, c, p, 2, rule, table)
+        with pytest.raises(DimensionMismatchError, match="domain vs database"):
+            mechanisms.ExactLawTable(databases, c, p, 2, rule, SparseDomain(3, 2))
+        with pytest.raises(DimensionMismatchError, match="class vs database"):
+            mechanisms.ExactLawTable([Database([1, 1, 0])], c, p, 2, rule, domain)
+
+    def test_laws_are_computed_on_first_use(self, monkeypatch):
+        # Building the table scores nothing; each database's law is computed
+        # once, on its first release.
+        c, p = QueryClass([[1, 0, 0], [0, 1, 1]]), PrivacyParams(2.0)
+        databases = [Database([1, 0, 0]), Database([0, 1, 0]), Database([0, 0, 1])]
+        calls = []
+        original = mechanisms.exponential_probabilities
+        monkeypatch.setattr(
+            mechanisms, "exponential_probabilities",
+            lambda *a: calls.append(a[2].shape[0]) or original(*a),
+        )
+        table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER, SparseDomain(3, 3))
+        assert calls == []
+        rng = np.random.default_rng(5)
+        for d in [databases[1], databases[1], databases[0], databases[1]]:
+            exponential_release_exact(d, c, p, 3, rng, domain=table)
+        assert calls == [1, 1]
+
+
 class TestExactRelease:
     def test_huge_alpha_returns_argmax(self):
         d = Database([3, 1])
@@ -312,13 +481,6 @@ class TestExactRelease:
         # weighting by scores * (alpha / divisor), which rounds the quotient
         # first, sends u to (1, 1).  The sweep covers both rules and both L1
         # modes.
-        class FixedUniform:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self, size=None):
-                return self.u
-
         def check(d, c, alpha, m, rule, u, l1="public"):
             out = exponential_release_exact(d, c, PrivacyParams(alpha), m, FixedUniform(u), rule, l1=l1)
             if l1 == "private":
