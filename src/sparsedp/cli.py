@@ -18,11 +18,10 @@ Exit codes: 0 success, 1 validation error (bad flags or malformed files),
 import argparse
 import csv
 import functools
+import json
 import math
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +179,13 @@ class _Columns:
         self.rows = lengths.pop()
 
 
-def _encode_columns(table: _Columns, depth: int) -> str:
+def _encode_columns(table: _Columns, depth: int, before: str, after: str) -> str:
     """One row template, filled by one ``%`` over every row's values in
-    sorted-key order, as one flat tuple of ``.tolist()`` values."""
+    sorted-key order, as one flat tuple of ``.tolist()`` values.  The text
+    ``before`` and ``after`` the table goes into the same ``%``, so no
+    separate copy of the table's text is made to join it to them."""
     if not table.rows:
-        return "[]"
+        return before + "[]" + after
     for key in table.columns:
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
@@ -218,89 +219,42 @@ def _encode_columns(table: _Columns, depth: int) -> str:
             values = texts[index].tolist()
         flat[offset::width] = values
     rows = ("," + row_indent).join([row] * table.rows)
-    return ("[" + row_indent + rows + "\n" + "  " * depth + "]") % tuple(flat)
+    head, tail = before.replace("%", "%%"), after.replace("%", "%%")
+    template = "".join((head, "[", row_indent, rows, "\n", "  " * depth, "]", tail))
+    return template % tuple(flat)
 
 
-def _encode_one(value, depth: int) -> str:
-    """One value by ``json``'s own ``isinstance`` order."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _floatstr(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_lists([value], depth)[0]
-    if isinstance(value, dict):
-        return _encode_dicts([value], depth)[0]
-    if isinstance(value, _Columns):
-        return _encode_columns(value, depth)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _encode_level(values: list, depth: int) -> list[str]:
-    """Encode a batch of values that sit ``depth`` levels deep.
-
-    A batch of one exact type goes through C-level ``map`` calls; equal-length
-    lists and same-key dicts are encoded one nesting level at a time, as one
-    batch per level.  Anything else falls back to one value at a time.
-    """
-    types = set(map(type, values))
-    if len(types) == 1:
-        kind = types.pop()
-        if kind is int:
-            return list(map(int.__repr__, values))
-        if kind is float:
-            if all(map(math.isfinite, values)):
-                return list(map(float.__repr__, values))
-            return list(map(_floatstr, values))
-        if kind is str:
-            return list(map(encode_basestring_ascii, values))
-        if (kind is list or kind is tuple) and len(set(map(len, values))) == 1:
-            return _encode_lists(values, depth)
-        if kind is dict and len(set(map(tuple, values))) == 1:
-            return _encode_dicts(values, depth)
-    return [_encode_one(value, depth) for value in values]
-
-
-def _encode_lists(lists: list, depth: int) -> list[str]:
-    """Equal-length lists: flatten one level, encode, regroup by one template."""
-    width = len(lists[0])
-    if not width:
-        return ["[]"] * len(lists)
-    inner = "\n" + "  " * (depth + 1)
-    template = "[" + inner + ("," + inner).join(["%s"] * width) + "\n" + "  " * depth + "]"
-    items = _encode_level(list(chain.from_iterable(lists)), depth + 1)
-    return list(map(template.__mod__, zip(*[iter(items)] * width)))
-
-
-def _encode_dicts(dicts: list, depth: int) -> list[str]:
-    """Dicts with one key tuple: one column per sorted key, one template."""
-    keys = list(dicts[0])
-    if not keys:
-        return ["{}"] * len(dicts)
-    for key in keys:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    keys.sort()
-    inner = "\n" + "  " * (depth + 1)
-    fields = [encode_basestring_ascii(key).replace("%", "%%") + ": %s" for key in keys]
-    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * depth + "}"
-    columns = [_encode_level(list(map(itemgetter(key), dicts)), depth + 1) for key in keys]
-    return list(map(template.__mod__, zip(*columns)))
+# What ``json.dumps`` prints in place of each ``_Columns``: it holds NULs,
+# which no argv string can carry, so no CLI document holds it.
+_MARKER = "\0columns\0"
+_ENCODED_MARKER = json.dumps(_MARKER)
 
 
 def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for documents with
-    str keys, reading a ``_Columns`` as its list of per-row dicts; a non-str
-    key raises ``TypeError``."""
-    return _encode_level([obj], 0)[0]
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, reading a
+    ``_Columns`` as its list of per-row dicts: json prints a marker for each
+    table, and ``_encode_columns`` prints the table in its place, at the
+    marker line's depth, together with the text around it.  A document with
+    tables that also holds the marker's text is refused."""
+    tables = []
+
+    def default(value):
+        if isinstance(value, _Columns):
+            tables.append(value)
+            return _MARKER
+        return json.JSONEncoder().default(value)
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=default)
+    if not tables:
+        return text
+    pieces = text.split(_ENCODED_MARKER)
+    if len(pieces) != len(tables) + 1:
+        raise ValueError("the document holds the text of the columns marker")
+    text = pieces[0]
+    for table, after in zip(tables, pieces[1:]):
+        line = text[text.rfind("\n") + 1 :]
+        text = _encode_columns(table, (len(line) - len(line.lstrip(" "))) // 2, text, after)
+    return text
 
 
 def _emit(args, payload: dict, tables: dict[str, list] | None = None) -> None:
@@ -404,8 +358,9 @@ def _cmd_attack(args) -> int:
         mechanism = lambda db, rng: db
     elif args.mechanism == "exact":
         # Every trial releases from one of the family's databases, so each
-        # one's law is kept after its first release; an over-budget domain or
-        # table is refused here, not counted as a failure of each trial.
+        # one's law is kept after its first release while it fits the budget;
+        # an over-budget domain is refused here, not counted as a failure of
+        # each trial.
         laws = ExactLawTable(family.databases, cls, p, m, rule, SparseDomain(cls.n, m))
         mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, domain=laws)
     elif args.mechanism == "mcmc":

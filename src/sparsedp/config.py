@@ -2,9 +2,9 @@
 
 The two calibrated constants below were fixed once by seeded calibration runs
 (see the notes next to each value) and are frozen; tests pin behaviour against
-them.  The domain enumeration budget can be overridden per call or globally
-through the ``FSDP_BUDGET`` environment variable; the shattering search's
-node budget only per call (``budget=``, the CLI's ``--budget``).
+them.  The domain enumeration budget can be overridden through the
+``FSDP_BUDGET`` environment variable; the shattering search's node budget
+only per call (``budget=``, the CLI's ``--budget``).
 """
 
 import os
@@ -40,14 +40,9 @@ L1_ESTIMATE_ALPHA_SHARE = 0.10
 MAX_FAMILY_SIZE = 16
 
 
-def domain_budget(override: int | None = None) -> int:
-    """Resolve the sparse-domain enumeration budget.
-
-    Precedence: explicit ``override`` argument, then the ``FSDP_BUDGET``
-    environment variable, then ``DEFAULT_DOMAIN_BUDGET``.
-    """
-    if override is not None:
-        return int(override)
+def domain_budget() -> int:
+    """The sparse-domain enumeration budget: the ``FSDP_BUDGET`` environment
+    variable, else ``DEFAULT_DOMAIN_BUDGET``."""
     env = os.environ.get("FSDP_BUDGET")
     if env is not None:
         return int(env)

@@ -25,7 +25,7 @@ uniforms so every experiment is reproducible bit-for-bit per seed.
 
 import enum
 import math
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,11 +124,11 @@ BLOCK_ROWS = 1 << 18
 SCORE_SLICE_CELLS = 1 << 18
 
 
-def _check_budget(n: int, m: int, budget: int | None, passes: int = 1) -> int:
+def _check_budget(n: int, m: int, passes: int = 1) -> int:
     """The one enumeration-budget check: ``passes`` passes over the sparse
     domain of (n, m) must fit the budget.  Returns the domain size."""
     count = domain_size(n, m)
-    limit = config.domain_budget(budget)
+    limit = config.domain_budget()
     if passes * count > limit:
         scored = f", scored {passes} times," if passes > 1 else ""
         raise DomainTooLargeError(
@@ -174,20 +174,20 @@ def domain_blocks(n: int, m: int, max_rows: int | None = None):
     yield from blocks(np.empty((1, 0), dtype=np.int64), np.array([m], dtype=np.int64))
 
 
-def sparse_domain(n: int, m: int, *, budget: int | None = None):
+def sparse_domain(n: int, m: int):
     """Every nonnegative integer vector of length n summing to m, exactly
     once, in lexicographically decreasing order.  Refuses with the count when
     the domain exceeds the enumeration budget."""
     if m < 1:
         raise ValueError("sparse domain requires m >= 1")
-    _check_budget(n, m, budget)
+    _check_budget(n, m)
     blocks = domain_blocks(n, m, BLOCK_ROWS)
     return (SparseSyntheticDatabase(row) for block in blocks for row in block)
 
 
-def composition_matrix(n: int, m: int, *, budget: int | None = None) -> np.ndarray:
+def composition_matrix(n: int, m: int) -> np.ndarray:
     """The same enumeration as ``sparse_domain`` as one (count, n) int matrix."""
-    _check_budget(n, m, budget)
+    _check_budget(n, m)
     return next(domain_blocks(n, m))
 
 
@@ -202,14 +202,12 @@ class SparseDomain:
 
     n: int
     m: int
-    _: KW_ONLY
-    budget: InitVar[int | None] = None
     counts: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, budget):
+    def __post_init__(self):
         if self.m < 1:
             raise ValueError("sparse domain requires m >= 1")
-        counts = composition_matrix(self.n, self.m, budget=budget)
+        counts = composition_matrix(self.n, self.m)
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
@@ -354,7 +352,6 @@ def exponential_release_exact(
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
     l1="public",
-    budget: int | None = None,
     domain: "SparseDomain | ExactLawTable | None" = None,
 ) -> ReleaseOutput:
     """Draw one uniform against the cumulative ``exponential_probabilities``
@@ -366,23 +363,17 @@ def exponential_release_exact(
 
     ``domain`` is a prepared ``SparseDomain(d.n, m)`` used instead of
     enumerating the domain on this call, or an ``ExactLawTable`` built over
-    one, which also keeps the laws and releases of its databases.  It was
-    checked against its own budget when it was built, so passing ``budget``
-    with it is refused.  The release is the same, and reads the generator
-    the same way, with or without it."""
+    one, which also keeps the laws and releases of its databases.  The
+    release is the same, and reads the generator the same way, with or
+    without it."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
     if domain is None:
-        counts = composition_matrix(d.n, m, budget=budget)
+        counts = composition_matrix(d.n, m)
     else:
         table = domain if isinstance(domain, ExactLawTable) else None
         if table is not None:
             domain = table.domain
         _check_domain(domain, d.n, m, "exponential_release_exact")
-        if budget is not None:
-            raise ValueError(
-                "exponential_release_exact: a prepared domain carries its own budget; "
-                "pass it as SparseDomain(n, m, budget=...)"
-            )
         if table is not None:
             return table._draw_release(d, c, p, rng, exponent_rule, l1)
         counts = domain.counts
@@ -421,9 +412,10 @@ class ExactLawTable:
     is known by its entries; one not in the table is refused, as are a
     different class, alpha or rule and a non-public ``l1``.
 
-    The table may come to hold ``len(databases)`` laws, each the size of a
-    pass over ``domain``, so it counts that many passes against the domain
-    budget when it is built."""
+    Each kept law is the size of a pass over ``domain``, so a law (and the
+    releases drawn from it) is kept only while the kept laws and the new
+    one fit the domain budget as passes.  A database whose law does not
+    fit is released the per-call way, every time."""
 
     def __init__(
         self,
@@ -438,12 +430,12 @@ class ExactLawTable:
         _check_domain(domain, c.n, m, "ExactLawTable")
         for d in databases:
             _check_dims(c.n, d.n, "ExactLawTable: class vs database")
-        _check_budget(domain.n, m, None, passes=len(databases))
         self.domain = domain
         self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
         self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
         self._l1 = [l1_norm(d) for d in databases]
         self._cumulative: list[np.ndarray | None] = [None] * len(databases)
+        self._kept = 0
         self._releases: dict[tuple[int, int], ReleaseOutput] = {}
 
     def _draw_release(self, d, c, p, rng, exponent_rule, l1) -> ReleaseOutput:
@@ -456,16 +448,20 @@ class ExactLawTable:
         s = self._index.get(d.entries.tobytes())
         if s is None:
             raise ValueError("ExactLawTable: the database is not one of the table's")
+        counts = self.domain.counts
         cumulative = self._cumulative[s]
         if cumulative is None:
-            cumulative = self._cumulative[s] = _cumulative_law(
-                d, c, self.domain.counts, self._l1[s], self.m, self.alpha, exponent_rule
-            )
+            cumulative = _cumulative_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)
+            if (self._kept + 1) * len(counts) <= config.domain_budget():
+                self._cumulative[s] = cumulative
+                self._kept += 1
         idx = _draw(cumulative, rng.random())
+        if self._cumulative[s] is None:
+            return _release(d, c, counts[idx], self.m, exponent_rule, self._l1[s])
         out = self._releases.get((s, idx))
         if out is None:
             out = self._releases[s, idx] = _release(
-                d, c, self.domain.counts[idx], self.m, exponent_rule, self._l1[s]
+                d, c, counts[idx], self.m, exponent_rule, self._l1[s]
             )
         return out
 

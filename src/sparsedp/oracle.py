@@ -78,7 +78,6 @@ def exact_output_distribution(
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
     l1_estimate: float | None = None,
-    budget: int | None = None,
 ) -> OutputDistribution:
     """Closed-form output distribution of the exact release mechanism at
     ``p.alpha``, in the domain's enumeration order: the
@@ -88,7 +87,7 @@ def exact_output_distribution(
     answer."""
     _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
-    counts = composition_matrix(d.n, m, budget=budget)
+    counts = composition_matrix(d.n, m)
     scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1], m)
     probs = exponential_law(scores, m, p.alpha, exponent_rule)
     return OutputDistribution(counts, probs[0], scores[0])
@@ -137,7 +136,6 @@ def _certificate(
     outcome_map,
     real_probes: int,
     rng,
-    budget: int | None,
 ) -> CertificateResult:
     _check_dims(c.n, n, "certificate: class vs grid")
     if entry_cap < 1:
@@ -145,10 +143,10 @@ def _certificate(
     if real_probes < 0:
         raise ValueError(f"real_probes must be nonnegative, got {real_probes}")
     # One pass over the domain per grid point and per probe point.
-    _check_budget(n, m, budget, passes=(entry_cap + 1) ** n + 2 * real_probes)
+    _check_budget(n, m, passes=(entry_cap + 1) ** n + 2 * real_probes)
     if real_probes and rng is None:
         raise ValueError("real-valued probes need a generator")
-    counts = composition_matrix(n, m, budget=budget)
+    counts = composition_matrix(n, m)
 
     # Grid points in product order; the neighbour of a point one unit up on
     # axis i sits stride[i] rows later.  Pairs go by point, then by axis.
@@ -225,7 +223,6 @@ def privacy_ratio_certificate(
     *,
     real_probes: int = 0,
     rng=None,
-    budget: int | None = None,
 ) -> CertificateResult:
     """Enumerate every ordered pair of integer databases on the grid
     {0..entry_cap}^n differing by one unit in one coordinate, compute both
@@ -234,7 +231,7 @@ def privacy_ratio_certificate(
     real-valued pairs at L1 distance exactly 1, since the privacy definition
     quantifies over real neighbors and the grid alone checks the weaker
     integer reading."""
-    return _certificate(n, entry_cap, c, p, m, exponent_rule, None, real_probes, rng, budget)
+    return _certificate(n, entry_cap, c, p, m, exponent_rule, None, real_probes, rng)
 
 
 def postprocessing_certificate(
@@ -248,12 +245,11 @@ def postprocessing_certificate(
     *,
     real_probes: int = 0,
     rng=None,
-    budget: int | None = None,
 ) -> CertificateResult:
     """Same sweep as ``privacy_ratio_certificate`` but on the distributions
     pushed forward through a fixed outcome map ``g`` (database-independent
     post-processing cannot worsen the ratio)."""
-    return _certificate(n, entry_cap, c, p, m, exponent_rule, g, real_probes, rng, budget)
+    return _certificate(n, entry_cap, c, p, m, exponent_rule, g, real_probes, rng)
 
 
 def _best_row(scores: np.ndarray) -> int:
@@ -274,14 +270,14 @@ def best_surrogate(
 
 
 def best_sparse_db(
-    d: Database, c: QueryClass, m: int, *, budget: int | None = None
+    d: Database, c: QueryClass, m: int
 ) -> tuple[SparseSyntheticDatabase, float]:
     """Exhaustively find the surrogate minimizing the rescaled worst-case
     error, and that error divided by ||D||_1.  Exact ties resolve to the
     lexicographically smallest count vector.  The domain is scored a block
     at a time, and the same rule picks among the blocks' best rows."""
     _check_dims(c.n, d.n, "best_sparse_db: class vs database")
-    _check_budget(d.n, m, budget)
+    _check_budget(d.n, m)
     l1 = l1_norm(d)
     true_answers = (c.matrix @ d.entries)[None]
     rows, scores = [], []

@@ -298,15 +298,17 @@ class TestAttackExperiment:
         assert report.vacuous_fraction == 1.0
         assert report.reconstruction_bound_violations == 0
 
-    def test_mechanism_failures_counted(self):
+    def test_mechanism_failures_counted(self, monkeypatch):
         def broken(db, rng):
             raise RuntimeError("mechanism exploded")
 
         def budget_refusal(db, rng):
-            return exponential_release_exact(db, BOOL4, self.p, 2, rng, budget=1)
+            return exponential_release_exact(db, BOOL4, self.p, 2, rng)
 
         def division(db, rng):
             return 1 / 0
+
+        monkeypatch.setenv("FSDP_BUDGET", "1")
 
         for mech in (broken, budget_refusal, division):
             report = attack_experiment(mech, self.family, 25, np.random.default_rng(4), alpha=1.0)

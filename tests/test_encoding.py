@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparsedp import cli
 from sparsedp.cli import _Columns, _dumps
 
 
@@ -83,7 +84,7 @@ def containers(children):
         st.dictionaries(keys, children, max_size=5),
         equal_length_lists(children),
         same_key_dicts(children),
-        # one-type batches take the mapped fast paths
+        # lists of one leaf type
         st.lists(st.integers(), max_size=6),
         st.lists(floats, max_size=6),
         st.lists(st.text(max_size=4), max_size=6),
@@ -133,23 +134,33 @@ PINNED = {
         "result": {"distribution": [{"counts": [2, 0], "probability": 0.75},
                                     {"counts": [1, 1], "probability": 0.25}]},
     },
+    "int key": {1: "a"},
+    "None key": {"a": {None: 1}},
+    "float key in a batch": [{"a": 1}, {2.5: 1}],
+    "tuple key": {("t",): 1},
+    "NUL and marker text in config strings": {
+        "config": {"db": "a\x00b", "class": cli._MARKER, "out": cli._ENCODED_MARKER},
+        "result": {"m": 2},
+    },
 }
+
+
+def outcome(encode, doc) -> str:
+    """The printed text, or the ``TypeError`` raised instead."""
+    try:
+        return encode(doc)
+    except TypeError as e:
+        return f"TypeError: {e}"
 
 
 @pytest.mark.parametrize("doc", list(PINNED.values()), ids=list(PINNED))
 def test_pinned(doc):
-    assert _dumps(doc) == reference(doc)
+    assert outcome(_dumps, doc) == outcome(reference, doc)
 
 
 @pytest.mark.parametrize("doc", [None, True, False, 0, -7, 2**64, 1.5, math.nan, "x", "%s", [], {}])
 def test_top_level_scalars_and_empties(doc):
     assert _dumps(doc) == reference(doc)
-
-
-@pytest.mark.parametrize("doc", [{1: "a"}, {"a": {None: 1}}, [{"a": 1}, {2.5: 1}], {("t",): 1}])
-def test_non_str_key_raises_type_error(doc):
-    with pytest.raises(TypeError, match="keys must be str"):
-        _dumps(doc)
 
 
 @pytest.mark.parametrize("doc", [{1, 2}, [object()], {"a": b"bytes"}, [1, 2j]])
@@ -206,6 +217,23 @@ def test_columns_beside_other_values():
     rows = [{"counts": c, "probability": p} for c, p in zip(counts.tolist(), probs.tolist())]
     assert _dumps(doc) == reference({"result": {"distribution": rows, "m": 3}})
     assert _dumps([_Columns({"x": counts[:, 0]})] * 2) == reference([[{"x": 3}, {"x": 2}, {"x": 0}]] * 2)
+
+
+def test_percent_text_around_columns():
+    # The text around a table goes through the table's own ``%``.
+    table = _Columns({"%s": np.array([1, 2])})
+    doc = {"%d": "%s %%", "a": table, "z": ["%(x)s", {"%": table}]}
+    rows = [{"%s": 1}, {"%s": 2}]
+    assert _dumps(doc) == reference({"%d": "%s %%", "a": rows, "z": ["%(x)s", {"%": rows}]})
+    assert _dumps({"a": _Columns({"x": np.zeros(0)}), "b": "%s"}) == reference({"a": [], "b": "%s"})
+
+
+def test_marker_text_beside_columns_is_refused():
+    # The splice cannot tell the string from a table's place, so it prints
+    # nothing rather than the wrong text.
+    doc = {"config": {"class": cli._MARKER}, "table": _Columns({"x": np.zeros(2)})}
+    with pytest.raises(ValueError, match="columns marker"):
+        _dumps(doc)
 
 
 @pytest.mark.parametrize("columns, error", [

@@ -74,9 +74,10 @@ class TestSparseDomain:
         for e in sparse_domain(3, 4):
             assert e.m == 4 and e.counts.sum() == 4
 
-    def test_budget_refusal_carries_count(self):
+    def test_budget_refusal_carries_count(self, monkeypatch):
+        monkeypatch.setenv("FSDP_BUDGET", "1000")
         with pytest.raises(DomainTooLargeError) as err:
-            sparse_domain(50, 50, budget=1000)
+            sparse_domain(50, 50)
         assert err.value.count == math.comb(99, 49)
         assert "mcmc" in str(err.value).lower()
 
@@ -222,20 +223,19 @@ class TestPreparedDomain:
                 exponential_release_exact(d, c, p, 2, rng, domain=SparseDomain(2, bad_m))
         with pytest.raises(TypeError, match="SparseDomain"):
             exponential_release_exact(d, c, p, 2, rng, domain=composition_matrix(2, 2))
-        # A budget belongs to the domain, not to the call that uses it.
-        with pytest.raises(ValueError, match=r"SparseDomain\(n, m, budget=\.\.\.\)"):
-            exponential_release_exact(d, c, p, 2, rng, budget=10, domain=SparseDomain(2, 2))
         # A refusal comes before the generator is read.
         assert rng.random() == np.random.default_rng(0).random()
 
-    def test_build_refusals(self):
+    def test_build_refusals(self, monkeypatch):
+        monkeypatch.setenv("FSDP_BUDGET", "100")
         with pytest.raises(DomainTooLargeError) as plain:
-            composition_matrix(6, 4, budget=100)
+            composition_matrix(6, 4)
         with pytest.raises(DomainTooLargeError) as prepared:
-            SparseDomain(6, 4, budget=100)
+            SparseDomain(6, 4)
         assert str(prepared.value) == str(plain.value)
         assert prepared.value.count == plain.value.count == math.comb(9, 5)
-        assert SparseDomain(6, 4, budget=126).counts.shape == (126, 6)
+        monkeypatch.setenv("FSDP_BUDGET", "126")
+        assert SparseDomain(6, 4).counts.shape == (126, 6)
         with pytest.raises(ValueError, match="m >= 1"):
             SparseDomain(2, 0)
 
@@ -364,8 +364,6 @@ class TestExactLawTable:
         for l1 in ("private", 2.0):
             with pytest.raises(ValueError, match="public L1 norm"):
                 release(databases[0], rng, l1=l1)
-        with pytest.raises(ValueError, match="carries its own budget"):
-            release(databases[0], rng, budget=100)
         with pytest.raises(ValueError, match="m=2, but m=3"):
             exponential_release_exact(databases[0], c, p, 3, rng, rule, domain=table)
         # A refusal comes before the generator is read.
@@ -375,17 +373,20 @@ class TestExactLawTable:
         got = release(databases[0], np.random.default_rng(4), c=same)
         assert release(databases[0], np.random.default_rng(4)) is got
 
-        # The table may keep six laws: six passes over the 10-row domain.
-        monkeypatch.setenv("FSDP_BUDGET", "59")
-        with pytest.raises(DomainTooLargeError) as refused:
-            mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
-        assert refused.value.count == 60
-        assert str(refused.value) == (
-            "sparse domain for n=4, m=2 holds 10 elements, scored 6 times, over the budget "
-            "of 59; exponential_release_mcmc samples without enumerating it"
-        )
-        monkeypatch.setenv("FSDP_BUDGET", "60")
-        mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+        # Each kept law is a pass over the 10-row domain: a budget of 59
+        # keeps five of the six, 60 keeps all six.  A database whose law is
+        # not kept releases as the per-call sampler does, every time.
+        for budget, kept in (("59", 5), ("60", 6)):
+            monkeypatch.setenv("FSDP_BUDGET", budget)
+            fitted = mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+            seeds = np.random.default_rng(5).integers(2**31, size=4 * len(databases)).tolist()
+            for d, seed in zip(databases * 4, seeds):
+                a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = exponential_release_exact(d, c, p, 2, a_rng, rule, domain=fitted)
+                want = exponential_release_exact(d, c, p, 2, b_rng, rule, domain=domain)
+                assert_same_release(got, want)
+                assert a_rng.random() == b_rng.random()
+            assert sum(law is not None for law in fitted._cumulative) == kept
 
         with pytest.raises(ValueError, match="m=2, but m=3"):
             mechanisms.ExactLawTable(databases, c, p, 3, rule, domain)

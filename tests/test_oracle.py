@@ -158,20 +158,21 @@ class TestPrivacyCertificate:
         d1, d2 = cert.witness_pair
         assert sum(abs(a - b) for a, b in zip(d1, d2)) == 1
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("FSDP_BUDGET", "10")
         with pytest.raises(DomainTooLargeError):
-            privacy_ratio_certificate(3, 3, CANONICAL_N3, PrivacyParams(1.0), 3, budget=10)
+            privacy_ratio_certificate(3, 3, CANONICAL_N3, PrivacyParams(1.0), 3)
 
-    def test_probe_passes_count_against_budget(self):
+    def test_probe_passes_count_against_budget(self, monkeypatch):
         # 4 grid points and 2 x 2000 probe points, each a pass over the
         # 4-row domain of (n=2, m=3): 16,016 rows scored.
         c = QueryClass([[1.0, 0.5]])
+        monkeypatch.setenv("FSDP_BUDGET", "16")
         with pytest.raises(DomainTooLargeError, match="scored 4004 times"):
             privacy_ratio_certificate(
-                2, 1, c, PrivacyParams(1.0), 3, budget=16, real_probes=2000,
-                rng=np.random.default_rng(0),
+                2, 1, c, PrivacyParams(1.0), 3, real_probes=2000, rng=np.random.default_rng(0),
             )
-        cert = privacy_ratio_certificate(2, 1, c, PrivacyParams(1.0), 3, budget=16)
+        cert = privacy_ratio_certificate(2, 1, c, PrivacyParams(1.0), 3)
         assert cert.passed
 
     def test_probes_need_generator(self):
@@ -370,9 +371,10 @@ class TestBestSparseDb:
             hits += best_sparse_db(d, c, m)[1] <= eta
         assert hits >= 0.95 * trials
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("FSDP_BUDGET", "100")
         with pytest.raises(DomainTooLargeError):
-            best_sparse_db(Database(np.ones(30)), QueryClass([np.ones(30)]), 30, budget=100)
+            best_sparse_db(Database(np.ones(30)), QueryClass([np.ones(30)]), 30)
 
     def test_block_enumeration_covers_domain_in_order(self):
         from sparsedp.mechanisms import composition_matrix, domain_blocks
