@@ -254,6 +254,10 @@ def _dumps(obj) -> str:
     for table, after in zip(tables, pieces[1:]):
         line = text[text.rfind("\n") + 1 :]
         text = _encode_columns(table, (len(line) - len(line.lstrip(" "))) // 2, text, after)
+    # json's encoder leaves a reference cycle that holds ``default``, and so
+    # ``tables``: emptied, it keeps no table's arrays alive until the cyclic
+    # collector runs.
+    tables.clear()
     return text
 
 

@@ -119,9 +119,10 @@ def domain_size(n: int, m: int) -> int:
 
 
 # Rows per block of a domain enumerated in pieces, and cells (rows x queries)
-# per matmul of the scoring kernel: a pass holds a few MB at any domain size.
+# per slice of the scoring kernel, whose two reused buffers (256 KB each)
+# fit in L2: a pass holds a few MB at any domain size.
 BLOCK_ROWS = 1 << 18
-SCORE_SLICE_CELLS = 1 << 18
+SCORE_SLICE_CELLS = 1 << 15
 
 
 def _check_budget(n: int, m: int, passes: int = 1) -> int:
@@ -142,28 +143,48 @@ def _check_budget(n: int, m: int, passes: int = 1) -> int:
 def domain_blocks(n: int, m: int, max_rows: int | None = None):
     """The domain of ``sparse_domain``, in its order, as consecutive int64
     blocks of at most ``max_rows`` rows (one block when None), with no budget
-    check.  A block grows from prefix rows: each level repeats a prefix rem+1
-    times and appends rem..0, where rem is what the prefix leaves of m.  A
-    prefix set whose completions overflow a block is split in half, or, if it
-    is one prefix, grown one level first."""
+    check.  The domain is a tree of prefixes: a prefix that leaves rem of m
+    has children ending in rem..0.  A prefix set whose completions fit a
+    block is completed in one (rows, n) array, each column written once as
+    its level's node values repeated by their completion counts.  One that
+    overflows is split in half, or, if it is one prefix, grown one level
+    first."""
     domain_size(n, m)
-    # fill[w - 1, r]: ways to fill w more columns with total r, needed only
-    # to split blocks.
-    if max_rows is not None:
-        fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
+    # fill[w - 1, r]: ways to fill w more columns with total r.
+    fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
 
-    def grow(prefix, rem):
+    def children(rem):
+        """Each node's children in order: their parents, and the rem each leaves."""
         reps = rem + 1
         parent = np.repeat(np.arange(rem.size), reps)
         left = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        return parent, left
+
+    def grow(prefix, rem):
+        parent, left = children(rem)
         return np.column_stack((prefix[parent], rem[parent] - left)), left
+
+    def complete(prefix, rem):
+        repeats = fill[n - prefix.shape[1] - 1, rem]
+        block = np.empty((int(repeats.sum()), n), dtype=np.int64)
+        for column in range(prefix.shape[1]):
+            block[:, column] = np.repeat(prefix[:, column], repeats)
+        for column in range(prefix.shape[1], n - 1):
+            parent, left = children(rem)
+            values = rem[parent] - left
+            # A node has fill[n - column - 2, left] completions: one in the
+            # next-to-last column.
+            if column < n - 2:
+                values = np.repeat(values, fill[n - column - 2, left])
+            block[:, column] = values
+            rem = left
+        block[:, n - 1] = rem
+        return block
 
     def blocks(prefix, rem):
         width = n - prefix.shape[1]
         if max_rows is None or fill[width - 1, rem].sum() <= max_rows:
-            for _ in range(width - 1):
-                prefix, rem = grow(prefix, rem)
-            yield np.column_stack((prefix, rem))
+            yield complete(prefix, rem)
         elif rem.size > 1:
             half = rem.size // 2
             yield from blocks(prefix[:half], rem[:half])
@@ -237,25 +258,45 @@ def score_rows(
 ) -> np.ndarray:
     """``quality_score`` of every row of ``counts`` (each summing to m) for a
     batch of B databases, given their true answers (B x k) and L1 estimates
-    (B,): a (B, rows) matrix.  One matmul per slice of about 2^18/k rows;
-    within a slice the batch goes in groups that keep a pass near
-    ``SCORE_SLICE_CELLS`` cells.  Agrees with ``quality_score`` to rounding
-    only: a matmul may round differently in the last bit."""
+    (B,): a (B, rows) matrix.
+
+    The rows go in slices of about ``SCORE_SLICE_CELLS / k`` rows, and the
+    batch in groups that keep a slice's pass near ``SCORE_SLICE_CELLS``
+    cells; two buffers made once per call serve every slice and group.  A
+    slice's candidate answers are one matmul into a (rows, k) buffer; each
+    group's errors are then worked in place in a query-major (group, k,
+    rows) buffer, so the maximum over queries is an elementwise maximum of k
+    row vectors.  A slice has at least two rows, the last one taking the row
+    before it when one is left over, because a one-row matmul goes through
+    BLAS's matrix-vector path, which can round differently.  So the scores
+    are bit for bit those of one matmul over all rows, and agree with
+    ``quality_score`` to rounding only: a matmul may round differently in
+    the last bit."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    true_answers = np.asarray(true_answers, dtype=np.float64)[:, None, :]
+    true_answers = np.asarray(true_answers, dtype=np.float64)[:, :, None]
     factors = np.asarray(l1_estimates, dtype=np.float64)[:, None, None] / m
-    step = max(1, SCORE_SLICE_CELLS // c.k)
-    scores = np.empty((len(factors), counts.shape[0]))
-    for start in range(0, counts.shape[0], step):
-        candidate_answers = counts[start : start + step] @ c.matrix.T
-        group = max(1, SCORE_SLICE_CELLS // candidate_answers.size)
+    rows, k = counts.shape[0], c.k
+    step = max(2, SCORE_SLICE_CELLS // k)
+    span = max(1, min(step, rows))
+    group = max(1, SCORE_SLICE_CELLS // (span * k))
+    scores = np.empty((len(factors), rows))
+    answers = np.empty(span * k)
+    work = np.empty(min(group, len(factors)) * k * span)
+    for start in range(0, rows, step):
+        start = max(0, min(start, rows - 2))
+        piece = counts[start : start + step]
+        size = len(piece)
+        piece_answers = answers[: size * k].reshape(size, k)
+        np.matmul(piece, c.matrix.T, out=piece_answers)
         for first in range(0, len(factors), group):
-            last = first + group
-            scores[first:last, start : start + step] = -np.abs(
-                true_answers[first:last] - factors[first:last] * candidate_answers
-            ).max(axis=2)
-    return scores
+            last = min(first + group, len(factors))
+            errors = work[: (last - first) * k * size].reshape(last - first, k, size)
+            np.multiply(factors[first:last], piece_answers.T, out=errors)
+            np.subtract(true_answers[first:last], errors, out=errors)
+            np.abs(errors, out=errors)
+            np.maximum.reduce(errors, axis=1, out=scores[first:last, start : start + size])
+    return np.negative(scores, out=scores)
 
 
 def score_sensitivity(m: int) -> float:
@@ -275,9 +316,15 @@ def exponent_divisor(rule: ExponentRule, m: int) -> float:
 def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
     """exp-and-normalize along the last axis in log space (each row's max
     subtracted first)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return weights / weights.sum(axis=-1, keepdims=True)
+    return _softmax_in_place(np.array(logits, dtype=np.float64))
+
+
+def _softmax_in_place(weights: np.ndarray) -> np.ndarray:
+    """``softmax_probabilities`` worked in ``weights``, which it overwrites."""
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def exponential_law(
@@ -286,7 +333,9 @@ def exponential_law(
     """The one map from scores to the exponential-weight law: the softmax of
     ``scores * alpha / exponent_divisor(exponent_rule, m)`` along the last
     axis."""
-    return softmax_probabilities(scores * alpha / exponent_divisor(exponent_rule, m))
+    logits = np.multiply(scores, alpha, dtype=np.float64)
+    logits /= exponent_divisor(exponent_rule, m)
+    return _softmax_in_place(logits)
 
 
 def exponential_probabilities(

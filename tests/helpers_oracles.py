@@ -464,6 +464,43 @@ def per_point_certificate(
     )
 
 
+def columnwise_scores(c: QueryClass, counts, true_answers, l1_estimates, m: int) -> np.ndarray:
+    """The scores of ``score_rows`` from one matmul over all of ``counts``,
+    one (B, rows, k) error array and a maximum over its last axis: the
+    formula the kernel held before it worked in slices of reused buffers."""
+    t = np.asarray(true_answers, dtype=np.float64)[:, None, :]
+    f = np.asarray(l1_estimates, dtype=np.float64)[:, None, None] / m
+    return -np.abs(t - f * (counts @ c.matrix.T)).max(axis=2)
+
+
+def grown_domain_blocks(n: int, m: int, max_rows=None):
+    """``domain_blocks`` grown a level at a time: each level repeats every
+    prefix row rem+1 times and ``column_stack``s rem..0 onto the copies, so
+    a block's earlier columns are copied once per later level."""
+    fill = np.array([[math.comb(r + w - 1, r) for r in range(m + 1)] for w in range(1, n + 1)])
+
+    def grow(prefix, rem):
+        reps = rem + 1
+        parent = np.repeat(np.arange(rem.size), reps)
+        left = np.arange(parent.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        return np.column_stack((prefix[parent], rem[parent] - left)), left
+
+    def blocks(prefix, rem):
+        width = n - prefix.shape[1]
+        if max_rows is None or fill[width - 1, rem].sum() <= max_rows:
+            for _ in range(width - 1):
+                prefix, rem = grow(prefix, rem)
+            yield np.column_stack((prefix, rem))
+        elif rem.size > 1:
+            half = rem.size // 2
+            yield from blocks(prefix[:half], rem[:half])
+            yield from blocks(prefix[half:], rem[half:])
+        else:
+            yield from blocks(*grow(prefix, rem))
+
+    yield from blocks(np.empty((1, 0), dtype=np.int64), np.array([m], dtype=np.int64))
+
+
 def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=None):
     """The Metropolis walk one step at a time, rescoring every candidate from
     scratch with ``quality_score``.  It reads the generator as the library's

@@ -2,8 +2,10 @@
 ``json.dumps(obj, indent=2, sort_keys=True)`` prints."""
 
 import enum
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -252,3 +254,22 @@ def test_columns_refuse_what_they_cannot_print(columns, error):
 def test_columns_with_a_non_str_key_raise_type_error():
     with pytest.raises(TypeError, match="keys must be str"):
         _dumps(_Columns({1: np.zeros(2)}))
+
+
+def test_dumps_keeps_no_table_alive():
+    # json's pure-Python encoder leaves a reference cycle that holds the
+    # ``default`` hook; with the collector off, a printed table's arrays
+    # must still go as soon as the caller drops the document.
+    probs = np.array([0.25, 0.75])
+    gone = weakref.ref(probs)
+    doc = {"distribution": _Columns({"counts": np.array([[1, 0], [0, 1]]), "probability": probs})}
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        text = _dumps(doc)
+        del doc, probs
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert '"probability": 0.75' in text

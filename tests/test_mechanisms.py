@@ -1,10 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers_oracles import random_query_class, reference_walk, total_variation
+from helpers_oracles import (
+    columnwise_scores,
+    grown_domain_blocks,
+    random_query_class,
+    reference_walk,
+    total_variation,
+)
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -33,7 +40,9 @@ from sparsedp.fsd import choose_m, fsd
 from sparsedp.mechanisms import (
     acceptance_probability,
     composition_matrix,
+    domain_blocks,
     exponent_divisor,
+    exponential_probabilities,
     mcmc_state_counts,
     score_rows,
     softmax_probabilities,
@@ -89,6 +98,23 @@ class TestSparseDomain:
             brute = [t for t in itertools.product(range(m + 1), repeat=n) if sum(t) == m]
             assert rows == sorted(brute, reverse=True)
 
+    def test_blocks_are_the_grown_blocks_bit_for_bit(self):
+        # Each column written once into the block equals the block grown a
+        # level at a time, in dtype, block shapes and bytes.  Blocks of
+        # fewer than 50 rows are checked on domains of up to 2,000 rows:
+        # the larger ones would add about 400,000 blocks and 30 s.
+        for n in range(1, 9):
+            for m in range(13):
+                for max_rows in (None, 1, 2, 3, 7, 50):
+                    if max_rows is not None and max_rows < 50 and domain_size(n, m) > 2000:
+                        continue
+                    got = list(domain_blocks(n, m, max_rows))
+                    want = list(grown_domain_blocks(n, m, max_rows))
+                    assert [b.shape for b in got] == [b.shape for b in want]
+                    for a, b in zip(got, want):
+                        assert a.dtype == b.dtype == np.int64
+                        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             domain_size(0, 2)
@@ -125,8 +151,8 @@ class TestQualityScore:
             assert abs(score - reference) <= 1e-12
 
         # A batch of databases, with slices small enough that both the rows
-        # (1,000 per slice) and the batch (groups of 1, and of 2 in the last
-        # 475-row slice) are split: every entry is its batch-of-one score.
+        # (1,000 per slice) and the batch (groups of 1) are split: every
+        # entry is its batch-of-one score.
         monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", 64_000)
         batch = [d] + [Database(rng.uniform(0, 50, size=5)) for _ in range(6)]
         answers = [c.matrix @ db.entries for db in batch]
@@ -136,6 +162,32 @@ class TestQualityScore:
         for b in range(7):
             alone = score_rows(c, counts, [answers[b]], [l1s[b]], 24)[0]
             assert np.array_equal(scores[b], alone)
+
+    @pytest.mark.parametrize("slice_cells", [None, 48, 8])
+    def test_kernel_is_one_matmul_over_all_rows_bit_for_bit(self, monkeypatch, slice_cells):
+        # Slices, groups and the query-major buffer change no bit: the
+        # scores are those of one matmul over all rows, at any slice size.
+        # The (n, m, k, batch, rows) shapes take in k = 1, n = 1, one and no
+        # rows, slices that leave one row over (513 rows at k = 64), and
+        # batches of more than one group.
+        if slice_cells is not None:
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+        rng = np.random.default_rng(43)
+        shapes = [(1, 3, 1, 1, None), (1, 5, 7, 3, None), (5, 3, 1, 4, None), (3, 2, 5, 2, 1),
+                  (3, 2, 5, 2, 0), (4, 4, 64, 40, None), (2, 94, 70, 3, None), (8, 1, 9, 6, 2),
+                  (5, 24, 64, 2, 513)]
+        for _ in range(30):
+            shapes.append((int(rng.integers(1, 9)), int(rng.integers(1, 5)),
+                           int(rng.integers(1, 71)), int(rng.integers(1, 41)), None))
+        for n, m, k, batch, rows in shapes:
+            counts = composition_matrix(n, m)[:rows]
+            c = random_query_class(rng, k, n)
+            answers = rng.uniform(0, 50, size=(batch, k))
+            l1s = rng.uniform(0, 80, size=batch)
+            got = score_rows(c, counts, answers, l1s, m)
+            want = columnwise_scores(c, counts, answers, l1s, m)
+            assert got.shape == want.shape == (batch, len(counts))
+            assert got.tobytes() == want.tobytes()
 
     def test_matches_max_error_of_rescaled(self):
         rng = np.random.default_rng(21)
@@ -156,6 +208,50 @@ class TestQualityScore:
             quality_score(
                 Database([1, 2, 3]), SparseSyntheticDatabase(np.array([1, 1])), QueryClass([[1, 0]]), 2.0
             )
+
+
+class TestScoringMemory:
+    def test_exponential_probabilities_peak(self):
+        # The law of one database over 20,475 rows at k = 64: past the
+        # scores and the law (164 KB each), nothing grows with the rows.
+        rng = np.random.default_rng(47)
+        c = random_query_class(rng, 64, 5)
+        d = Database(rng.uniform(0, 50, size=5))
+        counts = composition_matrix(5, 24)
+        tracemalloc.start()
+        try:
+            exponential_probabilities(
+                c, counts, (c.matrix @ d.entries)[None], [d.l1()], 24, 1.0, ExponentRule.PAPER_QUARTER
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_score_buffers_follow_the_slice_size_not_the_rows(self, monkeypatch):
+        # Past the scores themselves, a call holds its two float64 buffers
+        # of SCORE_SLICE_CELLS cells, a slice's counts cast to float64 for
+        # the matmul and one of numpy's ufunc buffers: the same for 1,820
+        # rows as for 20,475.
+        rng = np.random.default_rng(53)
+        c = random_query_class(rng, 64, 5)
+        answers = rng.uniform(0, 50, size=(1, 64))
+        for slice_cells in (1 << 12, 1 << 15):
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+            extra = []
+            for m in (12, 24):
+                counts = composition_matrix(5, m)
+                tracemalloc.start()
+                try:
+                    scores = score_rows(c, counts, answers, [40.0], m)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                extra.append(peak - scores.nbytes)
+            buffers = 2 * 8 * slice_cells
+            cast = 8 * 5 * (slice_cells // 64)
+            assert abs(extra[1] - extra[0]) <= 4096
+            assert buffers <= min(extra) <= max(extra) <= buffers + cast + 8 * np.getbufsize() + 8192
 
 
 class TestScoreSensitivity:
@@ -289,7 +385,8 @@ class TestExactLawTable:
         # database of every table, before and after its law is kept;
         # uniforms on and just below each cumulative value of the per-call
         # law pin the kept cumulative rows bit for bit.  Small
-        # SCORE_SLICE_CELLS split the scoring into several slices.
+        # SCORE_SLICE_CELLS split the scoring into several slices (of at
+        # least two rows each).
         if slice_cells is not None:
             monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
         sliced = 0
@@ -297,7 +394,7 @@ class TestExactLawTable:
         for databases, c, p, m, rule in law_table_configs(16, 60):
             domain = SparseDomain(c.n, m)
             table = mechanisms.ExactLawTable(databases, c, p, m, rule, domain)
-            sliced += len(domain.counts) > mechanisms.SCORE_SLICE_CELLS // c.k
+            sliced += len(domain.counts) > max(2, mechanisms.SCORE_SLICE_CELLS // c.k)
             for d in databases + [Database(databases[-1].entries.copy())]:
                 for seed in rng.integers(2**31, size=3).tolist():
                     a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
