@@ -15,7 +15,6 @@ from .core import (
     SparseSyntheticDatabase,
     evaluate,
     l1_norm,
-    lift,
     load_database,
     load_query_class,
     max_error,

@@ -132,10 +132,6 @@ class ShatteredFamily:
             raise ValueError(f"{tuple(subset)} is not a half-size subset of the bucket {self.bucket}")
         return self.databases[position]
 
-    def query_indices(self) -> tuple[int, ...]:
-        """Distinct indices of the queries the family actually uses."""
-        return tuple(self.used.tolist())
-
     def true_answers(self, subset) -> np.ndarray:
         """The ``used`` queries on the subset's indicator, summed in index
         order as ``evaluate``'s dot product sums them.  Not tabulated: all

@@ -291,6 +291,11 @@ def _check_trials(trials: int) -> None:
         raise _CliError("--trials must be at least 1")
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise _CliError("--steps must be at least 1")
+
+
 def _derive_m(args, cls) -> int:
     _check_m(args.m)
     if args.m is not None:
@@ -309,6 +314,8 @@ def _derive_m(args, cls) -> int:
 
 
 def _cmd_release(args) -> int:
+    if args.sampler == "mcmc":
+        _check_steps(args.steps)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
@@ -350,6 +357,8 @@ def _cmd_fsd(args) -> int:
 
 def _cmd_attack(args) -> int:
     _check_trials(args.trials)
+    if args.mechanism == "mcmc":
+        _check_steps(args.steps)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule.parse(args.exponent)
@@ -456,7 +465,7 @@ def run(argv) -> int:
     except (DomainTooLargeError, SearchBudgetExceeded) as e:
         print(f"budget refusal: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, FamilySearchError, KeyError, IndexError) as e:
+    except (ValueError, OSError, FamilySearchError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

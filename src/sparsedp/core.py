@@ -28,7 +28,6 @@ __all__ = [
     "l1_norm",
     "max_error",
     "rescale",
-    "lift",
     "load_database",
     "save_database",
     "load_query_class",
@@ -211,11 +210,6 @@ def max_error(c: QueryClass, d: Database, a: Database) -> float:
     _check_dims(c.n, d.n, "max_error: class vs first database")
     _check_dims(c.n, a.n, "max_error: class vs second database")
     return float(np.abs(c.matrix @ (d.entries - a.entries)).max())
-
-
-def lift(dp: SparseSyntheticDatabase) -> Database:
-    """View an integer surrogate as a real database."""
-    return Database(dp.counts.astype(np.float64))
 
 
 def rescale(dp: SparseSyntheticDatabase, target_l1: float) -> Database:

@@ -53,7 +53,6 @@ __all__ = [
     "score_rows",
     "score_sensitivity",
     "exponent_divisor",
-    "softmax_probabilities",
     "exponential_law",
     "exponential_probabilities",
     "exponential_release_exact",
@@ -313,14 +312,9 @@ def exponent_divisor(rule: ExponentRule, m: int) -> float:
     return 2.0 * score_sensitivity(m)
 
 
-def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
-    """exp-and-normalize along the last axis in log space (each row's max
-    subtracted first)."""
-    return _softmax_in_place(np.array(logits, dtype=np.float64))
-
-
 def _softmax_in_place(weights: np.ndarray) -> np.ndarray:
-    """``softmax_probabilities`` worked in ``weights``, which it overwrites."""
+    """exp-and-normalize ``weights`` along the last axis in log space (each
+    row's max subtracted first), in place."""
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
@@ -537,10 +531,14 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     steps: all sources, then all destinations, then one uniform per step,
     void steps (an empty source, or n = 1) included.  The walk keeps the
     residual ``C @ D - (l1_estimate / m) * (C @ state)`` and updates it by
-    two precomputed scaled columns per proposal, so its running score may
-    differ from ``quality_score`` in the last bits.  Returns the final state
-    (a list), the L1 estimate and the occupation counts of the steps from
-    ``record`` on (none when ``record`` is None)."""
+    two precomputed scaled columns per proposal, as ``(resid + col_i) -
+    col_j``, so its running score may differ from ``quality_score`` in the
+    last bits.  A step allocates nothing: it writes the candidate into the
+    second of two buffers, which trade places on acceptance, and scores it
+    by the magnitude at ``argmax`` (the maximum, NaN included: ``argmax``
+    stops at the first NaN).  Returns the final state (a list), the L1
+    estimate and the occupation counts of the steps from ``record`` on (none
+    when ``record`` is None)."""
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_dims(c.n, d.n, "Metropolis chain: class vs database")
@@ -550,9 +548,12 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     factor = float(l1_estimate) / m
     state = [0] * n
     state[0] = m
-    cols = factor * c.matrix.T
+    cols = list(np.ascontiguousarray(factor * c.matrix.T))
     resid = c.matrix @ d.entries - factor * (c.matrix @ np.array(state))
     current = float(-abs(resid).max())
+    trial = np.empty_like(resid)
+    magnitude = np.empty_like(resid)
+    add, subtract, absolute = np.add, np.subtract, np.absolute
     first_recorded = steps if record is None else record
     counts: dict[tuple, int] = {}
     for start in range(0, steps, CHAIN_BLOCK):
@@ -568,12 +569,14 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
             range(start, start + size), src.tolist(), dst.tolist(), uniforms.tolist()
         ):
             if state[i] and i != j:
-                candidate_resid = resid + cols[i] - cols[j]
-                candidate = float(-abs(candidate_resid).max())
+                add(resid, cols[i], trial)
+                subtract(trial, cols[j], trial)
+                absolute(trial, magnitude)
+                candidate = -magnitude.item(magnitude.argmax())
                 if acceptance_probability(current, candidate, scale) > u:
                     state[i] -= 1
                     state[j] += 1
-                    resid = candidate_resid
+                    resid, trial = trial, resid
                     current = candidate
             if step >= first_recorded:
                 key = tuple(state)

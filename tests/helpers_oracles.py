@@ -30,13 +30,14 @@ from sparsedp import (
     mechanisms,
     quality_score,
 )
+from sparsedp.core import _check_dims
 from sparsedp.mechanisms import (
+    _resolve_l1,
     acceptance_probability,
     composition_matrix,
     estimate_l1,
     exponent_divisor,
     score_rows,
-    softmax_probabilities,
 )
 from sparsedp.fsd import _pick_threshold
 from sparsedp.oracle import RATIO_SLACK
@@ -380,6 +381,14 @@ def vc_dimension(c: QueryClass) -> int:
     return best
 
 
+def softmax(logits) -> np.ndarray:
+    """exp(logits - max) / its sum, the textbook way, kept apart from the
+    library's in-place softmax."""
+    logits = np.asarray(logits, dtype=np.float64)
+    weights = np.exp(logits - logits.max())
+    return weights / weights.sum()
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
@@ -420,9 +429,7 @@ def per_point_certificate(
     def distribution(entries) -> dict:
         d = Database(np.asarray(entries, dtype=np.float64))
         scores = score_rows(c, counts, [c.matrix @ d.entries], [l1_norm(d)], m)[0]
-        probs = softmax_probabilities(
-            scores * p.alpha / mechanisms.exponent_divisor(exponent_rule, m)
-        )
+        probs = softmax(scores * p.alpha / mechanisms.exponent_divisor(exponent_rule, m))
         out: dict = {}
         for label, prob in zip(labels, probs):
             out[label] = out.get(label, 0.0) + float(prob)
@@ -549,6 +556,53 @@ def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=No
                 counts[state] = counts.get(state, 0) + 1
             step += 1
     return state, current, l1_estimate, counts
+
+
+def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1, record):
+    """The Metropolis chain as the library ran it before its steps reused
+    two residual buffers: each candidate residual is a new array
+    ``resid + cols[i] - cols[j]`` scored by ``-abs(...).max()``.  Same
+    arguments and return value as ``mechanisms._chain``; ``CHAIN_BLOCK`` is
+    read through ``mechanisms`` at call time, so a patched block size applies
+    here too."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    _check_dims(c.n, d.n, "Metropolis chain: class vs database")
+    n = d.n
+    l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
+    scale = alpha / exponent_divisor(exponent_rule, m)
+    factor = float(l1_estimate) / m
+    state = [0] * n
+    state[0] = m
+    cols = factor * c.matrix.T
+    resid = c.matrix @ d.entries - factor * (c.matrix @ np.array(state))
+    current = float(-abs(resid).max())
+    first_recorded = steps if record is None else record
+    counts: dict[tuple, int] = {}
+    for start in range(0, steps, mechanisms.CHAIN_BLOCK):
+        size = min(mechanisms.CHAIN_BLOCK, steps - start)
+        if n > 1:
+            src = rng.integers(n, size=size)
+            dst = rng.integers(n - 1, size=size)
+            dst += dst >= src
+        else:
+            src = dst = np.zeros(size, dtype=np.int64)
+        uniforms = rng.random(size)
+        for step, i, j, u in zip(
+            range(start, start + size), src.tolist(), dst.tolist(), uniforms.tolist()
+        ):
+            if state[i] and i != j:
+                candidate_resid = resid + cols[i] - cols[j]
+                candidate = float(-abs(candidate_resid).max())
+                if acceptance_probability(current, candidate, scale) > u:
+                    state[i] -= 1
+                    state[j] += 1
+                    resid = candidate_resid
+                    current = candidate
+            if step >= first_recorded:
+                key = tuple(state)
+                counts[key] = counts.get(key, 0) + 1
+    return state, l1_estimate, counts
 
 
 def oracle_stdout_by_dicts(

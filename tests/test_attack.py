@@ -185,7 +185,7 @@ class TestReconstruct:
             eps_hat = max(
                 abs(evaluate(family.query_class[qi], d_t)
                     - evaluate(family.query_class[qi], answers))
-                for qi in family.query_indices()
+                for qi in family.used.tolist()
             )
             star = reconstruct(answers, family)
             assert len(set(t) ^ set(star)) <= 4.0 * eps_hat / family.gamma + 1e-12
@@ -396,7 +396,7 @@ def brute_force_trials(family, calls):
         (x,) = set(hidden) - set(swapped)
         eps_hat = max(
             abs(evaluate(queries[qi], d_hidden) - answer(out_hidden, qi))
-            for qi in family.query_indices()
+            for qi in family.used.tolist()
         )
         t_star = argmin(out_hidden)
         rows.append((eps_hat, len(set(hidden) ^ set(t_star)), x in t_star, x in argmin(out_swapped)))

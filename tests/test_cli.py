@@ -518,6 +518,72 @@ class TestContracts:
         )
         assert (code, out, err) == (1, "", "error: --trials must be at least 1\n")
 
+    @pytest.mark.parametrize("command", ["release", "attack"])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_exits_1_before_any_load_or_search(
+        self, capsys, tmp_path, command, steps
+    ):
+        # The input files do not exist: the flag is checked before they are
+        # read and before any shattering search.
+        missing = str(tmp_path / "missing.json")
+        argv = {
+            "release": ["release", "--db", missing, "--class", missing, "--alpha", "1",
+                        "--eta", "0.25", "--gamma", "0.2", "--sampler", "mcmc"],
+            "attack": ["attack", "--class", missing, "--gamma", "0.5", "--alpha", "1",
+                       "--mechanism", "mcmc", "--trials", "3"],
+        }[command]
+        code, out, err = run_capture(capsys, argv + ["--steps", steps])
+        assert (code, out, err) == (1, "", "error: --steps must be at least 1\n")
+
+    def test_steps_is_not_read_by_the_exact_sampler(self, files, capsys):
+        _, db, cls = files
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "2"]
+        code, out, _ = run_capture(capsys, argv + ["--steps", "0"])
+        assert code == 0
+        assert json.loads(out)["result"] == json.loads(run_capture(capsys, argv)[1])["result"]
+
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            ("db", {"values": [1.0]}, "{path}:1: missing 'entries' key"),
+            ("db", {"entries": []}, "database must be a nonempty 1-d vector"),
+            ("db", {"entries": [[1.0, 2.0]]}, "database must be a nonempty 1-d vector"),
+            ("class", {"n": 2}, "{path}:1: missing 'queries' key"),
+            ("class", {"queries": []}, "query class must contain at least one query"),
+            ("class", {"queries": [[]]}, "query must be a nonempty 1-d vector"),
+            ("class", {"queries": [0.5, 0.5]}, "query must be a nonempty 1-d vector"),
+            ("class", {"queries": [[[0.5, 0.5]]]}, "query must be a nonempty 1-d vector"),
+            ("class", {"queries": [[0.5, 0.5], [0.5]]},
+             "all queries in a class must share one dimension"),
+        ],
+    )
+    def test_missing_keys_and_misshapen_rows_exit_1(
+        self, files, capsys, tmp_path, kind, payload, message
+    ):
+        # Inputs a loader indexes into: each is refused with a ValueError
+        # naming the fault, not a KeyError or IndexError.
+        _, db, cls = files
+        path = tmp_path / f"bad_{kind}.json"
+        path.write_text(json.dumps(payload))
+        db, cls = (path, cls) if kind == "db" else (db, path)
+        code, out, err = run_capture(
+            capsys, ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "1"]
+        )
+        assert (code, out, err) == (1, "", "error: " + message.format(path=path) + "\n")
+
+    @pytest.mark.parametrize("exception", [KeyError, IndexError])
+    def test_a_bug_is_not_reported_as_an_input_error(self, files, monkeypatch, exception):
+        # Only the input errors the commands raise on purpose exit 1; a
+        # KeyError or IndexError from a bug propagates with its traceback.
+        _, _, cls = files
+
+        def broken(args):
+            raise exception("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "fsd", broken)
+        with pytest.raises(exception):
+            run(["fsd", "--class", str(cls), "--gamma", "0.5", "--dmax", "2"])
+
     def test_infinite_alpha_exits_1(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(

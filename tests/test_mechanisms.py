@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from helpers_oracles import (
+    allocating_chain_reference,
+    boolean_indicator_class,
     columnwise_scores,
     grown_domain_blocks,
     random_query_class,
@@ -42,10 +44,10 @@ from sparsedp.mechanisms import (
     composition_matrix,
     domain_blocks,
     exponent_divisor,
+    exponential_law,
     exponential_probabilities,
     mcmc_state_counts,
     score_rows,
-    softmax_probabilities,
 )
 
 
@@ -273,15 +275,21 @@ class TestScoreSensitivity:
 
 
 class TestSoftmax:
+    # At alpha 4 under the quarter rule the logits are the scores exactly
+    # (times 4, then divided by 4), so ``exponential_law`` is their softmax.
+    @staticmethod
+    def softmax(logits):
+        return exponential_law(logits, 3, 4.0, ExponentRule.PAPER_QUARTER)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(31)
         logits = rng.normal(size=12)
-        base = softmax_probabilities(logits)
+        base = self.softmax(logits)
         for shift in (-50.0, 1e-3, 700.0):
-            assert np.abs(softmax_probabilities(logits + shift) - base).max() < 1e-12
+            assert np.abs(self.softmax(logits + shift) - base).max() < 1e-12
 
     def test_extreme_logits_stable(self):
-        probs = softmax_probabilities(np.array([-1e9, 0.0, -2e9]))
+        probs = self.softmax(np.array([-1e9, 0.0, -2e9]))
         assert probs[1] == pytest.approx(1.0)
         assert np.isfinite(probs).all()
 
@@ -758,6 +766,102 @@ class TestChainAgainstReferenceWalk:
         )
         assert out.d_prime.as_tuple() == state
         assert out.score == score
+
+
+class TestChainAgainstAllocatingLoop:
+    """The chain's steps, which reuse two residual buffers and score by
+    ``argmax``, against ``allocating_chain_reference``, the loop they
+    replaced: the same released row, score, L1 estimate, occupation counts
+    and generator state, bit for bit."""
+
+    @staticmethod
+    def check(d, c, p, m, steps, rule, l1, seed, burn_in):
+        chain_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = exponential_release_mcmc(d, c, p, m, steps, chain_rng, rule, l1=l1)
+        state, l1_estimate, _ = allocating_chain_reference(
+            d, c, p, m, steps, ref_rng, rule, l1, None
+        )
+        assert out.d_prime.as_tuple() == tuple(state)
+        assert out.score == quality_score(d, SparseSyntheticDatabase(state), c, l1_estimate)
+        assert out.l1_estimate == l1_estimate
+        assert chain_rng.random() == ref_rng.random()
+
+        chain_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = mcmc_state_counts(d, c, p, m, burn_in, steps, chain_rng, rule, l1=l1)
+        *_, expected = allocating_chain_reference(
+            d, c, p, m, burn_in + steps, ref_rng, rule, l1, burn_in
+        )
+        assert counts == expected
+        assert chain_rng.random() == ref_rng.random()
+
+    def test_benchmark_shaped_classes(self):
+        # 100 classes of the release-mcmc benchmark's shapes: (k, n) strata
+        # of 12-20 uniform queries on 8-10 coordinates, entries in [0, 50],
+        # m = 73 (choose_m(0.25, 2)), alpha 1; both rules, and the private
+        # L1 norm as well as the benchmark's public one.
+        rng = np.random.default_rng(7_301)
+        strata = [(12, 8), (12, 10), (16, 8), (20, 8), (16, 10)]
+        p = PrivacyParams(1.0)
+        for index in range(100):
+            k, n = strata[index % len(strata)]
+            c = random_query_class(rng, k, n)
+            d = Database(rng.uniform(0.0, 50.0, size=n))
+            rule = list(ExponentRule)[index % 2]
+            l1 = ("public", "private")[index // 2 % 2]
+            self.check(d, c, p, 73, 2_000, rule, l1, index, 500)
+
+    @pytest.mark.parametrize("block", [7, mechanisms.CHAIN_BLOCK])
+    def test_sizes_rules_and_norms(self, monkeypatch, block):
+        monkeypatch.setattr(mechanisms, "CHAIN_BLOCK", block)
+        cases = itertools.product(
+            (1, 3, 64, 256), (1, 2, 9), ExponentRule, ("public", "private", 2.5), (1.3, 1e15)
+        )
+        for trial, (k, n, rule, l1, alpha) in enumerate(cases):
+            rng = np.random.default_rng((73, trial))
+            c = random_query_class(rng, k, n)
+            d = Database(rng.uniform(0.0, 4.0, size=n))
+            m = int(rng.integers(1, 13))
+            self.check(d, c, PrivacyParams(alpha), m, 120, rule, l1, trial, 40)
+
+    def test_tied_maxima_from_duplicated_rows(self):
+        # Every query appears three times, so the largest residual magnitude
+        # is always reached by at least three queries.
+        for trial in range(24):
+            rng = np.random.default_rng((74, trial))
+            rows = rng.uniform(0.0, 1.0, size=(4, 6))
+            c = QueryClass(np.vstack([rows, rows[::-1], rows]))
+            d = Database(rng.uniform(0.0, 10.0, size=6))
+            p = PrivacyParams((1.0, 1e15)[trial % 2])
+            rule = list(ExponentRule)[trial // 2 % 2]
+            self.check(d, c, p, 9, 600, rule, "public", trial, 100)
+
+    def test_boolean_cube_moves_that_leave_queries_unchanged(self):
+        # A query holding both or neither of the two coordinates a move
+        # touches gets (r + a) - a, which need not be r in floating point.
+        for trial in range(24):
+            rng = np.random.default_rng((75, trial))
+            n = 3 + trial % 4
+            c = boolean_indicator_class(n)
+            d = Database(rng.uniform(0.0, 20.0, size=n))
+            p = PrivacyParams((1.0, 1e15)[trial % 2])
+            rule = list(ExponentRule)[trial // 2 % 2]
+            l1 = ("public", "private", 7.3)[trial // 4 % 3]
+            self.check(d, c, p, 17, 1_500, rule, l1, trial, 200)
+
+    def test_near_flat_query_pins_the_summation_order(self):
+        # One query is 0.5 on every coordinate give or take a few ulps and
+        # holds the largest residual, so every move changes the score by a
+        # few ulps; at alpha 1e15 that decides acceptance.  A residual
+        # updated as (col_i - col_j) + r instead of (r + col_i) - col_j
+        # rounds differently and moves the chain elsewhere.
+        for trial in range(12):
+            rng = np.random.default_rng((76, trial))
+            n = 2 + trial % 5
+            flat = 0.5 + rng.integers(-4, 5, size=n) * 2.0**-53
+            c = QueryClass(np.vstack([flat, 0.1 * rng.uniform(0.0, 1.0, size=(3, n))]))
+            d = Database(rng.uniform(0.0, 20.0, size=n))
+            rule = list(ExponentRule)[trial % 2]
+            self.check(d, c, PrivacyParams(1e15), 9, 600, rule, 0.5 * d.l1(), trial, 100)
 
 
 class TestLaplace:

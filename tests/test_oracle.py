@@ -109,16 +109,14 @@ class TestExactDistribution:
 
     def test_caller_supplied_l1_matches_per_element_scores(self):
         from sparsedp import quality_score
-        from sparsedp.mechanisms import exponent_divisor, softmax_probabilities
+        from sparsedp.mechanisms import exponential_law
 
         d = Database([1.5, 0.5, 2.0])
         p = PrivacyParams(1.3)
         l1 = 6.25
         dist = exact_output_distribution(d, CANONICAL_N3, p, 2, l1_estimate=l1)
         scores = np.array([quality_score(d, e, CANONICAL_N3, l1) for e, _ in dist])
-        expected = softmax_probabilities(
-            scores * p.alpha / exponent_divisor(ExponentRule.PAPER_QUARTER, 2)
-        )
+        expected = exponential_law(scores, 2, p.alpha, ExponentRule.PAPER_QUARTER)
         assert np.abs(np.array([pr for _, pr in dist]) - expected).max() < 1e-12
 
 
