@@ -36,7 +36,6 @@ from .mechanisms import (
     ExponentRule,
     PrivacyParams,
     ReleaseOutput,
-    SparseDomain,
     domain_size,
     estimate_l1,
     exponential_release_exact,

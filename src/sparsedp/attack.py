@@ -142,14 +142,12 @@ class ShatteredFamily:
         return total
 
 
-def build_family(
-    c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None
-) -> ShatteredFamily:
+def build_family(c: QueryClass, gamma: float, d_max: int) -> ShatteredFamily:
     """Run the dimension search, bucket the witness, and assemble the family.
 
     An odd bucket drops its last index to get an even d (costing at most one
     element of the recovery bound).  Fails if no shattered pair exists."""
-    result = fsd(c, gamma, d_max, budget=budget)
+    result = fsd(c, gamma, d_max)
     if result.witness is None or result.d < 2:
         raise FamilySearchError(
             f"no shattered subset of size >= 2 at gamma={gamma} (found d={result.d})"

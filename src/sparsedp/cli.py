@@ -34,7 +34,6 @@ from .mechanisms import (
     ExactLawTable,
     ExponentRule,
     PrivacyParams,
-    SparseDomain,
     exponential_release_exact,
     exponential_release_mcmc,
     laplace_release,
@@ -374,8 +373,8 @@ def _cmd_attack(args) -> int:
         # one's law is kept after its first release while it fits the budget;
         # an over-budget domain is refused here, not counted as a failure of
         # each trial.
-        laws = ExactLawTable(family.databases, cls, p, m, rule, SparseDomain(cls.n, m))
-        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, domain=laws)
+        laws = ExactLawTable(family.databases, cls, p, m, rule)
+        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, laws=laws)
     elif args.mechanism == "mcmc":
         mechanism = lambda db, rng: exponential_release_mcmc(db, cls, p, m, args.steps, rng, rule)
     else:

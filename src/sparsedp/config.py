@@ -42,11 +42,18 @@ MAX_FAMILY_SIZE = 16
 
 def domain_budget() -> int:
     """The sparse-domain enumeration budget: the ``FSDP_BUDGET`` environment
-    variable, else ``DEFAULT_DOMAIN_BUDGET``."""
+    variable, else ``DEFAULT_DOMAIN_BUDGET``.  A value that is not a whole
+    number at least 1 raises ``ValueError`` naming the variable."""
     env = os.environ.get("FSDP_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_DOMAIN_BUDGET
+    if env is None:
+        return DEFAULT_DOMAIN_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"FSDP_BUDGET must be a whole number at least 1, got {env!r}")
+    return budget
 
 
 def node_budget(override: int | None = None) -> int:

@@ -305,9 +305,9 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     )
 
 
-def choose_m(eta: float, d: int, c_m: float = config.DEFAULT_CM) -> int:
+def choose_m(eta: float, d: int) -> int:
     """Surrogate size for target relative error ``eta`` and dimension ``d``:
-    ceil(c_m * (d * ln^2(1/eta) + ln 2) / eta^2), floored at 1.
+    ceil(DEFAULT_CM * (d * ln^2(1/eta) + ln 2) / eta^2), floored at 1.
 
     The ln 2 term is the failure-probability contribution at delta = 1/2, the
     value under which a good surrogate exists by the averaging argument.
@@ -317,8 +317,6 @@ def choose_m(eta: float, d: int, c_m: float = config.DEFAULT_CM) -> int:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     if d < 0:
         raise ValueError("d must be nonnegative")
-    if c_m <= 0:
-        raise ValueError("c_m must be positive")
     log_term = math.log(1.0 / eta)
-    m = math.ceil(c_m * (d * log_term * log_term + math.log(2.0)) / (eta * eta))
+    m = math.ceil(config.DEFAULT_CM * (d * log_term * log_term + math.log(2.0)) / (eta * eta))
     return max(int(m), 1)

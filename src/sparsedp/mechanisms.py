@@ -25,7 +25,7 @@ uniforms so every experiment is reproducible bit-for-bit per seed.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "sparse_domain",
     "domain_blocks",
     "composition_matrix",
-    "SparseDomain",
     "quality_score",
     "score_rows",
     "score_sensitivity",
@@ -211,36 +210,6 @@ def composition_matrix(n: int, m: int) -> np.ndarray:
     return next(domain_blocks(n, m))
 
 
-@dataclass(frozen=True, eq=False)
-class SparseDomain:
-    """The sparse domain of (n, m), enumerated once: ``counts`` is the
-    read-only ``composition_matrix(n, m)``.  Building it runs the budget
-    check; a caller that repeats exact releases at one (n, m) builds it
-    once and passes it as ``domain=``.  ``exponential_release_exact`` given
-    a domain checks only that its n and m match, since the library built
-    the rows."""
-
-    n: int
-    m: int
-    counts: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("sparse domain requires m >= 1")
-        counts = composition_matrix(self.n, self.m)
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-
-
-def _check_domain(domain, n: int, m: int, what: str) -> None:
-    """A prepared domain must be a ``SparseDomain`` of the caller's n and m."""
-    if not isinstance(domain, SparseDomain):
-        raise TypeError(f"{what}: domain must be a SparseDomain, got {type(domain).__name__}")
-    _check_dims(domain.n, n, f"{what}: domain vs database")
-    if domain.m != m:
-        raise ValueError(f"{what}: domain was built for m={domain.m}, but m={m} was given")
-
-
 def quality_score(
     d: Database, dp: SparseSyntheticDatabase, c: QueryClass, l1_estimate: float
 ) -> float:
@@ -395,7 +364,7 @@ def exponential_release_exact(
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
     l1="public",
-    domain: "SparseDomain | ExactLawTable | None" = None,
+    laws: "ExactLawTable | None" = None,
 ) -> ReleaseOutput:
     """Draw one uniform against the cumulative ``exponential_probabilities``
     of the whole domain at the alpha left for the weights (0.9 alpha under
@@ -404,22 +373,15 @@ def exponential_release_exact(
     enumeration budget and names the MCMC fallback.  The reported score is
     ``quality_score`` of the drawn row, exactly.
 
-    ``domain`` is a prepared ``SparseDomain(d.n, m)`` used instead of
-    enumerating the domain on this call, or an ``ExactLawTable`` built over
-    one, which also keeps the laws and releases of its databases.  The
-    release is the same, and reads the generator the same way, with or
-    without it."""
+    ``laws``, an ``ExactLawTable`` holding ``d``, keeps the domain and its
+    databases' laws and releases.  The release is the same, and reads the
+    generator the same way, with or without it."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
-    if domain is None:
-        counts = composition_matrix(d.n, m)
-    else:
-        table = domain if isinstance(domain, ExactLawTable) else None
-        if table is not None:
-            domain = table.domain
-        _check_domain(domain, d.n, m, "exponential_release_exact")
-        if table is not None:
-            return table._draw_release(d, c, p, rng, exponent_rule, l1)
-        counts = domain.counts
+    if laws is not None:
+        if not isinstance(laws, ExactLawTable):
+            raise TypeError(f"laws must be an ExactLawTable, got {type(laws).__name__}")
+        return laws._draw_release(d, c, p, m, rng, exponent_rule, l1)
+    counts = composition_matrix(d.n, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)
     idx = _draw(cumulative, rng.random())
@@ -442,10 +404,12 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 
 
 class ExactLawTable:
-    """A prepared domain for ``exponential_release_exact`` that also keeps,
-    for a fixed set of databases, each database's cumulative law and each
-    release drawn from it.  It is built for one class, alpha, m and rule,
-    and releases only at the public L1 norm.
+    """The prepared exact sampler of a fixed set of databases: it enumerates
+    the domain of (c.n, m) once, as the read-only ``counts`` (refusing m < 1
+    and, as ``composition_matrix`` does, a domain over the budget), and keeps
+    each database's cumulative law and each release drawn from it.  It is
+    built for one class, alpha, m and rule, and releases only at the public
+    L1 norm.
 
     A database's law is computed on its first release, by the per-call
     sampler's own batch-of-one call, and the ``ReleaseOutput`` of a
@@ -453,27 +417,24 @@ class ExactLawTable:
     uniform.  A release is therefore the one the per-call sampler makes
     from the same generator, which it leaves in the same state.  A database
     is known by its entries; one not in the table is refused, as are a
-    different class, alpha or rule and a non-public ``l1``.
+    different class, alpha, m or rule and a non-public ``l1``, all before
+    the generator is read.
 
-    Each kept law is the size of a pass over ``domain``, so a law (and the
+    Each kept law is the size of a pass over ``counts``, so a law (and the
     releases drawn from it) is kept only while the kept laws and the new
     one fit the domain budget as passes.  A database whose law does not
     fit is released the per-call way, every time."""
 
     def __init__(
-        self,
-        databases,
-        c: QueryClass,
-        p: PrivacyParams,
-        m: int,
-        exponent_rule: ExponentRule,
-        domain: SparseDomain,
+        self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
     ):
+        if m < 1:
+            raise ValueError("sparse domain requires m >= 1")
+        self._counts = composition_matrix(c.n, m)
+        self._counts.setflags(write=False)
         databases = tuple(databases)
-        _check_domain(domain, c.n, m, "ExactLawTable")
         for d in databases:
             _check_dims(c.n, d.n, "ExactLawTable: class vs database")
-        self.domain = domain
         self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
         self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
         self._l1 = [l1_norm(d) for d in databases]
@@ -481,7 +442,13 @@ class ExactLawTable:
         self._kept = 0
         self._releases: dict[tuple[int, int], ReleaseOutput] = {}
 
-    def _draw_release(self, d, c, p, rng, exponent_rule, l1) -> ReleaseOutput:
+    @property
+    def counts(self) -> np.ndarray:
+        return self._counts
+
+    def _draw_release(self, d, c, p, m, rng, exponent_rule, l1) -> ReleaseOutput:
+        if m != self.m:
+            raise ValueError(f"ExactLawTable: built for m={self.m}, but m={m} was given")
         if (c is not self.c and not np.array_equal(c.matrix, self.c.matrix)) or (
             p.alpha != self.alpha or exponent_rule != self.exponent_rule
         ):
@@ -491,7 +458,7 @@ class ExactLawTable:
         s = self._index.get(d.entries.tobytes())
         if s is None:
             raise ValueError("ExactLawTable: the database is not one of the table's")
-        counts = self.domain.counts
+        counts = self._counts
         cumulative = self._cumulative[s]
         if cumulative is None:
             cumulative = _cumulative_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)
@@ -626,10 +593,15 @@ def mcmc_state_counts(
     return counts
 
 
+def _check_positive(name: str, value) -> None:
+    """Refuse ``value`` unless finite and positive, naming the parameter."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def laplace_noise(rng: np.random.Generator, scale: float, size=None):
     """Laplace(scale) noise via inverse CDF of the generator's uniforms."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    _check_positive("scale", scale)
     u = rng.random(size) - 0.5
     magnitude = np.minimum(np.abs(u), 0.5 * (1.0 - np.finfo(np.float64).eps))
     noise = -scale * np.sign(u) * np.log1p(-2.0 * magnitude)
@@ -652,19 +624,16 @@ def laplace_release(
 def estimate_l1(d: Database, alpha_share: float, rng: np.random.Generator) -> float:
     """Laplace estimate of ||D||_1 (sensitivity 1), clamped to be nonnegative.
     Clamping is post-processing, so it costs no privacy."""
-    if alpha_share <= 0:
-        raise ValueError("alpha_share must be positive")
+    _check_positive("alpha_share", alpha_share)
     return max(0.0, l1_norm(d) + laplace_noise(rng, 1.0 / alpha_share))
 
 
-def utility_threshold(
-    m: int, n: int, eta: float, alpha: float, c_u: float = config.DEFAULT_CU
-) -> float:
+def utility_threshold(m: int, n: int, eta: float, alpha: float) -> float:
     """Database mass above which releases at surrogate size ``m`` are expected
     to stay within relative error 2*eta except with small probability:
-    c_u * m * ln(n) / (eta * alpha)."""
+    DEFAULT_CU * m * ln(n) / (eta * alpha)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    if eta <= 0 or alpha <= 0 or c_u <= 0:
-        raise ValueError("eta, alpha, and c_u must be positive")
-    return c_u * m * math.log(n) / (eta * alpha)
+    _check_positive("eta", eta)
+    _check_positive("alpha", alpha)
+    return config.DEFAULT_CU * m * math.log(n) / (eta * alpha)

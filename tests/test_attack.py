@@ -14,7 +14,6 @@ from sparsedp import (
     PrivacyParams,
     QueryClass,
     ShatteringWitness,
-    SparseDomain,
     attack_experiment,
     build_family,
     evaluate,
@@ -280,10 +279,9 @@ class TestAttackExperiment:
         c = boolean_indicator_class(dimension)
         family = build_family(c, 0.5, dimension)
         m = dimension // 2
-        domain = SparseDomain(dimension, m)
         for rule in ExponentRule:
-            laws = ExactLawTable(family.databases, c, self.p, m, rule, domain)
-            table = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule, domain=laws)
+            laws = ExactLawTable(family.databases, c, self.p, m, rule)
+            table = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule, laws=laws)
             per_call = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule)
             a = attack_experiment(table, family, 300, np.random.default_rng(8), alpha=1.0)
             b = attack_experiment(per_call, family, 300, np.random.default_rng(8), alpha=1.0)

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import itertools
 import json
 import math
@@ -470,6 +472,22 @@ class TestContracts:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("budget", ["abc", "1e3", "0", "-5"])
+    def test_malformed_env_budget_exits_1(self, files, capsys, monkeypatch, budget):
+        # int()'s own message would not name the variable, and a budget
+        # below 1 would refuse every domain as a budget refusal (exit 2).
+        _, db, cls = files
+        monkeypatch.setenv("FSDP_BUDGET", budget)
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--m", "3", "--seed", "0"],
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: FSDP_BUDGET must be a whole number at least 1, got {budget!r}\n"
+        monkeypatch.setenv("FSDP_BUDGET", "1")
+        assert config.domain_budget() == 1
+
     def test_over_budget_exact_attack_exits_2(self, files, capsys, monkeypatch, tmp_path):
         # The 4-coordinate boolean class shatters d=4, so m=2 and the domain
         # holds C(5, 3) = 10 rows, over a budget of 5: refused once, up
@@ -657,3 +675,19 @@ class TestParserReuse:
         assert [code for code, _, _ in in_process] == [1, 0, 0, 0]
         for argv, got in zip(sequence, in_process):
             assert got == run_fresh_process(argv, tmp_path)
+
+
+class TestBenchmarkTracerSites:
+    def test_every_traced_name_resolves(self):
+        # The benchmark's tracer wraps these module attributes by name, and
+        # its own tests run outside this suite: a name removed here would
+        # first show as a failing traced benchmark run.
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("bench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        missing = [
+            (module, attr) for module, attr, *_ in tracing.SITES
+            if not hasattr(importlib.import_module(module), attr)
+        ]
+        assert len(tracing.SITES) > 0 and missing == []

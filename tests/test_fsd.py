@@ -29,7 +29,7 @@ from sparsedp import (
     is_gamma_shattered,
     verify_shattering,
 )
-from sparsedp.attack import build_family
+from sparsedp import config
 from sparsedp.fsd import _NodeBudget, _search_thresholds
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
@@ -291,8 +291,6 @@ class TestFsd:
             fsd(c, 0.5, 2, budget=budget)
         with pytest.raises(ValueError, match=message):
             is_gamma_shattered(c, (0,), 0.5, budget=budget)
-        with pytest.raises(ValueError, match=message):
-            build_family(c, 0.5, 2, budget=budget)
         assert fsd(c, 0.5, 2, budget=1).nodes_explored <= 1
 
 
@@ -444,13 +442,13 @@ class TestAgainstPerNodeSearch:
 
 class TestChooseM:
     def test_degenerate_accuracy_floors_at_one(self):
-        assert choose_m(1.0, 0, 1.0) == 1
+        assert choose_m(1.0, 0) == 1
 
     def test_pinned_value(self):
         # ceil(4 * (2*ln(2)^2 + ln 2)) evaluated independently
         expected = math.ceil(4 * (2 * math.log(2) ** 2 + math.log(2)))
         assert expected == 7
-        assert choose_m(0.5, 2, 1.0) == 7
+        assert choose_m(0.5, 2) == 7
 
     def test_doubling_d_at_least_doubles_excess(self):
         for eta in (0.5, 0.25):
@@ -467,5 +465,7 @@ class TestChooseM:
             choose_m(1.5, 1)
         with pytest.raises(ValueError):
             choose_m(0.5, -1)
-        with pytest.raises(ValueError):
-            choose_m(0.5, 1, c_m=0.0)
+
+    def test_reads_the_constant_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_CM", 2.0)
+        assert choose_m(0.5, 2) == math.ceil(2.0 * (2 * math.log(2) ** 2 + math.log(2)) / 0.25) == 14

@@ -21,7 +21,6 @@ from sparsedp import (
     ExponentRule,
     PrivacyParams,
     QueryClass,
-    SparseDomain,
     SparseSyntheticDatabase,
     domain_size,
     estimate_l1,
@@ -294,64 +293,6 @@ class TestSoftmax:
         assert np.isfinite(probs).all()
 
 
-class TestPreparedDomain:
-    def test_prepared_release_matches_unprepared(self):
-        # Same row, score and estimate, and the generator left in the same
-        # state, over both rules and all three L1 modes.
-        rng = np.random.default_rng(9)
-        for trial in range(60):
-            n = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 5))
-            d = Database(rng.uniform(0, 4, size=n))
-            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 5)), n)))
-            p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
-            rule = list(ExponentRule)[trial % 2]
-            l1 = ("public", "private", float(rng.uniform(0, 6)))[trial // 2 % 3]
-            domain = SparseDomain(n, m)
-            a_rng, b_rng = np.random.default_rng(trial), np.random.default_rng(trial)
-            a = exponential_release_exact(d, c, p, m, a_rng, rule, l1=l1)
-            b = exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, domain=domain)
-            assert b.d_prime.as_tuple() == a.d_prime.as_tuple()
-            assert b.score == a.score
-            assert b.l1_estimate == a.l1_estimate
-            assert b_rng.random() == a_rng.random()
-
-    def test_mismatched_domain_is_refused(self):
-        d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
-        rng = np.random.default_rng(0)
-        for bad in (SparseDomain(3, 2), SparseDomain(1, 2)):
-            with pytest.raises(DimensionMismatchError, match="domain vs database"):
-                exponential_release_exact(d, c, p, 2, rng, domain=bad)
-        for bad_m in (1, 3):
-            with pytest.raises(ValueError, match=f"m={bad_m}, but m=2"):
-                exponential_release_exact(d, c, p, 2, rng, domain=SparseDomain(2, bad_m))
-        with pytest.raises(TypeError, match="SparseDomain"):
-            exponential_release_exact(d, c, p, 2, rng, domain=composition_matrix(2, 2))
-        # A refusal comes before the generator is read.
-        assert rng.random() == np.random.default_rng(0).random()
-
-    def test_build_refusals(self, monkeypatch):
-        monkeypatch.setenv("FSDP_BUDGET", "100")
-        with pytest.raises(DomainTooLargeError) as plain:
-            composition_matrix(6, 4)
-        with pytest.raises(DomainTooLargeError) as prepared:
-            SparseDomain(6, 4)
-        assert str(prepared.value) == str(plain.value)
-        assert prepared.value.count == plain.value.count == math.comb(9, 5)
-        monkeypatch.setenv("FSDP_BUDGET", "126")
-        assert SparseDomain(6, 4).counts.shape == (126, 6)
-        with pytest.raises(ValueError, match="m >= 1"):
-            SparseDomain(2, 0)
-
-    def test_counts_are_read_only(self):
-        domain = SparseDomain(3, 2)
-        np.testing.assert_array_equal(domain.counts, composition_matrix(3, 2))
-        with pytest.raises(ValueError):
-            domain.counts[0, 0] = 7
-        with pytest.raises(AttributeError):
-            domain.counts = np.zeros((1, 3), dtype=np.int64)
-
-
 class FixedUniform:
     """A generator stand-in whose every uniform is ``u``."""
 
@@ -400,31 +341,32 @@ class TestExactLawTable:
         sliced = 0
         rng = np.random.default_rng(17)
         for databases, c, p, m, rule in law_table_configs(16, 60):
-            domain = SparseDomain(c.n, m)
-            table = mechanisms.ExactLawTable(databases, c, p, m, rule, domain)
-            sliced += len(domain.counts) > max(2, mechanisms.SCORE_SLICE_CELLS // c.k)
+            table = mechanisms.ExactLawTable(databases, c, p, m, rule)
+            counts = composition_matrix(c.n, m)
+            np.testing.assert_array_equal(table.counts, counts)
+            sliced += len(counts) > max(2, mechanisms.SCORE_SLICE_CELLS // c.k)
             for d in databases + [Database(databases[-1].entries.copy())]:
                 for seed in rng.integers(2**31, size=3).tolist():
                     a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = exponential_release_exact(d, c, p, m, a_rng, rule, domain=table)
-                    want = exponential_release_exact(d, c, p, m, b_rng, rule, domain=domain)
+                    got = exponential_release_exact(d, c, p, m, a_rng, rule, laws=table)
+                    want = exponential_release_exact(d, c, p, m, b_rng, rule)
                     assert_same_release(got, want)
                     assert a_rng.random() == b_rng.random()
                 law = mechanisms.exponential_probabilities(
-                    c, domain.counts, (c.matrix @ d.entries)[None], [d.l1()], m, p.alpha, rule
+                    c, counts, (c.matrix @ d.entries)[None], [d.l1()], m, p.alpha, rule
                 )[0]
                 cumulative = np.cumsum(law)
                 for row in rng.choice(len(cumulative), size=min(6, len(cumulative)), replace=False):
                     for u in (cumulative[row], np.nextafter(cumulative[row], 0.0)):
                         fixed = FixedUniform(float(u))
-                        want = exponential_release_exact(d, c, p, m, fixed, rule, domain=domain)
+                        want = exponential_release_exact(d, c, p, m, fixed, rule)
                         # The first row whose cumulative probability exceeds u.
                         first = min(int((cumulative <= u).sum()), len(cumulative) - 1)
-                        assert want.d_prime.as_tuple() == tuple(domain.counts[first].tolist())
-                        got = exponential_release_exact(d, c, p, m, fixed, rule, domain=table)
+                        assert want.d_prime.as_tuple() == tuple(counts[first].tolist())
+                        got = exponential_release_exact(d, c, p, m, fixed, rule, laws=table)
                         assert_same_release(got, want)
                         # Built on the first draw of the row, then reused.
-                        assert exponential_release_exact(d, c, p, m, fixed, rule, domain=table) is got
+                        assert exponential_release_exact(d, c, p, m, fixed, rule, laws=table) is got
         if slice_cells is not None:
             assert sliced >= 20
 
@@ -450,11 +392,10 @@ class TestExactLawTable:
         databases = [
             Database(np.eye(4)[list(t)].sum(axis=0)) for t in itertools.combinations(range(4), 2)
         ]
-        domain = SparseDomain(4, 2)
         rule = ExponentRule.PAPER_QUARTER
-        table = mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+        table = mechanisms.ExactLawTable(databases, c, p, 2, rule)
         release = lambda d, rng, c=c, p=p, rule=rule, **kw: exponential_release_exact(
-            d, c, p, 2, rng, rule, domain=table, **kw
+            d, c, p, 2, rng, rule, laws=table, **kw
         )
         rng = np.random.default_rng(3)
         for unknown in (Database([1, 1, 1, 0]), Database([0.5, 0.5, 0.5, 0.5])):
@@ -469,8 +410,6 @@ class TestExactLawTable:
         for l1 in ("private", 2.0):
             with pytest.raises(ValueError, match="public L1 norm"):
                 release(databases[0], rng, l1=l1)
-        with pytest.raises(ValueError, match="m=2, but m=3"):
-            exponential_release_exact(databases[0], c, p, 3, rng, rule, domain=table)
         # A refusal comes before the generator is read.
         assert rng.random() == np.random.default_rng(3).random()
         # An equal class is accepted.
@@ -483,26 +422,44 @@ class TestExactLawTable:
         # not kept releases as the per-call sampler does, every time.
         for budget, kept in (("59", 5), ("60", 6)):
             monkeypatch.setenv("FSDP_BUDGET", budget)
-            fitted = mechanisms.ExactLawTable(databases, c, p, 2, rule, domain)
+            fitted = mechanisms.ExactLawTable(databases, c, p, 2, rule)
             seeds = np.random.default_rng(5).integers(2**31, size=4 * len(databases)).tolist()
             for d, seed in zip(databases * 4, seeds):
                 a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = exponential_release_exact(d, c, p, 2, a_rng, rule, domain=fitted)
-                want = exponential_release_exact(d, c, p, 2, b_rng, rule, domain=domain)
+                got = exponential_release_exact(d, c, p, 2, a_rng, rule, laws=fitted)
+                want = exponential_release_exact(d, c, p, 2, b_rng, rule)
                 assert_same_release(got, want)
                 assert a_rng.random() == b_rng.random()
             assert sum(law is not None for law in fitted._cumulative) == kept
 
-        with pytest.raises(ValueError, match="m=2, but m=3"):
-            mechanisms.ExactLawTable(databases, c, p, 3, rule, domain)
-        with pytest.raises(TypeError, match="SparseDomain"):
-            mechanisms.ExactLawTable(databases, c, p, 2, rule, composition_matrix(4, 2))
-        with pytest.raises(TypeError, match="SparseDomain"):
-            mechanisms.ExactLawTable(databases, c, p, 2, rule, table)
-        with pytest.raises(DimensionMismatchError, match="domain vs database"):
-            mechanisms.ExactLawTable(databases, c, p, 2, rule, SparseDomain(3, 2))
         with pytest.raises(DimensionMismatchError, match="class vs database"):
-            mechanisms.ExactLawTable([Database([1, 1, 0])], c, p, 2, rule, domain)
+            mechanisms.ExactLawTable([Database([1, 1, 0])], c, p, 2, rule)
+
+    def test_build_refusals(self, monkeypatch):
+        # Over the budget the table refuses as composition_matrix does, with
+        # its message and count; at the budget it builds.
+        c, p, rule = QueryClass(np.eye(6)), PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
+        monkeypatch.setenv("FSDP_BUDGET", "100")
+        with pytest.raises(DomainTooLargeError) as plain:
+            composition_matrix(6, 4)
+        with pytest.raises(DomainTooLargeError) as prepared:
+            mechanisms.ExactLawTable([], c, p, 4, rule)
+        assert str(prepared.value) == str(plain.value)
+        assert prepared.value.count == plain.value.count == math.comb(9, 5)
+        monkeypatch.setenv("FSDP_BUDGET", "126")
+        assert mechanisms.ExactLawTable([], c, p, 4, rule).counts.shape == (126, 6)
+        for bad_m in (0, -1):
+            with pytest.raises(ValueError, match="m >= 1"):
+                mechanisms.ExactLawTable([], c, p, bad_m, rule)
+
+    def test_counts_are_read_only(self):
+        c, p, rule = QueryClass(np.eye(3)), PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
+        table = mechanisms.ExactLawTable([Database([1, 0, 0])], c, p, 2, rule)
+        np.testing.assert_array_equal(table.counts, composition_matrix(3, 2))
+        with pytest.raises(ValueError):
+            table.counts[0, 0] = 7
+        with pytest.raises(AttributeError):
+            table.counts = np.zeros((1, 3), dtype=np.int64)
 
     def test_laws_are_computed_on_first_use(self, monkeypatch):
         # Building the table scores nothing; each database's law is computed
@@ -515,12 +472,59 @@ class TestExactLawTable:
             mechanisms, "exponential_probabilities",
             lambda *a: calls.append(a[2].shape[0]) or original(*a),
         )
-        table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER, SparseDomain(3, 3))
+        table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER)
         assert calls == []
         rng = np.random.default_rng(5)
         for d in [databases[1], databases[1], databases[0], databases[1]]:
-            exponential_release_exact(d, c, p, 3, rng, domain=table)
+            exponential_release_exact(d, c, p, 3, rng, laws=table)
         assert calls == [1, 1]
+
+
+class TestPreparedDomain:
+    """The prepared path: an ``ExactLawTable`` passed as ``laws=``."""
+
+    def test_prepared_release_matches_unprepared(self):
+        # Same row, score and estimate, and the generator left in the same
+        # state, over both rules with the public L1 norm; the table refuses
+        # a private or caller-supplied L1 before the generator is read.
+        rng = np.random.default_rng(9)
+        for trial in range(60):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 5))
+            d = Database(rng.uniform(0, 4, size=n))
+            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 5)), n)))
+            p = PrivacyParams(float(rng.uniform(0.2, 4.0)))
+            rule = list(ExponentRule)[trial % 2]
+            l1 = ("public", "private", float(rng.uniform(0, 6)))[trial // 2 % 3]
+            table = mechanisms.ExactLawTable([d], c, p, m, rule)
+            a_rng, b_rng = np.random.default_rng(trial), np.random.default_rng(trial)
+            if l1 != "public":
+                with pytest.raises(ValueError, match="public L1 norm"):
+                    exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, laws=table)
+                assert b_rng.random() == a_rng.random()
+                continue
+            a = exponential_release_exact(d, c, p, m, a_rng, rule, l1=l1)
+            b = exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, laws=table)
+            assert b.d_prime.as_tuple() == a.d_prime.as_tuple()
+            assert b.score == a.score
+            assert b.l1_estimate == a.l1_estimate
+            assert b_rng.random() == a_rng.random()
+
+    def test_mismatched_domain_is_refused(self):
+        d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
+        rule = ExponentRule.PAPER_QUARTER
+        table = mechanisms.ExactLawTable([d], c, p, 2, rule)
+        rng = np.random.default_rng(0)
+        with pytest.raises(DimensionMismatchError, match="class vs database"):
+            exponential_release_exact(Database([1.0, 2.0, 0.0]), c, p, 2, rng, rule, laws=table)
+        for bad_m in (1, 3):
+            with pytest.raises(ValueError, match=f"m=2, but m={bad_m}"):
+                exponential_release_exact(d, c, p, bad_m, rng, rule, laws=table)
+        for not_a_table in (composition_matrix(2, 2), table.counts, object()):
+            with pytest.raises(TypeError, match="laws must be an ExactLawTable"):
+                exponential_release_exact(d, c, p, 2, rng, rule, laws=not_a_table)
+        # A refusal comes before the generator is read.
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestExactRelease:
@@ -897,8 +901,22 @@ class TestLaplace:
         assert abs(np.median(draws)) < 0.05
 
     def test_scale_validation(self):
-        with pytest.raises(ValueError):
-            laplace_noise(np.random.default_rng(0), 0.0)
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match=f"scale must be finite and positive, got {bad}"):
+                laplace_noise(rng, bad)
+            # Refused before the generator is read.
+            assert rng.random() == np.random.default_rng(0).random()
+
+    def test_finite_scale_keeps_values_and_stream(self):
+        # Pinned from the sampler as it was before the finiteness check.
+        rng = np.random.default_rng(5)
+        assert laplace_noise(rng, 2.0) == 1.8832470670738035
+        assert rng.random() == 0.8079407897364937
+        rng = np.random.default_rng(5)
+        noise = laplace_noise(rng, 0.5, size=3).tolist()
+        assert noise == [0.4708117667684509, 0.47840219357337355, 0.015565346380599582]
+        assert rng.random() == 0.2858013800881416
 
 
 class TestEstimateL1:
@@ -921,17 +939,38 @@ class TestEstimateL1:
         assert abs(float(draws.mean()) - 10.0) < sampling_margin + clamp_bias_bound
 
     def test_share_validation(self):
-        with pytest.raises(ValueError):
-            estimate_l1(Database([1.0]), 0.0, np.random.default_rng(0))
+        # A NaN share once came back as a clamped 0.0 estimate.
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match=f"alpha_share must be finite and positive, got {bad}"):
+                estimate_l1(Database([1.0]), bad, rng)
+            assert rng.random() == np.random.default_rng(0).random()
+
+    def test_finite_share_keeps_value_and_stream(self):
+        # Pinned from the estimate as it was before the finiteness check.
+        rng = np.random.default_rng(6)
+        assert estimate_l1(Database([3.0, 4.0]), 0.25, rng) == 7.317596038989532
+        assert rng.random() == 0.34327086981333843
 
 
 class TestUtility:
     def test_threshold_formula(self):
-        assert utility_threshold(7, 4, 0.5, 1.0, c_u=6.0) == pytest.approx(
+        assert utility_threshold(7, 4, 0.5, 1.0) == pytest.approx(
             6.0 * 7 * math.log(4) / 0.5
         )
+        # Pinned from the threshold as it was before the finiteness check.
+        assert utility_threshold(3, 4, 0.25, 0.5) == 199.62638800126425
         with pytest.raises(ValueError):
             utility_threshold(0, 4, 0.5, 1.0)
+        for bad in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=f"eta must be finite and positive, got {bad}"):
+                utility_threshold(3, 4, bad, 1.0)
+            with pytest.raises(ValueError, match=f"alpha must be finite and positive, got {bad}"):
+                utility_threshold(3, 4, 0.5, bad)
+
+    def test_reads_the_constant_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(config, "DEFAULT_CU", 3.0)
+        assert utility_threshold(7, 4, 0.5, 1.0) == 3.0 * 7 * math.log(4) / (0.5 * 1.0)
 
     def test_relative_error_within_2eta_above_threshold(self):
         # the testable utility statement at eta = 1/2 over seeded releases

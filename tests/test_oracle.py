@@ -364,7 +364,7 @@ class TestBestSparseDb:
             rng = np.random.default_rng((97, t))
             c = QueryClass(rng.uniform(0, 1, size=(5, 4)))
             dimension = fsd(c, eta / 5.0, d_max=3).d
-            m = choose_m(eta, dimension, 1.0)
+            m = choose_m(eta, dimension)
             d = Database(rng.uniform(0, 5, size=4))
             hits += best_sparse_db(d, c, m)[1] <= eta
         assert hits >= 0.95 * trials
