@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .core import Database, DimensionMismatchError, LinearQuery, QueryClass, evaluate
+from .core import Database, DimensionMismatchError, LinearQuery, QueryClass
+from .core import evaluate  # noqa: F401  (only the benchmark's tracer wraps it; ROADMAP item 6)
 from .fsd import ShatteringWitness, fsd
 from .mechanisms import ReleaseOutput
 
@@ -66,7 +67,8 @@ class ShatteredFamily:
     distinct indices of the queries the family uses, increasing, and
     ``used_rows`` their coefficient rows; subset s's query is
     ``used[used_position[s]]``.  ``base[s]`` is q_T(D_T) for T = subset s,
-    by ``evaluate``."""
+    the dot product ``evaluate`` takes, and ``members[s]`` marks T's indices
+    among the class's n coordinates."""
 
     def __init__(
         self,
@@ -93,16 +95,18 @@ class ShatteredFamily:
         self.gamma = witness.gamma
         self._subsets = tuple(itertools.combinations(bucket, len(bucket) // 2))
         self._position = {tuple(sorted(t)): s for s, t in enumerate(self._subsets)}
+        self._outside = np.array([[i for i in bucket if i not in t] for t in self._subsets])
         indicators = np.zeros((len(self._subsets), self.n))
         for row, t in zip(indicators, self._subsets):
             row[list(t)] = 1.0
         self.databases = tuple(map(Database, indicators))
+        self.members = indicators != 0.0
 
         queries = [self.query_index_for(t) for t in self._subsets]
         self.used, self.used_position = np.unique(queries, return_inverse=True)
         self.used_rows = query_class.matrix[self.used]
         self.base = np.array(
-            [evaluate(self.query_for(t), d_t) for t, d_t in zip(self._subsets, self.databases)]
+            [float(query_class.matrix[q] @ d_t.entries) for q, d_t in zip(queries, self.databases)]
         )
 
     @property
@@ -132,15 +136,6 @@ class ShatteredFamily:
             raise ValueError(f"{tuple(subset)} is not a half-size subset of the bucket {self.bucket}")
         return self.databases[position]
 
-    def true_answers(self, subset) -> np.ndarray:
-        """The ``used`` queries on the subset's indicator, summed in index
-        order as ``evaluate``'s dot product sums them.  Not tabulated: all
-        subsets would take C(d, d/2)^2 floats, 1.3 GB at d = 16."""
-        total = np.zeros(len(self.used))
-        for i in sorted(subset):
-            total += self.used_rows[:, i]
-        return total
-
 
 def build_family(c: QueryClass, gamma: float, d_max: int) -> ShatteredFamily:
     """Run the dimension search, bucket the witness, and assemble the family.
@@ -163,6 +158,11 @@ def build_family(c: QueryClass, gamma: float, d_max: int) -> ShatteredFamily:
     position = {index: t for t, index in enumerate(witness.subset)}
     thresholds = tuple(witness.thresholds[position[i]] for i in bucket)
     return ShatteredFamily(c, witness, j_star, bucket, thresholds)
+
+
+# Trials per chunk: a chunk's draws and releases come first, then one
+# array pass reconstructs them all, so memory stays flat in the trial count.
+TRIAL_CHUNK = 256
 
 
 def _safe_exp(x: float) -> float:
@@ -207,6 +207,31 @@ def reconstruct(answers_db: Database, family: ShatteredFamily) -> tuple[int, ...
     v(T') = q_T'(D_T') - q_T'(answers) over half-size subsets, ties to the
     lexicographically smallest."""
     return family.subsets()[_argmin_subset(family, _used_answers(answers_db, family))]
+
+
+def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
+    """(eps_hat, |T symdiff T*|, x in T*, x in T*_swapped) of each trial of a
+    chunk, from its hidden subsets, distinguished elements and ``used``
+    answers (hidden and swapped, 2 x trials x used), with T* and T*_swapped
+    as ``_argmin_subset`` picks them.  The hidden subsets' true answers add
+    their ``used_rows`` columns in index order, as ``evaluate``'s dot product
+    sums them; they are not tabulated, as all subsets would take
+    C(d, d/2)^2 floats, 1.3 GB at d = 16."""
+    hidden = np.array(hidden)
+    true_answers = np.zeros_like(answers[0])
+    columns = family.used_rows.T
+    for index in family.members[hidden].nonzero()[1].reshape(len(hidden), -1).T:
+        true_answers += columns[index]
+    eps_hat = np.abs(true_answers - answers[0]).max(axis=1)
+    star, star_swapped = np.argmin(family.base - answers[:, :, family.used_position], axis=2)
+    members = family.members
+    symdiff = (members[hidden] != members[star]).sum(axis=1)
+    return zip(
+        eps_hat.tolist(),
+        symdiff.tolist(),
+        members[star, xs].tolist(),
+        members[star_swapped, xs].tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -281,10 +306,10 @@ def attack_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    subsets = family.subsets()
+    subsets, outside, position = family.subsets(), family._outside, family._position
     gamma = family.gamma
     d = family.d
-    children = rng.spawn(trials)
+    half = d // 2
 
     failures = 0
     completed = 0
@@ -297,43 +322,49 @@ def attack_experiment(
     symdiff_counts: dict[int, int] = {}
     per_trial: list[tuple[float, int]] = []
 
-    for trial_rng in children:
-        s_hidden = int(trial_rng.integers(len(subsets)))
-        t_hidden = subsets[s_hidden]
-        inside = list(t_hidden)
-        outside = [i for i in family.bucket if i not in t_hidden]
-        x = inside[int(trial_rng.integers(len(inside)))]
-        y = outside[int(trial_rng.integers(len(outside)))]
-        t_swapped = tuple(sorted(set(t_hidden) - {x} | {y}))
-
-        d_hidden = family.databases[s_hidden]
-        d_swapped = family.database_for(t_swapped)
-        try:
-            out_hidden = mechanism(d_hidden, trial_rng)
-            out_swapped = mechanism(d_swapped, trial_rng)
-        except (RuntimeError, ArithmeticError):
-            failures += 1
+    # A trial only draws and releases; its chunk is reconstructed at once.
+    # Each spawn continues the parent's child count, so trial i draws from
+    # SeedSequence(seed, spawn_key=(i,)) whatever the chunk size.
+    for start in range(0, trials, TRIAL_CHUNK):
+        size = min(TRIAL_CHUNK, trials - start)
+        answers = np.empty((2, size, len(family.used)))
+        hidden, xs = [], []
+        for trial_rng in rng.spawn(size):
+            s_hidden = int(trial_rng.integers(len(subsets)))
+            t_hidden = subsets[s_hidden]
+            a = int(trial_rng.integers(half))
+            y = int(outside[s_hidden, int(trial_rng.integers(half))])
+            s_swapped = position[tuple(sorted(t_hidden[:a] + t_hidden[a + 1 :] + (y,)))]
+            try:
+                out_hidden = mechanism(family.databases[s_hidden], trial_rng)
+                out_swapped = mechanism(family.databases[s_swapped], trial_rng)
+            except (RuntimeError, ArithmeticError):
+                failures += 1
+                continue
+            answers[0, len(hidden)] = _used_answers(out_hidden, family)
+            answers[1, len(hidden)] = _used_answers(out_swapped, family)
+            hidden.append(s_hidden)
+            xs.append(t_hidden[a])
+        if not hidden:
             continue
 
-        answers_hidden = _used_answers(out_hidden, family)
-        answers_swapped = _used_answers(out_swapped, family)
-        eps_hat = float(np.abs(family.true_answers(t_hidden) - answers_hidden).max())
-        t_star = subsets[_argmin_subset(family, answers_hidden)]
-        t_star_swapped = subsets[_argmin_subset(family, answers_swapped)]
-
-        symdiff = len(set(t_hidden) ^ set(t_star))
-        bound = 4.0 * eps_hat / gamma
-        if symdiff > bound + 1e-9:
-            violations += 1
-        if bound >= d:
-            vacuous += 1
-        hits_target += x in t_star
-        hits_swapped += x in t_star_swapped
-        total_symdiff += symdiff
-        total_eps += eps_hat
-        symdiff_counts[symdiff] = symdiff_counts.get(symdiff, 0) + 1
-        per_trial.append((float(eps_hat), symdiff))
-        completed += 1
+        # Plain float sums in trial order: np.sum pairs its terms, and the
+        # built-in sum compensates from Python 3.12 on.
+        for eps_hat, symdiff, hit, hit_swapped in _reconstruct_chunk(
+            family, hidden, xs, answers[:, : len(hidden)]
+        ):
+            bound = 4.0 * eps_hat / gamma
+            if symdiff > bound + 1e-9:
+                violations += 1
+            if bound >= d:
+                vacuous += 1
+            hits_target += hit
+            hits_swapped += hit_swapped
+            total_symdiff += symdiff
+            total_eps += eps_hat
+            symdiff_counts[symdiff] = symdiff_counts.get(symdiff, 0) + 1
+            per_trial.append((eps_hat, symdiff))
+            completed += 1
 
     rate_target = hits_target / completed if completed else 0.0
     rate_swapped = hits_swapped / completed if completed else 0.0

@@ -204,14 +204,16 @@ def _search_thresholds(basis: np.ndarray, gamma: float, budget: _NodeBudget):
 
 
 def _find_witness(c: QueryClass, subset: tuple[int, ...], gamma: float, budget: _NodeBudget):
-    """Witness for ``subset`` from the lex-first threshold vector, or None:
-    each pattern takes its first realizing row (see the module docstring for
-    why ``_pick_threshold`` then finds ``r``)."""
+    """Witness for ``subset`` from the lex-first threshold vector, or None."""
+    found = _search_thresholds(c.matrix[:, subset], gamma, budget)
+    return None if found is None else _witness(c, subset, gamma, found[1])
+
+
+def _witness(c: QueryClass, subset: tuple[int, ...], gamma: float, rows) -> ShatteringWitness:
+    """The witness in which each pattern takes its row from ``rows``, the
+    first realizing rows of the lex-first threshold vector (see the module
+    docstring for why ``_pick_threshold`` then finds ``r``)."""
     basis = c.matrix[:, subset]
-    found = _search_thresholds(basis, gamma, budget)
-    if found is None:
-        return None
-    rows = found[1]
     patterns = list(itertools.product((0, 1), repeat=len(subset)))
     ones = np.array(patterns, dtype=bool)
     values = basis[rows]
@@ -287,21 +289,22 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     tracker = _NodeBudget(config.node_budget(budget))
-    best: ShatteringWitness | None = None
+    best = None  # (subset, realizing rows) of the last shattered level
     exact = True
     try:
         for d in range(1, min(d_max, c.n) + 1):
             for subset in itertools.combinations(range(c.n), d):
-                found = _find_witness(c, subset, gamma, tracker)
+                found = _search_thresholds(c.matrix[:, subset], gamma, tracker)
                 if found is not None:
                     break
             if found is None:
                 break
-            best = found
+            best = subset, found[1]
     except SearchBudgetExceeded:
         exact = False
+    witness = _witness(c, best[0], gamma, best[1]) if best else None
     return FsdResult(
-        d=best.d if best else 0, witness=best, nodes_explored=tracker.used, exact=exact
+        d=witness.d if witness else 0, witness=witness, nodes_explored=tracker.used, exact=exact
     )
 
 

@@ -381,6 +381,8 @@ def exponential_release_exact(
         if not isinstance(laws, ExactLawTable):
             raise TypeError(f"laws must be an ExactLawTable, got {type(laws).__name__}")
         return laws._draw_release(d, c, p, m, rng, exponent_rule, l1)
+    if m < 1:
+        raise ValueError("m must be at least 1")
     counts = composition_matrix(d.n, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)

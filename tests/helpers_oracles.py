@@ -21,6 +21,7 @@ from sparsedp import (
     ShatteringWitness,
     SparseSyntheticDatabase,
     __version__,
+    attack,
     best_sparse_db,
     config,
     exact_output_distribution,
@@ -629,3 +630,105 @@ def oracle_stdout_by_dicts(
     }
     document = {"version": __version__, "config": config, "result": result}
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _true_answers(family, subset) -> np.ndarray:
+    """The family's ``used`` queries on the subset's indicator, one column
+    added per member in index order (the library's former
+    ``ShatteredFamily.true_answers``)."""
+    total = np.zeros(len(family.used))
+    for i in sorted(subset):
+        total += family.used_rows[:, i]
+    return total
+
+
+def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
+    """``attack_experiment`` as the library ran it before trials were
+    reconstructed a chunk at a time: all children spawned up front, and each
+    trial drawn, released and reconstructed on its own, with Python set and
+    list operations.  Same arguments and return value."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    subsets = family.subsets()
+    gamma = family.gamma
+    d = family.d
+    children = rng.spawn(trials)
+
+    failures = 0
+    completed = 0
+    violations = 0
+    vacuous = 0
+    hits_target = 0
+    hits_swapped = 0
+    total_symdiff = 0
+    total_eps = 0.0
+    symdiff_counts: dict[int, int] = {}
+    per_trial: list[tuple[float, int]] = []
+
+    for trial_rng in children:
+        s_hidden = int(trial_rng.integers(len(subsets)))
+        t_hidden = subsets[s_hidden]
+        inside = list(t_hidden)
+        outside = [i for i in family.bucket if i not in t_hidden]
+        x = inside[int(trial_rng.integers(len(inside)))]
+        y = outside[int(trial_rng.integers(len(outside)))]
+        t_swapped = tuple(sorted(set(t_hidden) - {x} | {y}))
+
+        d_hidden = family.databases[s_hidden]
+        d_swapped = family.database_for(t_swapped)
+        try:
+            out_hidden = mechanism(d_hidden, trial_rng)
+            out_swapped = mechanism(d_swapped, trial_rng)
+        except (RuntimeError, ArithmeticError):
+            failures += 1
+            continue
+
+        answers_hidden = attack._used_answers(out_hidden, family)
+        answers_swapped = attack._used_answers(out_swapped, family)
+        eps_hat = float(np.abs(_true_answers(family, t_hidden) - answers_hidden).max())
+        t_star = subsets[attack._argmin_subset(family, answers_hidden)]
+        t_star_swapped = subsets[attack._argmin_subset(family, answers_swapped)]
+
+        symdiff = len(set(t_hidden) ^ set(t_star))
+        bound = 4.0 * eps_hat / gamma
+        if symdiff > bound + 1e-9:
+            violations += 1
+        if bound >= d:
+            vacuous += 1
+        hits_target += x in t_star
+        hits_swapped += x in t_star_swapped
+        total_symdiff += symdiff
+        total_eps += eps_hat
+        symdiff_counts[symdiff] = symdiff_counts.get(symdiff, 0) + 1
+        per_trial.append((float(eps_hat), symdiff))
+        completed += 1
+
+    rate_target = hits_target / completed if completed else 0.0
+    rate_swapped = hits_swapped / completed if completed else 0.0
+    if completed == 0:
+        ratio = None
+    elif rate_swapped == 0.0:
+        ratio = math.inf if rate_target > 0 else 1.0
+    else:
+        ratio = rate_target / rate_swapped
+    return attack.AttackReport(
+        trials=trials,
+        completed=completed,
+        mechanism_failures=failures,
+        symdiff_counts=symdiff_counts,
+        mean_symdiff=total_symdiff / completed if completed else 0.0,
+        mean_eps_hat=total_eps / completed if completed else 0.0,
+        reconstruction_bound_violations=violations,
+        vacuous_fraction=vacuous / completed if completed else 0.0,
+        recovery_rate_target=rate_target,
+        recovery_rate_swapped=rate_swapped,
+        recovery_ratio=ratio,
+        alpha=alpha,
+        single_change_bound=attack._safe_exp(alpha) if alpha is not None else None,
+        double_change_bound=attack._safe_exp(2 * alpha) if alpha is not None else None,
+        epsilon_floor=(
+            gamma * d / (4.0 * (attack._safe_exp(alpha) + 1.0)) if alpha is not None else None
+        ),
+        per_trial=tuple(per_trial),
+    )
+

@@ -1,10 +1,15 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers_oracles import boolean_indicator_class, random_query_class
+from helpers_oracles import (
+    boolean_indicator_class,
+    per_trial_attack_reference,
+    random_query_class,
+)
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -19,10 +24,12 @@ from sparsedp import (
     evaluate,
     exact_output_distribution,
     exponential_release_exact,
+    exponential_release_mcmc,
     laplace_release,
     partition_buckets,
     reconstruct,
 )
+from sparsedp import attack
 
 BOOL4 = boolean_indicator_class(4)
 
@@ -127,10 +134,12 @@ class TestBuildFamily:
     def test_family_holds_its_databases(self):
         family = build_family(boolean_indicator_class(6), 0.5, 6)
         assert len(family.databases) == len(family.subsets()) == 20
-        for t, d_t in zip(family.subsets(), family.databases):
+        for s, (t, d_t) in enumerate(zip(family.subsets(), family.databases)):
             assert d_t.entries.tolist() == [float(i in t) for i in range(6)]
             assert family.database_for(t) is d_t
             assert family.database_for(t[::-1]) is d_t
+            assert family.members[s].tolist() == [i in t for i in range(6)]
+            assert family.base[s] == evaluate(family.query_for(t), d_t)
         for bad in ((0, 1), (0, 1, 2, 3), (0, 1, 6)):
             with pytest.raises(ValueError, match="not a half-size subset"):
                 family.database_for(bad)
@@ -361,11 +370,11 @@ class TestAttackExperiment:
         assert a.to_dict() == b.to_dict()
 
 
-def jittered_cube_class(rng):
-    """The 16 patterns of {0,1}^4 at levels 0.1/0.9 with per-entry jitter,
+def jittered_cube_class(rng, d=4):
+    """The 2^d patterns of {0,1}^d at levels 0.1/0.9 with per-entry jitter,
     plus random rows, so every answer is a non-integer sum."""
-    cube = np.array(list(itertools.product((0.1, 0.9), repeat=4)))
-    rows = np.vstack([cube + rng.uniform(-0.05, 0.05, size=cube.shape), rng.uniform(0, 1, (8, 4))])
+    cube = np.array(list(itertools.product((0.1, 0.9), repeat=d)))
+    rows = np.vstack([cube + rng.uniform(-0.05, 0.05, size=cube.shape), rng.uniform(0, 1, (8, d))])
     return QueryClass(rows[rng.permutation(len(rows))])
 
 
@@ -428,3 +437,105 @@ def test_trials_match_brute_force_on_float_class(output):
     assert {s for _, s in report.per_trial} != {0}
     assert report.recovery_rate_target == np.mean([row[2] for row in expected])
     assert report.recovery_rate_swapped == np.mean([row[3] for row in expected])
+
+
+def shuffled_cube_class(d, rng):
+    """All 2^d boolean subset queries on d coordinates, columns shuffled."""
+    return QueryClass(np.array(list(itertools.product((0.0, 1.0), repeat=d)))[:, rng.permutation(d)])
+
+
+def reference_mechanisms(family):
+    """Fresh mechanisms of every kind the attack runs against, by name."""
+    c, p, m = family.query_class, PrivacyParams(alpha=1.0), 2
+    laws = ExactLawTable(family.databases, c, p, m, ExponentRule.PAPER_QUARTER)
+
+    def flaky(db, rng):
+        if rng.random() < 0.3:
+            raise RuntimeError("refused")
+        return Database(np.abs(db.entries + rng.normal(0.0, 0.3, size=db.n)))
+
+    return {
+        "identity": lambda db, rng: db,
+        "law-table": lambda db, rng: exponential_release_exact(db, c, p, m, rng, laws=laws),
+        "per-call": lambda db, rng: exponential_release_exact(db, c, p, m, rng),
+        "laplace": lambda db, rng: laplace_release(db, c, PrivacyParams(alpha=40.0), rng),
+        "mcmc": lambda db, rng: exponential_release_mcmc(db, c, p, m, 15, rng),
+        "flaky": flaky,
+    }
+
+
+def reference_families():
+    rng = np.random.default_rng(71)
+    families = [build_family(shuffled_cube_class(d, rng), 0.5, d) for d in range(2, 9)]
+    # At d = 6 a hidden subset's true answers add three float columns, so
+    # their order shows in the last bits.
+    for d in (4, 6):
+        families.append(build_family(jittered_cube_class(np.random.default_rng(3), d), 0.3, d))
+    assert [family.d for family in families] == [2, 2, 4, 4, 6, 6, 8, 4, 6]
+    return families
+
+
+def assert_matches_reference(family, name, trials, seed):
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = attack_experiment(reference_mechanisms(family)[name], family, trials, new_rng, alpha=1.0)
+    want = per_trial_attack_reference(
+        reference_mechanisms(family)[name], family, trials, old_rng, alpha=1.0
+    )
+    assert got.to_dict() == want.to_dict()
+    assert got.per_trial == want.per_trial
+    assert list(got.symdiff_counts.items()) == list(want.symdiff_counts.items())
+    assert new_rng.random() == old_rng.random()
+    return got
+
+
+class TestChunkedTrialsAgainstPerTrialLoop:
+    """The chunked trials against ``per_trial_attack_reference``, the loop
+    they replaced, at chunk sizes that split the trials unevenly."""
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_every_family_and_mechanism(self, monkeypatch, chunk):
+        monkeypatch.setattr(attack, "TRIAL_CHUNK", chunk)
+        mixed = 0  # runs where some trials failed and some completed
+        for seed, family in enumerate(reference_families()):
+            for name in reference_mechanisms(family):
+                report = assert_matches_reference(family, name, 3 * chunk + 5, seed)
+                mixed += 0 < report.mechanism_failures < report.trials
+        assert mixed > 0
+
+    def test_default_chunk(self):
+        trials = 3 * attack.TRIAL_CHUNK + 5
+        families = reference_families()
+        for family in (families[4], families[-1]):
+            for name in reference_mechanisms(family):
+                report = assert_matches_reference(family, name, trials, family.d)
+                assert report.completed > 0
+                assert len(set(report.per_trial)) > 1 or name == "identity"
+
+    @pytest.mark.parametrize("chunk", [1, 7, None])
+    def test_bad_output_raises_at_its_trial(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(attack, "TRIAL_CHUNK", chunk)
+        family = build_family(BOOL4, 0.5, 4)
+        for run in (attack_experiment, per_trial_attack_reference):
+            calls = []
+
+            def nan_at_trial_3(db, rng):
+                calls.append(db)
+                if len(calls) == 5:
+                    return np.full(BOOL4.k, math.nan)
+                return BOOL4.matrix @ db.entries
+
+            with pytest.raises(ValueError, match=r"non-finite answers at query indices \[0, 1"):
+                run(nan_at_trial_3, family, 20, np.random.default_rng(9))
+            assert len(calls) == 6
+
+
+def test_identity_trials_keep_memory_flat():
+    family = build_family(boolean_indicator_class(8), 0.5, 8)
+    tracemalloc.start()
+    try:
+        attack_experiment(lambda db, rng: db, family, 5_000, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

@@ -663,6 +663,15 @@ class TestExactRelease:
         with pytest.raises(ValueError):
             exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1="bogus")
 
+    def test_m_below_one_refused_before_any_draw(self):
+        d, c, p = Database([4, 4]), QueryClass([[1, 0]]), PrivacyParams(1.0)
+        for m in (0, -1):
+            for l1 in ("private", "public", 6.0):
+                rng = np.random.default_rng(3)
+                with pytest.raises(ValueError, match="m must be at least 1"):
+                    exponential_release_exact(d, c, p, m, rng, l1=l1)
+                assert rng.random() == np.random.default_rng(3).random()
+
 
 class TestMcmc:
     def setup_method(self):
