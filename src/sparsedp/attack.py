@@ -26,7 +26,7 @@ from . import config
 from .core import Database, DimensionMismatchError, LinearQuery, QueryClass
 from .core import evaluate  # noqa: F401  (only the benchmark's tracer wraps it; ROADMAP item 6)
 from .fsd import ShatteringWitness, fsd
-from .mechanisms import ReleaseOutput
+from .mechanisms import ReleaseOutput, _safe_exp
 
 __all__ = [
     "FamilySearchError",
@@ -76,7 +76,6 @@ class ShatteredFamily:
         witness: ShatteringWitness,
         j_star: int,
         bucket: tuple[int, ...],
-        thresholds: tuple[float, ...],
     ):
         if len(bucket) % 2 != 0 or len(bucket) < 2:
             raise ValueError("bucket must have even size >= 2")
@@ -91,7 +90,6 @@ class ShatteredFamily:
         self.witness = witness
         self.j_star = j_star
         self.bucket = bucket
-        self.thresholds = thresholds
         self.gamma = witness.gamma
         self._subsets = tuple(itertools.combinations(bucket, len(bucket) // 2))
         self._position = {tuple(sorted(t)): s for s, t in enumerate(self._subsets)}
@@ -155,21 +153,12 @@ def build_family(c: QueryClass, gamma: float, d_max: int) -> ShatteredFamily:
         raise FamilySearchError(
             f"largest threshold bucket has fewer than 2 usable indices at gamma={gamma}"
         )
-    position = {index: t for t, index in enumerate(witness.subset)}
-    thresholds = tuple(witness.thresholds[position[i]] for i in bucket)
-    return ShatteredFamily(c, witness, j_star, bucket, thresholds)
+    return ShatteredFamily(c, witness, j_star, bucket)
 
 
 # Trials per chunk: a chunk's draws and releases come first, then one
 # array pass reconstructs them all, so memory stays flat in the trial count.
 TRIAL_CHUNK = 256
-
-
-def _safe_exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _used_answers(output, family: ShatteredFamily) -> np.ndarray:

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, config
 from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
-from .fsd import SearchBudgetExceeded, choose_m, fsd
+from .fsd import SearchBudgetExceeded, _validate_eta, choose_m, fsd
 from .mechanisms import (
     ExactLawTable,
     ExponentRule,
@@ -260,7 +260,9 @@ def _dumps(obj) -> str:
     return text
 
 
-def _emit(args, payload: dict, tables: dict[str, list] | None = None) -> None:
+def _emit(args, payload: dict, tables: dict | None = None) -> None:
+    """Print the document; under ``--out`` also write it, and each CSV file
+    of ``tables`` (file name -> function returning its rows, called only then)."""
     text = _dumps(payload)
     print(text)
     if args.out is not None:
@@ -268,7 +270,7 @@ def _emit(args, payload: dict, tables: dict[str, list] | None = None) -> None:
         (args.out / f"{args.command}.json").write_text(text + "\n")
         for name, rows in (tables or {}).items():
             with (args.out / name).open("w", newline="") as fh:
-                csv.writer(fh).writerows(rows)
+                csv.writer(fh).writerows(rows())
 
 
 def _parse_l1(raw: str):
@@ -280,27 +282,18 @@ def _parse_l1(raw: str):
         raise _CliError(f"--l1 must be 'public', 'private', or a number, got {raw!r}")
 
 
-def _check_m(m: int | None) -> None:
-    if m is not None and m < 1:
-        raise _CliError("--m must be at least 1")
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise _CliError("--trials must be at least 1")
-
-
-def _check_steps(steps: int) -> None:
-    if steps < 1:
-        raise _CliError("--steps must be at least 1")
+def _check_at_least_one(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise _CliError(f"{flag} must be at least 1")
 
 
 def _derive_m(args, cls) -> int:
-    _check_m(args.m)
+    _check_at_least_one("--m", args.m)
     if args.m is not None:
         return args.m
     if args.eta is None or args.gamma is None:
         raise _CliError("either --m or both --eta and --gamma are required")
+    _validate_eta(args.eta)
     d_max = max(1, int(math.log2(cls.k)))
     result = fsd(cls, args.gamma, d_max)
     if not result.exact:
@@ -314,11 +307,11 @@ def _derive_m(args, cls) -> int:
 
 def _cmd_release(args) -> int:
     if args.sampler == "mcmc":
-        _check_steps(args.steps)
+        _check_at_least_one("--steps", args.steps)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
-    rule = ExponentRule.parse(args.exponent)
+    rule = ExponentRule(args.exponent)
     l1 = _parse_l1(args.l1)
     m = _derive_m(args, cls)
     rng = np.random.default_rng(args.seed)
@@ -326,7 +319,6 @@ def _cmd_release(args) -> int:
         out = exponential_release_exact(db, cls, p, m, rng, rule, l1=l1)
     else:
         out = exponential_release_mcmc(db, cls, p, m, args.steps, rng, rule, l1=l1)
-    true_answers = cls.matrix @ db.entries
     released = out.answers(cls)
     result = {
         "d_out": [float(x) for x in out.d_out.entries],
@@ -338,10 +330,9 @@ def _cmd_release(args) -> int:
         "approximate": out.approximate,
         "answers": [float(x) for x in released],
     }
-    rows = [["query_index", "true_answer", "released_answer", "abs_error"]]
-    rows += [
+    rows = lambda: [["query_index", "true_answer", "released_answer", "abs_error"]] + [
         [i, repr(float(t)), repr(float(r)), repr(abs(float(t) - float(r)))]
-        for i, (t, r) in enumerate(zip(true_answers, released))
+        for i, (t, r) in enumerate(zip(cls.matrix @ db.entries, released))
     ]
     _emit(args, _payload(args, result), {"per_query.csv": rows})
     return 0
@@ -355,13 +346,13 @@ def _cmd_fsd(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _check_trials(args.trials)
+    _check_at_least_one("--trials", args.trials)
     if args.mechanism == "mcmc":
-        _check_steps(args.steps)
+        _check_at_least_one("--steps", args.steps)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
-    rule = ExponentRule.parse(args.exponent)
-    _check_m(args.m)
+    rule = ExponentRule(args.exponent)
+    _check_at_least_one("--m", args.m)
     d_max = args.dmax if args.dmax is not None else max(2, int(math.log2(cls.k)))
     family = build_family(cls, args.gamma, d_max)
     m = args.m if args.m is not None else family.d // 2
@@ -390,17 +381,18 @@ def _cmd_attack(args) -> int:
         "bucket_number": family.j_star,
         "m": m,
     }
-    rows = [["trial", "epsilon_hat", "symdiff"]]
-    rows += [[i, repr(e), s] for i, (e, s) in enumerate(report.per_trial)]
+    rows = lambda: [["trial", "epsilon_hat", "symdiff"]] + [
+        [i, repr(e), s] for i, (e, s) in enumerate(report.per_trial)
+    ]
     _emit(args, _payload(args, result), {"per_trial.csv": rows})
     return 0
 
 
 def _cmd_verify_privacy(args) -> int:
-    _check_m(args.m)
+    _check_at_least_one("--m", args.m)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
-    rule = ExponentRule.parse(args.exponent)
+    rule = ExponentRule(args.exponent)
     rng = np.random.default_rng(args.seed) if args.probes else None
     if args.postprocess == "none":
         cert = privacy_ratio_certificate(
@@ -419,11 +411,11 @@ def _cmd_verify_privacy(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_m(args.m)
+    _check_at_least_one("--m", args.m)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
-    rule = ExponentRule.parse(args.exponent)
+    rule = ExponentRule(args.exponent)
     distribution = exact_output_distribution(db, cls, p, args.m, rule)
     result = {
         "distribution": _Columns(

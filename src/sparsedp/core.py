@@ -88,9 +88,6 @@ class Database:
     def n(self) -> int:
         return self.entries.size
 
-    def l1(self) -> float:
-        return float(self.entries.sum())
-
 
 @dataclass(frozen=True)
 class LinearQuery:
@@ -201,7 +198,7 @@ def evaluate(q: LinearQuery, d: Database) -> float:
 
 def l1_norm(d: Database) -> float:
     """Sum of entries."""
-    return d.l1()
+    return float(d.entries.sum())
 
 
 def max_error(c: QueryClass, d: Database, a: Database) -> float:

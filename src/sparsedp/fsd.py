@@ -59,6 +59,13 @@ def _validate_gamma(gamma: float) -> float:
     return gamma
 
 
+def _validate_eta(eta: float) -> float:
+    eta = float(eta)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    return eta
+
+
 @dataclass(frozen=True)
 class ShatteringWitness:
     """Self-contained certificate that ``subset`` is gamma-shattered.
@@ -203,12 +210,6 @@ def _search_thresholds(basis: np.ndarray, gamma: float, budget: _NodeBudget):
     return recurse(0, np.ones((1, k), dtype=bool))
 
 
-def _find_witness(c: QueryClass, subset: tuple[int, ...], gamma: float, budget: _NodeBudget):
-    """Witness for ``subset`` from the lex-first threshold vector, or None."""
-    found = _search_thresholds(c.matrix[:, subset], gamma, budget)
-    return None if found is None else _witness(c, subset, gamma, found[1])
-
-
 def _witness(c: QueryClass, subset: tuple[int, ...], gamma: float, rows) -> ShatteringWitness:
     """The witness in which each pattern takes its row from ``rows``, the
     first realizing rows of the lex-first threshold vector (see the module
@@ -248,7 +249,8 @@ def is_gamma_shattered(
     for i in subset:
         if not 0 <= i < c.n:
             raise IndexError(f"subset index {i} out of range for n={c.n}")
-    return _find_witness(c, subset, gamma, _NodeBudget(config.node_budget(budget)))
+    found = _search_thresholds(c.matrix[:, subset], gamma, _NodeBudget(config.node_budget(budget)))
+    return None if found is None else _witness(c, subset, gamma, found[1])
 
 
 @dataclass(frozen=True)
@@ -315,9 +317,7 @@ def choose_m(eta: float, d: int) -> int:
     The ln 2 term is the failure-probability contribution at delta = 1/2, the
     value under which a good surrogate exists by the averaging argument.
     """
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    eta = _validate_eta(eta)
     if d < 0:
         raise ValueError("d must be nonnegative")
     log_term = math.log(1.0 / eta)

@@ -53,7 +53,6 @@ __all__ = [
     "score_sensitivity",
     "exponent_divisor",
     "exponential_law",
-    "exponential_probabilities",
     "exponential_release_exact",
     "ExactLawTable",
     "exponential_release_mcmc",
@@ -69,13 +68,6 @@ __all__ = [
 class ExponentRule(enum.Enum):
     PAPER_QUARTER = "paper"
     TIGHT_SENSITIVITY = "tight"
-
-    @classmethod
-    def parse(cls, name: str) -> "ExponentRule":
-        for rule in cls:
-            if rule.value == name or rule.name == name:
-                return rule
-        raise ValueError(f"unknown exponent rule {name!r}; expected 'paper' or 'tight'")
 
 
 @dataclass(frozen=True)
@@ -281,13 +273,12 @@ def exponent_divisor(rule: ExponentRule, m: int) -> float:
     return 2.0 * score_sensitivity(m)
 
 
-def _softmax_in_place(weights: np.ndarray) -> np.ndarray:
-    """exp-and-normalize ``weights`` along the last axis in log space (each
-    row's max subtracted first), in place."""
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    return weights
+def _safe_exp(x: float) -> float:
+    """``math.exp``, reading inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def exponential_law(
@@ -295,21 +286,27 @@ def exponential_law(
 ) -> np.ndarray:
     """The one map from scores to the exponential-weight law: the softmax of
     ``scores * alpha / exponent_divisor(exponent_rule, m)`` along the last
-    axis."""
-    logits = np.multiply(scores, alpha, dtype=np.float64)
+    axis, in log space (each row's largest logit subtracted first).  A logit
+    that overflows to -inf is a zero weight; a row whose largest one does
+    has no law, and is refused."""
+    with np.errstate(over="ignore"):
+        logits = np.multiply(scores, alpha, dtype=np.float64)
     logits /= exponent_divisor(exponent_rule, m)
-    return _softmax_in_place(logits)
+    top = logits.max(axis=-1, keepdims=True)
+    if (top == -np.inf).any():
+        raise ValueError(f"alpha={alpha} overflows every exponential weight of a database")
+    logits -= top
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
-def exponential_probabilities(
-    c: QueryClass, counts: np.ndarray, true_answers, l1_estimates, m: int, alpha: float,
-    exponent_rule: ExponentRule,
-) -> np.ndarray:
-    """The exponential-weight law of B databases (true answers B x k, L1
-    estimates B): the (B, rows) ``exponential_law`` of their ``score_rows``.
-    The exact sampler draws from it; the oracle prints and certifies it."""
-    scores = score_rows(c, counts, true_answers, l1_estimates, m)
-    return exponential_law(scores, m, alpha, exponent_rule)
+def _exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule):
+    """The exact law of one database over ``counts``: its ``score_rows`` at
+    ``l1_estimate`` and their ``exponential_law`` at ``alpha``, as (scores,
+    law).  The exact sampler draws from the law and the oracle prints it."""
+    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m)
+    return scores[0], exponential_law(scores, m, alpha, exponent_rule)[0]
 
 
 def _resolve_l1(
@@ -366,8 +363,8 @@ def exponential_release_exact(
     l1="public",
     laws: "ExactLawTable | None" = None,
 ) -> ReleaseOutput:
-    """Draw one uniform against the cumulative ``exponential_probabilities``
-    of the whole domain at the alpha left for the weights (0.9 alpha under
+    """Draw one uniform against the cumulative ``_exact_law`` of the whole
+    domain at the alpha left for the weights (0.9 alpha under
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
     enumeration budget and names the MCMC fallback.  The reported score is
@@ -385,18 +382,9 @@ def exponential_release_exact(
         raise ValueError("m must be at least 1")
     counts = composition_matrix(d.n, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
-    cumulative = _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)
+    cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
     idx = _draw(cumulative, rng.random())
     return _release(d, c, counts[idx], m, exponent_rule, l1_estimate)
-
-
-def _cumulative_law(d, c, counts, l1_estimate, m, alpha, exponent_rule) -> np.ndarray:
-    """The cumulative exact law of one database: the running sum of its
-    batch-of-one ``exponential_probabilities`` row."""
-    probs = exponential_probabilities(
-        c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m, alpha, exponent_rule
-    )[0]
-    return np.cumsum(probs)
 
 
 def _draw(cumulative: np.ndarray, u: float) -> int:
@@ -414,7 +402,7 @@ class ExactLawTable:
     L1 norm.
 
     A database's law is computed on its first release, by the per-call
-    sampler's own batch-of-one call, and the ``ReleaseOutput`` of a
+    sampler's own ``_exact_law``, and the ``ReleaseOutput`` of a
     (database, row) pair on its first draw; later releases only draw one
     uniform.  A release is therefore the one the per-call sampler makes
     from the same generator, which it leaves in the same state.  A database
@@ -463,7 +451,8 @@ class ExactLawTable:
         counts = self._counts
         cumulative = self._cumulative[s]
         if cumulative is None:
-            cumulative = _cumulative_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)
+            law = _exact_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)[1]
+            cumulative = np.cumsum(law)
             if (self._kept + 1) * len(counts) <= config.domain_budget():
                 self._cumulative[s] = cumulative
                 self._kept += 1

@@ -9,25 +9,22 @@ post-processing map, and the best achievable surrogate for a given database.
 These are the ground truth that the sampling mechanisms are tested against.
 They enumerate the domain with the exact sampler's enumerator
 (``domain_blocks``) and weigh it with the law the exact sampler draws from
-(``exponential_probabilities``, over the ``score_rows`` kernel), so what they
-print and certify is what the sampler runs.  Their independence rests on the
+(``exponential_law`` over the ``score_rows`` kernel), so what they print and
+certify is what the sampler runs.  Their independence rests on the
 tests, which hold that kernel to the per-candidate ``quality_score``, the
 best surrogate to ``max_error`` and the certificates, which score a whole
 grid in one batched pass, to a per-point reference.
 """
 
 import itertools
-import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Database, QueryClass, SparseSyntheticDatabase, _check_dims, l1_norm
 from .mechanisms import (
-    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1,
-    composition_matrix, domain_blocks, exponential_law, exponential_probabilities, score_rows,
+    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1, _exact_law, _safe_exp,
+    composition_matrix, domain_blocks, exponential_law, score_rows,
 )
 
 __all__ = [
@@ -43,11 +40,10 @@ __all__ = [
 RATIO_SLACK = 1e-9
 
 
-class OutputDistribution(Sequence):
-    """A read-only sequence of ``(SparseSyntheticDatabase, probability)``
-    pairs over a (rows, n) count matrix, its probability vector and the
-    ``score_rows`` vector the probabilities came from, all three read-only.
-    A pair is built only when it is accessed."""
+class OutputDistribution:
+    """A (rows, n) count matrix, its probability vector and the
+    ``score_rows`` vector the probabilities came from, all three read-only;
+    its length is the number of rows."""
 
     __slots__ = ("counts", "probabilities", "scores")
 
@@ -61,14 +57,6 @@ class OutputDistribution(Sequence):
     def __len__(self) -> int:
         return len(self.probabilities)
 
-    def __getitem__(self, index) -> tuple[SparseSyntheticDatabase, float]:
-        index = operator.index(index)
-        return SparseSyntheticDatabase(self.counts[index]), float(self.probabilities[index])
-
-    def __iter__(self):
-        for row, prob in zip(self.counts, self.probabilities.tolist()):
-            yield SparseSyntheticDatabase(row), prob
-
 
 def exact_output_distribution(
     d: Database,
@@ -80,17 +68,15 @@ def exact_output_distribution(
     l1_estimate: float | None = None,
 ) -> OutputDistribution:
     """Closed-form output distribution of the exact release mechanism at
-    ``p.alpha``, in the domain's enumeration order: the
-    ``exponential_probabilities`` that ``exponential_release_exact`` draws
-    from.  ``l1_estimate=None`` means the public true norm; at that norm
-    ``best_surrogate`` over the scores it keeps is ``best_sparse_db``'s
-    answer."""
+    ``p.alpha``, in the domain's enumeration order: the ``_exact_law`` that
+    ``exponential_release_exact`` draws from.  ``l1_estimate=None`` means the
+    public true norm; at that norm ``best_surrogate`` over the scores it
+    keeps is ``best_sparse_db``'s answer."""
     _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
     l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
     counts = composition_matrix(d.n, m)
-    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1], m)
-    probs = exponential_law(scores, m, p.alpha, exponent_rule)
-    return OutputDistribution(counts, probs[0], scores[0])
+    scores, probs = _exact_law(d, c, counts, l1, m, p.alpha, exponent_rule)
+    return OutputDistribution(counts, probs, scores)
 
 
 @dataclass(frozen=True)
@@ -176,7 +162,7 @@ def _certificate(
     # Each point's true answers, bit for bit the matvec a Database gets.
     true_answers = (c.matrix @ points[:, :, None])[:, :, 0]
     l1s = points.sum(axis=1)
-    dist = exponential_probabilities(c, counts, true_answers, l1s, m, p.alpha, exponent_rule)
+    dist = exponential_law(score_rows(c, counts, true_answers, l1s, m), m, p.alpha, exponent_rule)
     if outcome_map is None:
         labels = None
     else:
@@ -199,7 +185,7 @@ def _certificate(
     max_ratio = float(ratios[pair, order, label])
     witness = pairs[pair] if order == 0 else pairs[pair, ::-1]
 
-    bound = math.exp(p.alpha)
+    bound = _safe_exp(p.alpha)
     return CertificateResult(
         max_ratio=max_ratio,
         bound=bound,

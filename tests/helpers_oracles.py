@@ -384,7 +384,7 @@ def vc_dimension(c: QueryClass) -> int:
 
 def softmax(logits) -> np.ndarray:
     """exp(logits - max) / its sum, the textbook way, kept apart from the
-    library's in-place softmax."""
+    library's ``exponential_law``."""
     logits = np.asarray(logits, dtype=np.float64)
     weights = np.exp(logits - logits.max())
     return weights / weights.sum()
@@ -393,6 +393,11 @@ def softmax(logits) -> np.ndarray:
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(key, 0.0) - q.get(key, 0.0)) for key in keys)
+
+
+def law_by_row(dist) -> dict:
+    """An ``OutputDistribution`` as {count tuple: probability}."""
+    return dict(zip(map(tuple, dist.counts.tolist()), dist.probabilities.tolist()))
 
 
 def real_probe_pairs(rng, n: int, entry_cap: int, count: int) -> list:
@@ -614,7 +619,7 @@ def oracle_stdout_by_dicts(
     ``json.dumps``; the CLI encodes the columns directly and takes the best
     surrogate from the distribution's scores."""
     d, c = load_database(db_path), load_query_class(class_path)
-    dist = exact_output_distribution(d, c, PrivacyParams(alpha), m, ExponentRule.parse(exponent))
+    dist = exact_output_distribution(d, c, PrivacyParams(alpha), m, ExponentRule(exponent))
     result = {
         "distribution": [
             {"counts": counts, "probability": prob}

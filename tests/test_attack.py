@@ -256,8 +256,8 @@ class TestAttackExperiment:
             d_t = self.family.database_for(t)
             dist = exact_output_distribution(d_t, BOOL4, self.p, 2)
             hit = {}
-            for element, prob in dist:
-                star = reconstruct(Database(element.counts.astype(float)), self.family)
+            for row, prob in zip(dist.counts, dist.probabilities.tolist()):
+                star = reconstruct(Database(row.astype(float)), self.family)
                 for x in self.family.bucket:
                     hit[x] = hit.get(x, 0.0) + prob * (x in star)
             table[t] = hit

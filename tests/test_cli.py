@@ -1,5 +1,7 @@
+import builtins
 import importlib
 import importlib.util
+import inspect
 import itertools
 import json
 import math
@@ -107,6 +109,17 @@ class TestVerifyPrivacyCommand:
         assert (code, out) == (1, "")
         assert "--m must be at least 1" in err
 
+    @pytest.mark.parametrize("alpha, bound", [("709", math.exp(709)), ("710", math.inf)])
+    def test_alpha_past_the_exp_range_prints_an_infinite_bound(self, files, capsys, alpha, bound):
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+             "--alpha", alpha, "--m", "2"],
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["bound"] == bound
+
 
 class TestReleaseCommand:
     def test_explicit_m(self, files, capsys, tmp_path):
@@ -193,6 +206,21 @@ class TestReleaseCommand:
         )
         assert (code, err) == (0, "")
         assert json.loads(out)["result"]["m"] == choose_m(0.25, 6)
+
+    @pytest.mark.parametrize("eta", ["2", "0", "-1", "nan"])
+    def test_bad_eta_exits_1_before_the_search(self, files, capsys, monkeypatch, eta):
+        # A bad --eta is refused before the shattering search runs, so it
+        # costs no search and is never reported as a budget refusal.
+        _, db, cls = files
+        searches = []
+        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--eta", eta, "--gamma", "0.5"],
+        )
+        assert (code, out, searches) == (1, "", [])
+        assert "eta must lie in (0, 1]" in err
 
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
@@ -612,6 +640,22 @@ class TestContracts:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("command", ["release", "oracle", "verify-privacy"])
+    def test_a_law_whose_every_logit_overflows_exits_1(self, capsys, tmp_path, command):
+        # At alpha 1e308 every logit of [10, 3, 7]'s law at m = 4 overflows,
+        # and of some grid points at entry cap 6: refused, not a NaN law.
+        db, cls = _oracle_files(tmp_path, [10, 3, 7], [[1, 0, 0], [0, 1, 0], [0.5, 0.5, 1]])
+        argv = {
+            "release": ["release", "--db", str(db)],
+            "oracle": ["oracle", "--db", str(db)],
+            "verify-privacy": ["verify-privacy", "--n", "3", "--entry-cap", "6"],
+        }[command]
+        code, out, err = run_capture(
+            capsys, argv + ["--class", str(cls), "--alpha", "1e308", "--m", "4"]
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: alpha=1e+308 overflows every exponential weight of a database\n"
+
     def test_invalid_gamma_exits_1(self, files, capsys):
         _, _, cls = files
         code, _, _ = run_capture(
@@ -656,6 +700,28 @@ class TestOutputFormat:
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
         assert (out_dir / f"{command}.json").read_text() == out
 
+    @pytest.mark.parametrize("command, table, rows", [
+        ("release", "per_query.csv", 4), ("attack", "per_trial.csv", 5),
+    ])
+    def test_csv_tables_are_built_only_under_out(
+        self, files, capsys, monkeypatch, tmp_path, command, table, rows
+    ):
+        # The CSV cells' text comes from repr (three per query, one per
+        # trial); only --out writes the tables, so only --out builds them.
+        _, db, cls = files
+        reprs = []
+        monkeypatch.setattr(
+            cli, "repr", lambda value: reprs.append(value) or builtins.repr(value), raising=False
+        )
+        argv = subcommand_argvs(db, cls)[command]
+        code, out, _ = run_capture(capsys, argv)
+        assert (code, reprs) == (0, [])
+        out_dir = tmp_path / "art"
+        code, written, _ = run_capture(capsys, argv + ["--out", str(out_dir)])
+        assert (code, json.loads(written)["result"]) == (0, json.loads(out)["result"])
+        assert len((out_dir / table).read_text().splitlines()) == 1 + rows
+        assert len(reprs) == {"release": 3, "attack": 1}[command] * rows
+
 
 class TestParserReuse:
     def test_one_parser_per_process(self):
@@ -677,17 +743,54 @@ class TestParserReuse:
             assert got == run_fresh_process(argv, tmp_path)
 
 
+def bench_tracing():
+    """The benchmark's ``bench/tracing.py``, loaded from this checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 class TestBenchmarkTracerSites:
     def test_every_traced_name_resolves(self):
         # The benchmark's tracer wraps these module attributes by name, and
         # its own tests run outside this suite: a name removed here would
         # first show as a failing traced benchmark run.
-        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("bench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = bench_tracing()
         missing = [
             (module, attr) for module, attr, *_ in tracing.SITES
             if not hasattr(importlib.import_module(module), attr)
         ]
         assert len(tracing.SITES) > 0 and missing == []
+
+    def test_every_reading_of_a_traced_call_gives_numbers(self):
+        # The tracer also reads each traced call's result, and for some its
+        # bound arguments by name: each reading, on a small real call to its
+        # site, must give numbers.
+        tracing = bench_tracing()
+        sites = {
+            attr: getattr(importlib.import_module(module), attr) for module, attr, *_ in tracing.SITES
+        }
+        c, d, p = boolean_indicator_class(2), Database([2.0, 1.0]), PrivacyParams(1.0)
+        rng = np.random.default_rng(0)
+        calls = {
+            "fsd": (c, 0.5, 2),
+            "exponential_release_exact": (d, c, p, 2, rng),
+            "exponential_release_mcmc": (d, c, p, 2, 10, rng),
+            "composition_matrix": (2, 2),
+            "exact_output_distribution": (d, c, p, 2),
+            "best_sparse_db": (d, c, 2),
+            "privacy_ratio_certificate": (2, 1, c, p, 2),
+            "postprocessing_certificate": (lambda dp: 0, 2, 1, c, p, 2),
+            "attack_experiment": (lambda db, rng: db, sparsedp.build_family(c, 0.5, 2), 3, rng),
+        }
+        assert set(calls) == set(tracing._INFO)
+        for name, (needs_args, info) in tracing._INFO.items():
+            fn = sites[name]
+            result = fn(*calls[name])
+            bound = inspect.signature(fn).bind(*calls[name]).arguments if needs_args else None
+            readings = info(bound, result)
+            assert readings, name
+            for value in readings.values():
+                assert isinstance(value, (int, float, np.integer, np.floating)), (name, value)

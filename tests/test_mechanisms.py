@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers_oracles import (
     boolean_indicator_class,
     columnwise_scores,
     grown_domain_blocks,
+    law_by_row,
     random_query_class,
     reference_walk,
     total_variation,
@@ -27,6 +29,7 @@ from sparsedp import (
     exact_output_distribution,
     exponential_release_exact,
     exponential_release_mcmc,
+    l1_norm,
     laplace_noise,
     laplace_release,
     max_error,
@@ -44,7 +47,6 @@ from sparsedp.mechanisms import (
     domain_blocks,
     exponent_divisor,
     exponential_law,
-    exponential_probabilities,
     mcmc_state_counts,
     score_rows,
 )
@@ -60,11 +62,11 @@ class TestPrivacyParams:
             PrivacyParams(alpha=math.inf)
 
     def test_rule_parsing(self):
-        assert ExponentRule.parse("paper") is ExponentRule.PAPER_QUARTER
-        assert ExponentRule.parse("tight") is ExponentRule.TIGHT_SENSITIVITY
-        assert ExponentRule.parse("PAPER_QUARTER") is ExponentRule.PAPER_QUARTER
-        with pytest.raises(ValueError):
-            ExponentRule.parse("loose")
+        assert ExponentRule("paper") is ExponentRule.PAPER_QUARTER
+        assert ExponentRule("tight") is ExponentRule.TIGHT_SENSITIVITY
+        for name in ("PAPER_QUARTER", "loose"):
+            with pytest.raises(ValueError):
+                ExponentRule(name)
 
 
 class TestSparseDomain:
@@ -212,7 +214,7 @@ class TestQualityScore:
 
 
 class TestScoringMemory:
-    def test_exponential_probabilities_peak(self):
+    def test_exact_law_peak(self):
         # The law of one database over 20,475 rows at k = 64: past the
         # scores and the law (164 KB each), nothing grows with the rows.
         rng = np.random.default_rng(47)
@@ -221,9 +223,7 @@ class TestScoringMemory:
         counts = composition_matrix(5, 24)
         tracemalloc.start()
         try:
-            exponential_probabilities(
-                c, counts, (c.matrix @ d.entries)[None], [d.l1()], 24, 1.0, ExponentRule.PAPER_QUARTER
-            )
+            mechanisms._exact_law(d, c, counts, l1_norm(d), 24, 1.0, ExponentRule.PAPER_QUARTER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -293,6 +293,44 @@ class TestSoftmax:
         assert np.isfinite(probs).all()
 
 
+class TestLawOverflow:
+    """Logits ``score * alpha / divisor`` past the float range: one that
+    overflows to -inf is a zero weight, and a law all of whose logits do is
+    refused, not returned as NaN."""
+
+    # The best row of [10, 3, 7] at m = 4, [2, 1, 1], scores -2: at alpha
+    # 1e308 every logit overflows.  [2, 1, 1] itself is matched exactly.
+    c = QueryClass([[1, 0, 0], [0, 1, 0], [0.5, 0.5, 1]])
+    p = PrivacyParams(1e308)
+
+    def test_partial_overflow_is_a_zero_weight(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            law = exponential_law(
+                np.array([[0.0, -4e-308, -2.0]]), 1, 1e308, ExponentRule.PAPER_QUARTER
+            )
+        expected = np.array([1.0, math.exp(-1.0), 0.0]) / (1.0 + math.exp(-1.0))
+        np.testing.assert_allclose(law[0], expected, rtol=1e-12, atol=0)
+
+    def test_partial_overflow_releases_the_exact_match(self):
+        d = Database([2, 1, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dist = exact_output_distribution(d, self.c, self.p, 4)
+            out = exponential_release_exact(d, self.c, self.p, 4, np.random.default_rng(0))
+        assert law_by_row(dist) == {
+            row: float(row == (2, 1, 1)) for row in map(tuple, dist.counts.tolist())
+        }
+        assert (out.d_prime.as_tuple(), out.score) == ((2, 1, 1), 0.0)
+
+    def test_every_logit_overflowing_is_refused(self):
+        d, rule = Database([10, 3, 7]), ExponentRule.PAPER_QUARTER
+        table = mechanisms.ExactLawTable([d], self.c, self.p, 4, rule)
+        for laws in (None, table):
+            with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
+                exponential_release_exact(d, self.c, self.p, 4, np.random.default_rng(0), laws=laws)
+
+
 class FixedUniform:
     """A generator stand-in whose every uniform is ``u``."""
 
@@ -352,9 +390,7 @@ class TestExactLawTable:
                     want = exponential_release_exact(d, c, p, m, b_rng, rule)
                     assert_same_release(got, want)
                     assert a_rng.random() == b_rng.random()
-                law = mechanisms.exponential_probabilities(
-                    c, counts, (c.matrix @ d.entries)[None], [d.l1()], m, p.alpha, rule
-                )[0]
+                law = mechanisms._exact_law(d, c, counts, l1_norm(d), m, p.alpha, rule)[1]
                 cumulative = np.cumsum(law)
                 for row in rng.choice(len(cumulative), size=min(6, len(cumulative)), replace=False):
                     for u in (cumulative[row], np.nextafter(cumulative[row], 0.0)):
@@ -377,13 +413,11 @@ class TestExactLawTable:
         for databases, c, p, m, rule in law_table_configs(18, 60):
             counts = composition_matrix(c.n, m)
             answers = np.array([c.matrix @ d.entries for d in databases])
-            l1s = [d.l1() for d in databases]
-            batched = mechanisms.exponential_probabilities(c, counts, answers, l1s, m, p.alpha, rule)
+            l1s = [l1_norm(d) for d in databases]
+            batched = exponential_law(score_rows(c, counts, answers, l1s, m), m, p.alpha, rule)
             cumulative = np.cumsum(batched, axis=1)
-            for s, (single_answers, l1) in enumerate(zip(answers, l1s)):
-                single = mechanisms.exponential_probabilities(
-                    c, counts, single_answers[None], [l1], m, p.alpha, rule
-                )[0]
+            for s, d in enumerate(databases):
+                single = mechanisms._exact_law(d, c, counts, l1s[s], m, p.alpha, rule)[1]
                 assert batched[s].tobytes() == single.tobytes()
                 assert cumulative[s].tobytes() == np.cumsum(single).tobytes()
 
@@ -467,17 +501,17 @@ class TestExactLawTable:
         c, p = QueryClass([[1, 0, 0], [0, 1, 1]]), PrivacyParams(2.0)
         databases = [Database([1, 0, 0]), Database([0, 1, 0]), Database([0, 0, 1])]
         calls = []
-        original = mechanisms.exponential_probabilities
+        original = mechanisms._exact_law
         monkeypatch.setattr(
-            mechanisms, "exponential_probabilities",
-            lambda *a: calls.append(a[2].shape[0]) or original(*a),
+            mechanisms, "_exact_law",
+            lambda d, *a: calls.append(d.entries.tolist()) or original(d, *a),
         )
         table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER)
         assert calls == []
         rng = np.random.default_rng(5)
         for d in [databases[1], databases[1], databases[0], databases[1]]:
             exponential_release_exact(d, c, p, 3, rng, laws=table)
-        assert calls == [1, 1]
+        assert calls == [[0, 1, 0], [1, 0, 0]]
 
 
 class TestPreparedDomain:
@@ -541,7 +575,7 @@ class TestExactRelease:
         d = Database([2, 0])
         c = QueryClass([[1, 0]])
         dist = exact_output_distribution(d, c, PrivacyParams(alpha=1e-12), 2)
-        probs = {e.as_tuple(): pr for e, pr in dist}
+        probs = law_by_row(dist)
         uniform = {key: 1.0 / 3.0 for key in probs}
         assert total_variation(probs, uniform) < 1e-6
 
@@ -566,8 +600,8 @@ class TestExactRelease:
         p = PrivacyParams(alpha=2.0)
         dist = exact_output_distribution(d, c, p, 1)
         expected = 1.0 / (1.0 + math.exp(-0.5))
-        assert dist[0][0].as_tuple() == (1, 0)
-        assert dist[0][1] == pytest.approx(expected, abs=1e-12)
+        assert dist.counts[0].tolist() == [1, 0]
+        assert dist.probabilities[0] == pytest.approx(expected, abs=1e-12)
         rng = np.random.default_rng(101)
         draws = sum(
             exponential_release_exact(d, c, p, 1, rng).d_prime.as_tuple() == (1, 0)
@@ -683,10 +717,11 @@ class TestMcmc:
         # from [2,0] the move 0->1 yields [1,1]; the reverse move 1->0 exists
         # and detailed balance holds exactly for the acceptance rule
         dist = exact_output_distribution(self.d, self.c, self.p, 2)
-        weights = {e.as_tuple(): pr for e, pr in dist}
+        weights = law_by_row(dist)
         scale = self.p.alpha / exponent_divisor(ExponentRule.PAPER_QUARTER, 2)
         scores = {}
-        for e, _ in dist:
+        for row in dist.counts:
+            e = SparseSyntheticDatabase(row)
             scores[e.as_tuple()] = quality_score(self.d, e, self.c, 2.0)
         states = list(weights)
         for x, y in itertools.permutations(states, 2):
@@ -724,7 +759,7 @@ class TestMcmc:
         counts = mcmc_state_counts(self.d, self.c, self.p, 2, 2_000, 20_000, np.random.default_rng(9))
         total = sum(counts.values())
         empirical = {k: v / total for k, v in counts.items()}
-        exact = {e.as_tuple(): pr for e, pr in exact_output_distribution(self.d, self.c, self.p, 2)}
+        exact = law_by_row(exact_output_distribution(self.d, self.c, self.p, 2))
         assert total_variation(empirical, exact) < 0.03
 
 
@@ -874,7 +909,7 @@ class TestChainAgainstAllocatingLoop:
             c = QueryClass(np.vstack([flat, 0.1 * rng.uniform(0.0, 1.0, size=(3, n))]))
             d = Database(rng.uniform(0.0, 20.0, size=n))
             rule = list(ExponentRule)[trial % 2]
-            self.check(d, c, PrivacyParams(1e15), 9, 600, rule, 0.5 * d.l1(), trial, 100)
+            self.check(d, c, PrivacyParams(1e15), 9, 600, rule, 0.5 * l1_norm(d), trial, 100)
 
 
 class TestLaplace:
@@ -995,6 +1030,6 @@ class TestUtility:
         failures = 0
         for trial in range(100):
             out = exponential_release_exact(d, c, p, m, np.random.default_rng((57, trial)))
-            if max_error(c, d, out.d_out) > 2 * eta * d.l1():
+            if max_error(c, d, out.d_out) > 2 * eta * l1_norm(d):
                 failures += 1
         assert failures / 100 <= delta

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers_oracles import per_point_certificate, real_probe_pairs, total_variation
+from helpers_oracles import law_by_row, per_point_certificate, real_probe_pairs, total_variation
 from sparsedp import oracle
 from sparsedp import (
     Database,
@@ -32,13 +32,13 @@ class TestExactDistribution:
         dist = exact_output_distribution(
             Database([2, 1]), CANONICAL_N2, PrivacyParams(alpha=1e-12), 2
         )
-        for _, prob in dist:
+        for prob in dist.probabilities.tolist():
             assert prob == pytest.approx(1.0 / 3.0, abs=1e-9)
 
     def test_pinned_two_point_softmax(self):
         # scores 0 and -1 at alpha=4 under the quarter rule: logits 0, -1
         dist = exact_output_distribution(Database([1, 0]), QueryClass([[1, 0]]), PrivacyParams(4.0), 1)
-        probs = {e.as_tuple(): p for e, p in dist}
+        probs = law_by_row(dist)
         assert probs[(1, 0)] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), abs=1e-12)
         assert probs[(1, 0)] == pytest.approx(0.7310585786300049, abs=1e-12)
 
@@ -49,13 +49,13 @@ class TestExactDistribution:
             c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 5)), n)))
             d = Database(rng.uniform(0, 4, size=n))
             dist = exact_output_distribution(d, c, PrivacyParams(float(rng.uniform(0.1, 4))), int(rng.integers(1, 4)))
-            assert abs(sum(p for _, p in dist) - 1.0) < 1e-12
+            assert abs(sum(dist.probabilities.tolist()) - 1.0) < 1e-12
 
     def test_sampler_histogram_matches(self):
         d = Database([1, 1])
         p = PrivacyParams(1.0)
         rng = np.random.default_rng(11)
-        dist = {e.as_tuple(): pr for e, pr in exact_output_distribution(d, CANONICAL_N2, p, 2)}
+        dist = law_by_row(exact_output_distribution(d, CANONICAL_N2, p, 2))
         counts: dict = {}
         draws = 20_000
         for _ in range(draws):
@@ -68,7 +68,7 @@ class TestExactDistribution:
         d = Database([1, 2])
         a = exact_output_distribution(d, CANONICAL_N2, PrivacyParams(1.0), 2)
         b = exact_output_distribution(d, CANONICAL_N2, PrivacyParams(1.0), 2)
-        for (_, pa), (_, pb) in zip(a, b):
+        for pa, pb in zip(a.probabilities.tolist(), b.probabilities.tolist()):
             assert pa / pb == 1.0
 
     def test_array_backed_sequence(self):
@@ -77,34 +77,22 @@ class TestExactDistribution:
         d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
         dist = exact_output_distribution(d, CANONICAL_N3, p, 3)
         counts = composition_matrix(3, 3)
-        expected = [(row, float(prob)) for row, prob in zip(counts, dist.probabilities)]
-        assert len(dist) == len(expected) == len(counts)
+        assert len(dist) == len(counts) == len(dist.probabilities) == len(dist.scores)
         assert np.array_equal(dist.counts, counts)
-        pairs = [(e.counts, pr) for e, pr in dist]
-        for index in (*range(len(expected)), -1, -len(expected)):
-            element, prob = dist[index]
-            assert isinstance(element, SparseSyntheticDatabase) and type(prob) is float
-            assert np.array_equal(element.counts, expected[index][0])
-            assert prob == expected[index][1]
-            assert np.array_equal(pairs[index][0], expected[index][0]) and pairs[index][1] == prob
-        with pytest.raises(IndexError):
-            dist[len(expected)]
-        with pytest.raises(TypeError):
-            dist[1:3]
         for array in (dist.counts, dist.probabilities, dist.scores):
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_keeps_the_scores_its_law_came_from(self):
-        from sparsedp.mechanisms import exponential_probabilities, score_rows
+        from sparsedp.mechanisms import exponential_law, score_rows
 
         d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
         for rule in ExponentRule:
             dist = exact_output_distribution(d, CANONICAL_N3, p, 4, rule)
             answers, l1s = [CANONICAL_N3.matrix @ d.entries], [4.0]
-            scores = score_rows(CANONICAL_N3, dist.counts, answers, l1s, 4)[0]
-            law = exponential_probabilities(CANONICAL_N3, dist.counts, answers, l1s, 4, p.alpha, rule)
-            assert dist.scores.tobytes() == scores.tobytes()
+            scores = score_rows(CANONICAL_N3, dist.counts, answers, l1s, 4)
+            law = exponential_law(scores, 4, p.alpha, rule)
+            assert dist.scores.tobytes() == scores[0].tobytes()
             assert dist.probabilities.tobytes() == law[0].tobytes()
 
     def test_caller_supplied_l1_matches_per_element_scores(self):
@@ -115,9 +103,11 @@ class TestExactDistribution:
         p = PrivacyParams(1.3)
         l1 = 6.25
         dist = exact_output_distribution(d, CANONICAL_N3, p, 2, l1_estimate=l1)
-        scores = np.array([quality_score(d, e, CANONICAL_N3, l1) for e, _ in dist])
+        scores = np.array([
+            quality_score(d, SparseSyntheticDatabase(row), CANONICAL_N3, l1) for row in dist.counts
+        ])
         expected = exponential_law(scores, 2, p.alpha, ExponentRule.PAPER_QUARTER)
-        assert np.abs(np.array([pr for _, pr in dist]) - expected).max() < 1e-12
+        assert np.abs(dist.probabilities - expected).max() < 1e-12
 
 
 class TestPrivacyCertificate:
@@ -184,6 +174,22 @@ class TestPrivacyCertificate:
         cert = privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(1.0), 2)
         assert math.isnan(cert.max_ratio)
         assert not cert.passed
+
+    def test_alpha_past_the_exp_range_reads_an_infinite_bound(self):
+        # e^alpha overflows a float from about alpha 709.8.
+        for alpha, bound in ((709.0, math.exp(709.0)), (710.0, math.inf)):
+            cert = privacy_ratio_certificate(2, 1, CANONICAL_N2, PrivacyParams(alpha), 2)
+            assert (cert.bound, cert.passed) == (bound, True)
+
+    def test_a_law_whose_every_logit_overflows_is_refused(self):
+        # At alpha 1e308 every logit of a law overflows once its best score
+        # is -1.8 or less: -2 at [10, 3, 7] and at m = 4, and first on the
+        # grid at entry cap 6.
+        c, p = QueryClass([[1, 0, 0], [0, 1, 0], [0.5, 0.5, 1]]), PrivacyParams(1e308)
+        with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
+            privacy_ratio_certificate(3, 6, c, p, 4)
+        with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
+            exact_output_distribution(Database([10, 3, 7]), c, p, 4)
 
     def test_negative_probe_count_refused(self):
         with pytest.raises(ValueError, match="real_probes must be nonnegative"):
@@ -261,13 +267,13 @@ class TestAgainstPerPointCertificate:
         # The certificate computes every point's answers in one stacked
         # matmul; each must be, bit for bit, the matvec its Database gets.
         seen = []
-        law = oracle.exponential_probabilities
+        score_rows = oracle.score_rows
 
         def spy(c, counts, true_answers, *rest):
             seen.append(true_answers)
-            return law(c, counts, true_answers, *rest)
+            return score_rows(c, counts, true_answers, *rest)
 
-        monkeypatch.setattr(oracle, "exponential_probabilities", spy)
+        monkeypatch.setattr(oracle, "score_rows", spy)
         rng = np.random.default_rng(47)
         for trial in range(60):
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 71))
