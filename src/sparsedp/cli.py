@@ -287,6 +287,13 @@ def _check_at_least_one(flag: str, value: int | None) -> None:
         raise _CliError(f"{flag} must be at least 1")
 
 
+def _check_laplace_scale(alpha: float, scale: float, what: str) -> None:
+    """Refuse, before any draw, an --alpha so small that a Laplace scale
+    the run needs overflows."""
+    if math.isinf(scale):
+        raise _CliError(f"--alpha {alpha!r} is too small: {what} overflows to inf")
+
+
 def _derive_m(args, cls) -> int:
     _check_at_least_one("--m", args.m)
     if args.m is not None:
@@ -313,6 +320,11 @@ def _cmd_release(args) -> int:
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
     l1 = _parse_l1(args.l1)
+    if l1 == "private":
+        share = config.L1_ESTIMATE_ALPHA_SHARE
+        _check_laplace_scale(
+            args.alpha, 1.0 / (share * p.alpha), f"the L1 estimate's Laplace scale 1/({share}*alpha)"
+        )
     m = _derive_m(args, cls)
     rng = np.random.default_rng(args.seed)
     if args.sampler == "exact":
@@ -352,6 +364,8 @@ def _cmd_attack(args) -> int:
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
+    if args.mechanism == "laplace":
+        _check_laplace_scale(args.alpha, cls.k / p.alpha, f"the Laplace scale k/alpha = {cls.k}/alpha")
     _check_at_least_one("--m", args.m)
     d_max = args.dmax if args.dmax is not None else max(2, int(math.log2(cls.k)))
     family = build_family(cls, args.gamma, d_max)

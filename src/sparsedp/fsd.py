@@ -166,10 +166,12 @@ def _pick_threshold(low: float, high: float, gamma: float) -> float:
     raise AssertionError("no representable threshold despite a 2*gamma gap")
 
 
-def _search_thresholds(basis: np.ndarray, gamma: float, budget: _NodeBudget):
-    """Lex-first threshold vector ``v`` over the columns of ``basis`` (k x d)
-    under which every pattern has a realizing row: (v, first realizing row
-    per pattern in ``itertools.product`` order), or None.
+class _ThresholdSearch:
+    """The threshold search of one ``fsd`` or ``is_gamma_shattered`` call.
+
+    ``search(subset)`` returns the lex-first threshold vector ``v`` over the
+    columns ``subset`` under which every pattern has a realizing row: (v,
+    first realizing row per pattern in ``itertools.product`` order), or None.
 
     Coordinates are fixed in order, each column's distinct values tried in
     increasing order.  ``live[p]`` marks the rows that realize partial
@@ -178,36 +180,90 @@ def _search_thresholds(basis: np.ndarray, gamma: float, budget: _NodeBudget):
     partial patterns keeps at least 2^(d-t-1) rows.  One pass counts those
     rows for every candidate the budget can still pay for.  The budget
     charges k comparisons per candidate tried: the candidates skipped before
-    a survivor are spent with it, the rest once the last survivor fails."""
-    k, d = basis.shape
-    margin = 2.0 * gamma
-    candidates = [np.unique(column) for column in basis.T]
-    chosen: list[float] = []
+    a survivor are spent with it, the rest once the last survivor fails.
 
-    def recurse(t: int, live: np.ndarray):
-        if t == d:
-            return tuple(chosen), live.argmax(axis=1)
-        column, values = basis[:, t], candidates[t]
+    Work is shared between the subsets of a call without sharing any
+    comparison's charge:
+
+    - A column's table, its sorted distinct values with the ``<= v`` and
+      ``>= v + 2*gamma`` masks of each, is built on the column's first use.
+      It keeps only the candidates the budget left at that point can pay
+      for, which no later node can exceed.
+    - Subsets are searched in lex order, and a node's survivors and child
+      ``live`` arrays depend only on the columns and candidates above it and
+      on the subset size.  So the nodes of the current subset's prefix are
+      kept, depth by depth, and dropped once a subset leaves that prefix or
+      the size changes.  A kept node replays its survivors and spends as it
+      did, so the comparisons charged, and where the budget runs out, are
+      those of a search from scratch; survivors counted under a larger
+      budget than is left only reach a spend that raises.  Nodes on the
+      last coordinate are not kept, since no later subset reaches them.
+    """
+
+    def __init__(self, matrix: np.ndarray, gamma: float, budget: _NodeBudget):
+        self.matrix = matrix
+        self.margin = 2.0 * gamma
+        self.budget = budget
+        self.tables = {}  # column -> (candidates, distinct count, masks)
+        self.subset = ()
+        self.nodes = []  # nodes[t]: {candidate path: (survivors, children)}
+        self.root = np.ones((1, matrix.shape[0]), dtype=bool)
+
+    def _table(self, i: int):
+        column = self.matrix[:, i]
+        values = np.unique(column)
         # Candidates past the remaining budget are never tested.
-        reach = values[: budget.remaining // k, None]
-        low, high = column <= reach, column - reach >= margin
-        need = 1 << (d - 1 - t)
-        weights = live.astype(np.float64)
-        fits = (weights @ low.T >= need).all(axis=0) & (weights @ high.T >= need).all(axis=0)
-        tried = -1
-        for j in fits.nonzero()[0].tolist():
-            budget.spend(k * (j - tried))
-            tried = j
-            chosen.append(float(values[j]))
-            # Partial pattern p extends to 2p (bit 0) and 2p + 1 (bit 1).
-            found = recurse(t + 1, np.stack([live & low[j], live & high[j]], axis=1).reshape(-1, k))
-            if found is not None:
-                return found
-            chosen.pop()
-        budget.spend(k * (values.size - 1 - tried))
-        return None
+        reach = values[: self.budget.remaining // column.size, None]
+        # masks[j] holds candidate j's 0-side and 1-side rows.
+        masks = np.stack([column <= reach, column - reach >= self.margin], axis=1)
+        table = self.tables[i] = reach[:, 0], values.size, masks
+        return table
 
-    return recurse(0, np.ones((1, k), dtype=bool))
+    def search(self, subset: tuple[int, ...]):
+        d = len(subset)
+        shared = 0
+        if d == len(self.subset):
+            while shared < d - 1 and subset[shared] == self.subset[shared]:
+                shared += 1
+        nodes = self.nodes
+        del nodes[shared:]
+        nodes += [{} for _ in range(d - 1 - shared)]
+        self.subset = subset
+        budget, tables = self.budget, self.tables
+        k = self.matrix.shape[0]
+
+        def recurse(t: int, live: np.ndarray, path: tuple[int, ...]):
+            if t == d:
+                v = tuple(float(tables[i][0][j]) for i, j in zip(subset, path))
+                return v, live.argmax(axis=1)
+            _, count, masks = tables.get(subset[t]) or self._table(subset[t])
+            node = nodes[t].get(path) if t < d - 1 else None
+            if node is None:
+                reach = masks[: budget.remaining // k]
+                weights, need = live.astype(np.float64), 1 << (d - 1 - t)
+                fits = (weights @ reach[:, 0].T >= need).all(axis=0)
+                fits &= (weights @ reach[:, 1].T >= need).all(axis=0)
+                node = fits.nonzero()[0].tolist(), {}
+                if t < d - 1:
+                    nodes[t][path] = node
+            fits, children = node
+            tried = -1
+            for j in fits:
+                budget.spend(k * (j - tried))
+                tried = j
+                child = children.get(j)
+                if child is None:
+                    # Partial pattern p extends to 2p (bit 0) and 2p + 1 (bit 1).
+                    child = (live[:, None] & masks[j]).reshape(-1, k)
+                    if t < d - 1:
+                        children[j] = child
+                found = recurse(t + 1, child, path + (j,))
+                if found is not None:
+                    return found
+            budget.spend(k * (count - 1 - tried))
+            return None
+
+        return recurse(0, self.root, ())
 
 
 def _witness(c: QueryClass, subset: tuple[int, ...], gamma: float, rows) -> ShatteringWitness:
@@ -249,7 +305,8 @@ def is_gamma_shattered(
     for i in subset:
         if not 0 <= i < c.n:
             raise IndexError(f"subset index {i} out of range for n={c.n}")
-    found = _search_thresholds(c.matrix[:, subset], gamma, _NodeBudget(config.node_budget(budget)))
+    search = _ThresholdSearch(c.matrix, gamma, _NodeBudget(config.node_budget(budget)))
+    found = search.search(subset)
     return None if found is None else _witness(c, subset, gamma, found[1])
 
 
@@ -285,18 +342,21 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     smallest index set wins; its witness comes from the lex-first threshold
     vector.  Every subset search spends from one budget of ``budget``
     comparisons (``DEFAULT_NODE_BUDGET`` when None), so ``nodes_explored``
-    counts them all.
+    counts them all.  The subsets share one ``_ThresholdSearch``, its column
+    tables and its replayed prefixes, which charges what searching each
+    subset alone would.
     """
     gamma = _validate_gamma(gamma)
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
     tracker = _NodeBudget(config.node_budget(budget))
+    search = _ThresholdSearch(c.matrix, gamma, tracker)
     best = None  # (subset, realizing rows) of the last shattered level
     exact = True
     try:
         for d in range(1, min(d_max, c.n) + 1):
             for subset in itertools.combinations(range(c.n), d):
-                found = _search_thresholds(c.matrix[:, subset], gamma, tracker)
+                found = search.search(subset)
                 if found is not None:
                     break
             if found is None:

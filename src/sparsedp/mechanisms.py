@@ -601,6 +601,18 @@ def laplace_noise(rng: np.random.Generator, scale: float, size=None):
     return noise
 
 
+def _laplace_scale(sensitivity: float, alpha: float, name: str) -> float:
+    """The Laplace scale ``sensitivity / alpha`` at privacy ``alpha``; an
+    alpha so small that the scale overflows is refused under ``name``."""
+    _check_positive(name, alpha)
+    scale = sensitivity / alpha
+    if math.isinf(scale):
+        raise ValueError(
+            f"{name}={alpha!r} is too small: the Laplace scale {sensitivity!r}/{name} overflows to inf"
+        )
+    return scale
+
+
 def laplace_release(
     d: Database, c: QueryClass, p: PrivacyParams, rng: np.random.Generator
 ) -> np.ndarray:
@@ -608,15 +620,15 @@ def laplace_release(
     at scale k/alpha (each linear query moves by at most 1 under a unit L1
     change, and the k answers compose)."""
     _check_dims(c.n, d.n, "laplace_release: class vs database")
-    true_answers = c.matrix @ d.entries
-    return true_answers + laplace_noise(rng, c.k / p.alpha, size=c.k)
+    scale = _laplace_scale(c.k, p.alpha, "alpha")
+    return c.matrix @ d.entries + laplace_noise(rng, scale, size=c.k)
 
 
 def estimate_l1(d: Database, alpha_share: float, rng: np.random.Generator) -> float:
     """Laplace estimate of ||D||_1 (sensitivity 1), clamped to be nonnegative.
     Clamping is post-processing, so it costs no privacy."""
-    _check_positive("alpha_share", alpha_share)
-    return max(0.0, l1_norm(d) + laplace_noise(rng, 1.0 / alpha_share))
+    scale = _laplace_scale(1.0, alpha_share, "alpha_share")
+    return max(0.0, l1_norm(d) + laplace_noise(rng, scale))
 
 
 def utility_threshold(m: int, n: int, eta: float, alpha: float) -> float:

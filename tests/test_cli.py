@@ -222,6 +222,26 @@ class TestReleaseCommand:
         assert (code, out, searches) == (1, "", [])
         assert "eta must lie in (0, 1]" in err
 
+    @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+    def test_alpha_too_small_for_the_l1_estimate_exits_1(self, files, capsys, monkeypatch, sampler):
+        # 1/(0.1*alpha) overflows at alpha = 1e-309: the refusal names --alpha
+        # and that scale, not the sampler's internal parameter, and comes
+        # before the search and any draw.
+        _, db, cls = files
+        calls = []
+        for name in ("fsd", "exponential_release_exact", "exponential_release_mcmc"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1e-309",
+             "--eta", "0.5", "--gamma", "0.5", "--l1", "private", "--sampler", sampler],
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err == (
+            "error: --alpha 1e-309 is too small: the L1 estimate's Laplace scale "
+            "1/(0.1*alpha) overflows to inf\n"
+        )
+
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(
@@ -273,6 +293,28 @@ class TestAttackCommand:
             assert payload["result"]["completed"] == 10
             assert payload["result"]["reconstruction_bound_violations"] == 0
 
+
+    def test_alpha_too_small_for_laplace_exits_1(self, files, capsys, monkeypatch):
+        # k/alpha overflows at alpha = 1e-320: refused by --alpha before the
+        # family search and the first trial.
+        _, _, cls = files
+        searches = []
+        monkeypatch.setattr(cli, "build_family", lambda *args: searches.append(args))
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1e-320",
+             "--mechanism", "laplace", "--trials", "5"],
+        )
+        assert (code, out, searches) == (1, "", [])
+        assert err == "error: --alpha 1e-320 is too small: the Laplace scale k/alpha = 4/alpha overflows to inf\n"
+        # Other mechanisms draw no Laplace noise and still run.
+        monkeypatch.undo()
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1e-320",
+             "--mechanism", "identity", "--trials", "5"],
+        )
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
     @pytest.mark.parametrize("m", ["0", "-2"])

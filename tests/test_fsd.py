@@ -30,7 +30,7 @@ from sparsedp import (
     verify_shattering,
 )
 from sparsedp import config
-from sparsedp.fsd import _NodeBudget, _search_thresholds
+from sparsedp.fsd import _NodeBudget, _ThresholdSearch
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
 
@@ -136,7 +136,7 @@ class TestIsGammaShattered:
                 subset = tuple(range(c.n - size, c.n))
                 want = brute_force_thresholds(c, subset, gamma)
                 got = is_gamma_shattered(c, subset, gamma)
-                found = _search_thresholds(c.matrix[:, subset], gamma, _NodeBudget(10**7))
+                found = _ThresholdSearch(c.matrix, gamma, _NodeBudget(10**7)).search(subset)
                 decided.add((size, want is not None))
                 if want is None:
                     assert got is None and found is None
@@ -279,6 +279,56 @@ class TestFsd:
         assert not result.exact and result.nodes_explored == 200_000
         assert peak < 16 * 2**20
 
+    def test_wide_class_tables_stay_within_the_budget(self):
+        # A column's table keeps only the candidates the budget can pay for:
+        # 200 of each column's 10,000 values at the default 2,000,000
+        # comparisons.  Searching each subset from scratch peaked at 23.3 MB
+        # here; a table of every distinct value would take 200 MB a column.
+        c = random_query_class(np.random.default_rng(82), k=10_000, n=12)
+        tracemalloc.start()
+        try:
+            result = fsd(c, 0.1, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.d, result.exact, result.nodes_explored) == (1, False, 2_000_000)
+        assert peak < 32 * 2**20
+
+    def test_shuffled_cube_search_memory(self):
+        # The attack's shape, a shuffled 8-cube at gamma = 0.5.  Searching
+        # each subset from scratch peaked at 0.79 MB; the kept tables and
+        # nodes may add at most 0.1 MB to that.
+        rng = np.random.default_rng(81)
+        perm = rng.permutation(8)
+        rows = [np.array(row)[perm] for row in itertools.product((0.0, 1.0), repeat=8)]
+        c = QueryClass(rng.permutation(rows))
+        fsd(c, 0.5, 2)  # first-call allocations are not the search's
+        tracemalloc.start()
+        try:
+            result = fsd(c, 0.5, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exact and result.d == 8
+        assert peak < 0.89 * 2**20
+
+    def test_only_nodes_a_later_subset_reaches_are_kept(self):
+        # A subset's last coordinate changes with every subset, so only the
+        # nodes above it, with their child live arrays, are kept: depth t
+        # keeps arrays of 2^(t+1) partial patterns, never the 2^d of a leaf.
+        c = random_query_class(np.random.default_rng(83), k=16, n=6)
+        search = _ThresholdSearch(c.matrix, 0.1, _NodeBudget(10**7))
+        kept = set()
+        for d in (2, 3):
+            for subset in itertools.combinations(range(c.n), d):
+                search.search(subset)
+                assert len(search.nodes) == d - 1
+                for t, nodes in enumerate(search.nodes):
+                    for _, children in nodes.values():
+                        kept.update((d, t, child.shape) for child in children.values())
+        assert kept and all(shape == (2 << t, 16) for _, t, shape in kept)
+        assert {(d, t) for d, t, _ in kept} == {(2, 0), (3, 0), (3, 1)}
+
     def test_dmax_validation(self):
         with pytest.raises(ValueError):
             fsd(FULL_N2, 0.5, 0)
@@ -401,6 +451,36 @@ class TestAgainstPerNodeSearch:
                     mid_level += position > 0
                     mid_column += 0 < index < candidates - 1
         assert mid_level >= 20 and mid_column >= 20
+
+    def test_budget_running_out_in_a_replayed_prefix_matches_reference(self):
+        # Classes shaped like the release-mcmc benchmark's (k 12-20, n 8-10,
+        # gamma 0.2 or 0.25, d_max = log2 k), cut off at budgets spread over
+        # the whole search.  A subset replays the kept nodes of the prefix it
+        # shares with the subset before it, so many cuts fall in a subset
+        # with a replayed prefix, and many inside a replayed node.
+        rng = np.random.default_rng(84)
+        replayed = inside = 0
+        for k, n, gamma in [(12, 8, 0.2), (12, 10, 0.2), (16, 8, 0.25), (20, 8, 0.25), (16, 10, 0.25)]:
+            c = random_query_class(rng, k=k, n=n)
+            d_max = int(math.log2(k))
+            total = per_candidate_fsd(c, gamma, d_max, 10**7)[2]
+            for budget in sorted(set(rng.integers(1, total + 1, size=12).tolist()) | {total}):
+                got = fsd(c, gamma, d_max, budget=budget)
+                d, witness, used, exact, stop = per_candidate_fsd(c, gamma, d_max, budget)
+                assert (got.d, got.nodes_explored, got.exact) == (d, used, exact)
+                assert_same_witness(got.witness, witness)
+                if stop is None:
+                    continue
+                level, position, coordinate = stop[:3]
+                subsets = list(itertools.combinations(range(n), level))
+                shared = 0
+                while position and shared < level - 1 and (
+                    subsets[position][shared] == subsets[position - 1][shared]
+                ):
+                    shared += 1
+                replayed += shared > 0
+                inside += coordinate < shared
+        assert replayed >= 10 and inside >= 10
 
     def test_is_gamma_shattered_matches_reference(self):
         rng = np.random.default_rng(72)

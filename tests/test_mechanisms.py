@@ -952,6 +952,16 @@ class TestLaplace:
             # Refused before the generator is read.
             assert rng.random() == np.random.default_rng(0).random()
 
+    def test_alpha_too_small_for_the_scale_refused_by_name(self):
+        # k/alpha overflows to inf at alpha = 1e-320; the refusal names alpha
+        # and the scale, and comes before the generator is read.
+        d, c = Database([1.0, 2.0]), QueryClass([[1, 0], [0, 1], [1, 1]])
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"alpha=1e-320 is too small: the Laplace scale 3/alpha overflows"):
+            laplace_release(d, c, PrivacyParams(alpha=1e-320), rng)
+        assert rng.random() == np.random.default_rng(0).random()
+        assert np.isfinite(laplace_release(d, c, PrivacyParams(alpha=1e-300), rng)).all()
+
     def test_finite_scale_keeps_values_and_stream(self):
         # Pinned from the sampler as it was before the finiteness check.
         rng = np.random.default_rng(5)
@@ -989,6 +999,12 @@ class TestEstimateL1:
             with pytest.raises(ValueError, match=f"alpha_share must be finite and positive, got {bad}"):
                 estimate_l1(Database([1.0]), bad, rng)
             assert rng.random() == np.random.default_rng(0).random()
+
+    def test_share_too_small_for_the_scale_refused_by_name(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"alpha_share=1e-310 is too small: the Laplace scale 1.0/alpha_share"):
+            estimate_l1(Database([1.0]), 1e-310, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_finite_share_keeps_value_and_stream(self):
         # Pinned from the estimate as it was before the finiteness check.
