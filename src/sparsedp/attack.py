@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config
-from .core import Database, DimensionMismatchError, LinearQuery, QueryClass
+from .core import Database, DimensionMismatchError, QueryClass
 from .core import evaluate  # noqa: F401  (only the benchmark's tracer wraps it; ROADMAP item 6)
 from .fsd import ShatteringWitness, fsd
 from .mechanisms import ReleaseOutput, _safe_exp
@@ -122,9 +122,6 @@ class ShatteredFamily:
     def query_index_for(self, subset) -> int:
         members = set(subset)
         return self.witness.assignment[tuple(int(i in members) for i in self.witness.subset)]
-
-    def query_for(self, subset) -> LinearQuery:
-        return self.query_class[self.query_index_for(subset)]
 
     def database_for(self, subset) -> Database:
         """The held indicator of a half-size subset of the bucket, given in

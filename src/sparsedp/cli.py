@@ -31,6 +31,7 @@ from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
 from .fsd import SearchBudgetExceeded, _validate_eta, choose_m, fsd
 from .mechanisms import (
+    LAPLACE_TAIL,
     ExactLawTable,
     ExponentRule,
     PrivacyParams,
@@ -288,10 +289,10 @@ def _check_at_least_one(flag: str, value: int | None) -> None:
 
 
 def _check_laplace_scale(alpha: float, scale: float, what: str) -> None:
-    """Refuse, before any draw, an --alpha so small that a Laplace scale
-    the run needs overflows."""
-    if math.isinf(scale):
-        raise _CliError(f"--alpha {alpha!r} is too small: {what} overflows to inf")
+    """Refuse, before any draw, an --alpha so small that the largest draw
+    at a Laplace scale the run needs overflows."""
+    if math.isinf(scale * LAPLACE_TAIL):
+        raise _CliError(f"--alpha {alpha!r} is too small: {what} overflows to inf in its largest draw")
 
 
 def _derive_m(args, cls) -> int:

@@ -113,8 +113,7 @@ class LinearQuery:
 
 class QueryClass:
     """Finite ordered family of linear queries sharing one dimension, held as
-    one read-only (k, n) coefficient matrix. ``c[i]`` and iteration build
-    ``LinearQuery`` objects from its rows on access."""
+    one read-only (k, n) coefficient matrix: query i is ``matrix[i]``."""
 
     def __init__(self, queries):
         rows = [q.coefficients if isinstance(q, LinearQuery) else q for q in queries]
@@ -141,15 +140,6 @@ class QueryClass:
     def k(self) -> int:
         return self.matrix.shape[0]
 
-    def __len__(self) -> int:
-        return self.matrix.shape[0]
-
-    def __getitem__(self, i: int) -> LinearQuery:
-        return LinearQuery(self.matrix[i])
-
-    def __iter__(self):
-        return map(LinearQuery, self.matrix)
-
     def __repr__(self) -> str:
         return f"QueryClass(k={self.k}, n={self.n})"
 
@@ -160,7 +150,7 @@ class SparseSyntheticDatabase:
     the release mechanisms' finite outcome domain."""
 
     counts: np.ndarray
-    m: int = field(default=None)  # type: ignore[assignment]
+    m: int = field(init=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.counts, np.int64, "counts")
@@ -169,8 +159,6 @@ class SparseSyntheticDatabase:
         if np.any(arr < 0):
             raise ValueError("counts must be nonnegative")
         total = int(arr.sum())
-        if self.m is not None and int(self.m) != total:
-            raise ValueError(f"declared m={self.m} but counts sum to {total}")
         if total < 1:
             raise ValueError("counts must sum to at least 1")
         object.__setattr__(self, "counts", arr)

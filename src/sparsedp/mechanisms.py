@@ -56,8 +56,6 @@ __all__ = [
     "exponential_release_exact",
     "ExactLawTable",
     "exponential_release_mcmc",
-    "mcmc_state_counts",
-    "acceptance_probability",
     "laplace_noise",
     "laplace_release",
     "estimate_l1",
@@ -117,7 +115,10 @@ SCORE_SLICE_CELLS = 1 << 15
 
 def _check_budget(n: int, m: int, passes: int = 1) -> int:
     """The one enumeration-budget check: ``passes`` passes over the sparse
-    domain of (n, m) must fit the budget.  Returns the domain size."""
+    domain of (n, m), whose rows hold m >= 1 units, must fit the budget.
+    Returns the domain size."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
     count = domain_size(n, m)
     limit = config.domain_budget()
     if passes * count > limit:
@@ -189,8 +190,6 @@ def sparse_domain(n: int, m: int):
     """Every nonnegative integer vector of length n summing to m, exactly
     once, in lexicographically decreasing order.  Refuses with the count when
     the domain exceeds the enumeration budget."""
-    if m < 1:
-        raise ValueError("sparse domain requires m >= 1")
     _check_budget(n, m)
     blocks = domain_blocks(n, m, BLOCK_ROWS)
     return (SparseSyntheticDatabase(row) for block in blocks for row in block)
@@ -378,8 +377,6 @@ def exponential_release_exact(
         if not isinstance(laws, ExactLawTable):
             raise TypeError(f"laws must be an ExactLawTable, got {type(laws).__name__}")
         return laws._draw_release(d, c, p, m, rng, exponent_rule, l1)
-    if m < 1:
-        raise ValueError("m must be at least 1")
     counts = composition_matrix(d.n, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
@@ -396,7 +393,7 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 class ExactLawTable:
     """The prepared exact sampler of a fixed set of databases: it enumerates
     the domain of (c.n, m) once, as the read-only ``counts`` (refusing m < 1
-    and, as ``composition_matrix`` does, a domain over the budget), and keeps
+    and a domain over the budget, as ``composition_matrix`` does), and keeps
     each database's cumulative law and each release drawn from it.  It is
     built for one class, alpha, m and rule, and releases only at the public
     L1 norm.
@@ -418,8 +415,6 @@ class ExactLawTable:
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
     ):
-        if m < 1:
-            raise ValueError("sparse domain requires m >= 1")
         self._counts = composition_matrix(c.n, m)
         self._counts.setflags(write=False)
         databases = tuple(databases)
@@ -467,36 +462,43 @@ class ExactLawTable:
         return out
 
 
-def acceptance_probability(score_from: float, score_to: float, scale: float) -> float:
-    """Metropolis acceptance for a symmetric proposal between two states with
-    the given exponential-weight scale (= alpha / divisor)."""
-    delta = scale * (score_to - score_from)
-    if delta >= 0.0:
-        return 1.0
-    return math.exp(delta)
-
-
 # Proposals the Metropolis chain draws at once.
 CHAIN_BLOCK = 4096
 
 
-def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
-    """Shared Metropolis walk.  Proposals move one unit of mass from a
-    uniformly chosen coordinate to a uniformly chosen other coordinate, which
-    is symmetric, so the stationary law is the exact mechanism's.
+def exponential_release_mcmc(
+    d: Database,
+    c: QueryClass,
+    p: PrivacyParams,
+    m: int,
+    steps: int,
+    rng: np.random.Generator,
+    exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
+    *,
+    l1="public",
+) -> ReleaseOutput:
+    """Approximate sampler: run a Metropolis walk for ``steps`` moves from
+    the all-mass-on-coordinate-0 state and release where it lands.  The
+    reported score is ``quality_score`` of the released row, exactly.
 
-    After the L1 estimate, proposals are drawn in blocks of ``CHAIN_BLOCK``
-    steps: all sources, then all destinations, then one uniform per step,
-    void steps (an empty source, or n = 1) included.  The walk keeps the
-    residual ``C @ D - (l1_estimate / m) * (C @ state)`` and updates it by
-    two precomputed scaled columns per proposal, as ``(resid + col_i) -
-    col_j``, so its running score may differ from ``quality_score`` in the
-    last bits.  A step allocates nothing: it writes the candidate into the
-    second of two buffers, which trade places on acceptance, and scores it
-    by the magnitude at ``argmax`` (the maximum, NaN included: ``argmax``
-    stops at the first NaN).  Returns the final state (a list), the L1
-    estimate and the occupation counts of the steps from ``record`` on (none
-    when ``record`` is None)."""
+    Proposals move one unit of mass from a uniformly chosen coordinate to a
+    uniformly chosen other coordinate, which is symmetric, so the stationary
+    law is the exact mechanism's.  After the L1 estimate, proposals are
+    drawn in blocks of ``CHAIN_BLOCK`` steps: all sources, then all
+    destinations, then one uniform per step, void steps (an empty source, or
+    n = 1) included.  A candidate whose score change ``delta`` (scaled by
+    alpha / divisor) is nonnegative, or has ``exp(delta)`` above the step's
+    uniform, is accepted; a NaN ``delta`` is rejected.
+
+    The walk keeps the residual ``C @ D - (l1_estimate / m) * (C @ state)``
+    and updates it by two precomputed scaled columns per proposal, as
+    ``(resid + col_i) - col_j``, so its running score may differ from
+    ``quality_score`` in the last bits.  A step allocates nothing: it writes
+    the candidate into the second of two buffers, which trade places on
+    acceptance, and scores it by the magnitude at ``argmax`` (the maximum,
+    NaN included: ``argmax`` stops at the first NaN)."""
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_dims(c.n, d.n, "Metropolis chain: class vs database")
@@ -511,9 +513,7 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
     current = float(-abs(resid).max())
     trial = np.empty_like(resid)
     magnitude = np.empty_like(resid)
-    add, subtract, absolute = np.add, np.subtract, np.absolute
-    first_recorded = steps if record is None else record
-    counts: dict[tuple, int] = {}
+    add, subtract, absolute, exp = np.add, np.subtract, np.absolute, math.exp
     for start in range(0, steps, CHAIN_BLOCK):
         size = min(CHAIN_BLOCK, steps - start)
         if n > 1:
@@ -523,65 +523,19 @@ def _chain(d, c, p, m, steps, rng, exponent_rule, l1, record):
         else:
             src = dst = np.zeros(size, dtype=np.int64)
         uniforms = rng.random(size)
-        for step, i, j, u in zip(
-            range(start, start + size), src.tolist(), dst.tolist(), uniforms.tolist()
-        ):
+        for i, j, u in zip(src.tolist(), dst.tolist(), uniforms.tolist()):
             if state[i] and i != j:
                 add(resid, cols[i], trial)
                 subtract(trial, cols[j], trial)
                 absolute(trial, magnitude)
                 candidate = -magnitude.item(magnitude.argmax())
-                if acceptance_probability(current, candidate, scale) > u:
+                delta = scale * (candidate - current)
+                if delta >= 0.0 or exp(delta) > u:
                     state[i] -= 1
                     state[j] += 1
                     resid, trial = trial, resid
                     current = candidate
-            if step >= first_recorded:
-                key = tuple(state)
-                counts[key] = counts.get(key, 0) + 1
-    return state, l1_estimate, counts
-
-
-def exponential_release_mcmc(
-    d: Database,
-    c: QueryClass,
-    p: PrivacyParams,
-    m: int,
-    steps: int,
-    rng: np.random.Generator,
-    exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
-    *,
-    l1="public",
-) -> ReleaseOutput:
-    """Approximate sampler: run the Metropolis walk for ``steps`` moves from
-    the all-mass-on-coordinate-0 state and release where it lands.  The
-    reported score is ``quality_score`` of the released row, exactly."""
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    state, l1_estimate, _ = _chain(d, c, p, m, steps, rng, exponent_rule, l1, None)
     return _release(d, c, state, m, exponent_rule, l1_estimate, approximate=True)
-
-
-def mcmc_state_counts(
-    d: Database,
-    c: QueryClass,
-    p: PrivacyParams,
-    m: int,
-    burn_in: int,
-    samples: int,
-    rng: np.random.Generator,
-    exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
-    *,
-    l1="public",
-) -> dict[tuple, int]:
-    """Occupation counts of one walk over ``samples`` post-burn-in steps;
-    the empirical distribution these induce converges to the exact one."""
-    if burn_in < 0 or samples < 1:
-        raise ValueError("burn_in must be >= 0 and samples >= 1")
-    _, _, counts = _chain(
-        d, c, p, m, burn_in + samples, rng, exponent_rule, l1, record=burn_in
-    )
-    return counts
 
 
 def _check_positive(name: str, value) -> None:
@@ -590,11 +544,17 @@ def _check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+# laplace_noise clips |u| at LAPLACE_CLIP, so its largest draw is, by the
+# same multiply, scale * LAPLACE_TAIL: -log of the float epsilon, about 36.04.
+LAPLACE_CLIP = 0.5 * (1.0 - np.finfo(np.float64).eps)
+LAPLACE_TAIL = -float(np.log1p(-2.0 * LAPLACE_CLIP))
+
+
 def laplace_noise(rng: np.random.Generator, scale: float, size=None):
     """Laplace(scale) noise via inverse CDF of the generator's uniforms."""
     _check_positive("scale", scale)
     u = rng.random(size) - 0.5
-    magnitude = np.minimum(np.abs(u), 0.5 * (1.0 - np.finfo(np.float64).eps))
+    magnitude = np.minimum(np.abs(u), LAPLACE_CLIP)
     noise = -scale * np.sign(u) * np.log1p(-2.0 * magnitude)
     if size is None:
         return float(noise)
@@ -603,12 +563,14 @@ def laplace_noise(rng: np.random.Generator, scale: float, size=None):
 
 def _laplace_scale(sensitivity: float, alpha: float, name: str) -> float:
     """The Laplace scale ``sensitivity / alpha`` at privacy ``alpha``; an
-    alpha so small that the scale overflows is refused under ``name``."""
+    alpha so small that the scale's largest draw overflows is refused under
+    ``name``."""
     _check_positive(name, alpha)
     scale = sensitivity / alpha
-    if math.isinf(scale):
+    if math.isinf(scale * LAPLACE_TAIL):
         raise ValueError(
-            f"{name}={alpha!r} is too small: the Laplace scale {sensitivity!r}/{name} overflows to inf"
+            f"{name}={alpha!r} is too small: the Laplace scale {sensitivity!r}/{name} "
+            "overflows to inf in its largest draw"
         )
     return scale
 

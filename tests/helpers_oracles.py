@@ -16,6 +16,7 @@ from sparsedp import (
     CertificateResult,
     Database,
     ExponentRule,
+    LinearQuery,
     PrivacyParams,
     QueryClass,
     ShatteringWitness,
@@ -34,7 +35,6 @@ from sparsedp import (
 from sparsedp.core import _check_dims
 from sparsedp.mechanisms import (
     _resolve_l1,
-    acceptance_probability,
     composition_matrix,
     estimate_l1,
     exponent_divisor,
@@ -514,13 +514,19 @@ def grown_domain_blocks(n: int, m: int, max_rows=None):
     yield from blocks(np.empty((1, 0), dtype=np.int64), np.array([m], dtype=np.int64))
 
 
-def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=None):
+def acceptance_probability(score_from: float, score_to: float, scale: float) -> float:
+    """Metropolis acceptance for a symmetric proposal between two states at
+    the exponential-weight scale alpha / divisor."""
+    delta = scale * (score_to - score_from)
+    return 1.0 if delta >= 0.0 else math.exp(delta)
+
+
+def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public"):
     """The Metropolis walk one step at a time, rescoring every candidate from
     scratch with ``quality_score``.  It reads the generator as the library's
     chain does: the L1 estimate, then per block of ``mechanisms.CHAIN_BLOCK``
     steps every source, every destination and one uniform per step.  Returns
-    the final state, its score, the L1 estimate and the occupation counts of
-    the steps from ``record`` on."""
+    the final state, its score and the L1 estimate."""
     n = d.n
     alpha = p.alpha
     if l1 == "public":
@@ -538,7 +544,6 @@ def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=No
 
     state = (m,) + (0,) * (n - 1)
     current = score(state)
-    counts: dict = {}
     step = 0
     while step < steps:
         size = min(mechanisms.CHAIN_BLOCK, steps - step)
@@ -558,19 +563,17 @@ def reference_walk(d, c, p, m, steps, rng, exponent_rule, l1="public", record=No
                 candidate_score = score(candidate)
                 if acceptance_probability(current, candidate_score, scale) > uniforms[t]:
                     state, current = tuple(candidate), candidate_score
-            if record is not None and step >= record:
-                counts[state] = counts.get(state, 0) + 1
             step += 1
-    return state, current, l1_estimate, counts
+    return state, current, l1_estimate
 
 
-def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1, record):
+def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1):
     """The Metropolis chain as the library ran it before its steps reused
     two residual buffers: each candidate residual is a new array
-    ``resid + cols[i] - cols[j]`` scored by ``-abs(...).max()``.  Same
-    arguments and return value as ``mechanisms._chain``; ``CHAIN_BLOCK`` is
-    read through ``mechanisms`` at call time, so a patched block size applies
-    here too."""
+    ``resid + cols[i] - cols[j]`` scored by ``-abs(...).max()``.  Takes
+    ``exponential_release_mcmc``'s arguments and returns the final state (a
+    list) and the L1 estimate; ``CHAIN_BLOCK`` is read through
+    ``mechanisms`` at call time, so a patched block size applies here too."""
     if m < 1:
         raise ValueError("m must be at least 1")
     _check_dims(c.n, d.n, "Metropolis chain: class vs database")
@@ -583,8 +586,6 @@ def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1, record
     cols = factor * c.matrix.T
     resid = c.matrix @ d.entries - factor * (c.matrix @ np.array(state))
     current = float(-abs(resid).max())
-    first_recorded = steps if record is None else record
-    counts: dict[tuple, int] = {}
     for start in range(0, steps, mechanisms.CHAIN_BLOCK):
         size = min(mechanisms.CHAIN_BLOCK, steps - start)
         if n > 1:
@@ -594,9 +595,7 @@ def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1, record
         else:
             src = dst = np.zeros(size, dtype=np.int64)
         uniforms = rng.random(size)
-        for step, i, j, u in zip(
-            range(start, start + size), src.tolist(), dst.tolist(), uniforms.tolist()
-        ):
+        for i, j, u in zip(src.tolist(), dst.tolist(), uniforms.tolist()):
             if state[i] and i != j:
                 candidate_resid = resid + cols[i] - cols[j]
                 candidate = float(-abs(candidate_resid).max())
@@ -605,10 +604,13 @@ def allocating_chain_reference(d, c, p, m, steps, rng, exponent_rule, l1, record
                     state[j] += 1
                     resid = candidate_resid
                     current = candidate
-            if step >= first_recorded:
-                key = tuple(state)
-                counts[key] = counts.get(key, 0) + 1
-    return state, l1_estimate, counts
+    return state, l1_estimate
+
+
+def query_of(family, subset) -> LinearQuery:
+    """The query a shattered family uses for a half-size subset, as a
+    ``LinearQuery`` built from its row of the class matrix."""
+    return LinearQuery(family.query_class.matrix[family.query_index_for(subset)])
 
 
 def oracle_stdout_by_dicts(

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers_oracles import boolean_indicator_class, law_by_row, total_variation
+from helpers_oracles import boolean_indicator_class, law_by_row, query_of, total_variation
 from sparsedp import (
     Database,
     ExactLawTable,
@@ -25,6 +25,7 @@ from sparsedp import (
     evaluate,
     exact_output_distribution,
     exponential_release_exact,
+    exponential_release_mcmc,
     fsd,
     l1_norm,
     laplace_release,
@@ -35,7 +36,6 @@ from sparsedp import (
     verify_shattering,
 )
 from sparsedp.attack import FamilySearchError
-from sparsedp.mechanisms import mcmc_state_counts
 
 CLASSES = {
     2: QueryClass([[1, 0], [0, 1], [0.5, 0.5]]),
@@ -99,7 +99,7 @@ def test_03_gap_inequality_on_50_random_families():
             continue
         built += 1
         for t in family.subsets():
-            q = family.query_for(t)
+            q = query_of(family, t)
             base = evaluate(q, family.database_for(t))
             for tp in family.subsets():
                 gap = base - evaluate(q, family.database_for(tp))
@@ -206,9 +206,15 @@ def test_08_sampler_agreement():
     empirical = {key: value / draws for key, value in counts.items()}
     assert total_variation(empirical, exact) < 0.02
 
-    chain = mcmc_state_counts(d, c, p, 2, 10_000, 10_000, np.random.default_rng(8_001))
-    total = sum(chain.values())
-    chain_empirical = {key: value / total for key, value in chain.items()}
+    # 10^4 seeded 30-step chain releases: from [2, 0] the chain is within
+    # total variation 5e-10 of its law after 30 steps.
+    rng = np.random.default_rng(8_001)
+    releases = 10_000
+    chain: dict = {}
+    for _ in range(releases):
+        key = exponential_release_mcmc(d, c, p, 2, 30, rng).d_prime.as_tuple()
+        chain[key] = chain.get(key, 0) + 1
+    chain_empirical = {key: value / releases for key, value in chain.items()}
     assert total_variation(chain_empirical, exact) < 0.02
     _finish("exact and MCMC samplers match the closed form", t0, 120)
 

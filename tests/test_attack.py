@@ -8,6 +8,7 @@ import pytest
 from helpers_oracles import (
     boolean_indicator_class,
     per_trial_attack_reference,
+    query_of,
     random_query_class,
 )
 from sparsedp import (
@@ -16,6 +17,7 @@ from sparsedp import (
     ExactLawTable,
     ExponentRule,
     FamilySearchError,
+    LinearQuery,
     PrivacyParams,
     QueryClass,
     ShatteringWitness,
@@ -99,7 +101,7 @@ class TestBuildFamily:
     def test_disjoint_subsets_hand_value(self):
         family = build_family(BOOL4, 0.5, 4)
         t, tp = (0, 1), (2, 3)
-        q = family.query_for(t)
+        q = query_of(family, t)
         gap = evaluate(q, family.database_for(t)) - evaluate(q, family.database_for(tp))
         assert gap == pytest.approx(2.0)
         assert gap >= (0.5 / 2.0) * 4
@@ -118,7 +120,7 @@ class TestBuildFamily:
             built += 1
             gamma = family.gamma
             for t in family.subsets():
-                q = family.query_for(t)
+                q = query_of(family, t)
                 base = evaluate(q, family.database_for(t))
                 for tp in family.subsets():
                     symdiff = len(set(t) ^ set(tp))
@@ -139,7 +141,7 @@ class TestBuildFamily:
             assert family.database_for(t) is d_t
             assert family.database_for(t[::-1]) is d_t
             assert family.members[s].tolist() == [i in t for i in range(6)]
-            assert family.base[s] == evaluate(family.query_for(t), d_t)
+            assert family.base[s] == evaluate(query_of(family, t), d_t)
         for bad in ((0, 1), (0, 1, 2, 3), (0, 1, 6)):
             with pytest.raises(ValueError, match="not a half-size subset"):
                 family.database_for(bad)
@@ -166,7 +168,7 @@ class TestReconstruct:
             got = reconstruct(answers, family)
             values = {}
             for tp in family.subsets():
-                q = family.query_for(tp)
+                q = query_of(family, tp)
                 values[tp] = evaluate(q, family.database_for(tp)) - evaluate(q, answers)
             best = min(sorted(values), key=values.get)
             assert got == best
@@ -191,8 +193,8 @@ class TestReconstruct:
             d_t = family.database_for(t)
             answers = Database(np.abs(d_t.entries + rng.uniform(-0.3, 0.3, size=4)))
             eps_hat = max(
-                abs(evaluate(family.query_class[qi], d_t)
-                    - evaluate(family.query_class[qi], answers))
+                abs(evaluate(LinearQuery(family.query_class.matrix[qi]), d_t)
+                    - evaluate(LinearQuery(family.query_class.matrix[qi]), answers))
                 for qi in family.used.tolist()
             )
             star = reconstruct(answers, family)
@@ -381,7 +383,7 @@ def jittered_cube_class(rng, d=4):
 def brute_force_trials(family, calls):
     """Recompute each trial from the recorded (database, output) pairs with
     ``evaluate``: (eps_hat, symdiff, x in T*, x in T*_swapped)."""
-    queries = family.query_class
+    queries = list(map(LinearQuery, family.query_class.matrix))
 
     def answer(output, qi):
         if isinstance(output, Database):
@@ -390,7 +392,7 @@ def brute_force_trials(family, calls):
 
     def argmin(output):
         values = {
-            t: evaluate(family.query_for(t), family.database_for(t))
+            t: evaluate(query_of(family, t), family.database_for(t))
             - answer(output, family.query_index_for(t))
             for t in family.subsets()
         }

@@ -6,8 +6,10 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -239,7 +241,25 @@ class TestReleaseCommand:
         assert (code, out, calls) == (1, "", [])
         assert err == (
             "error: --alpha 1e-309 is too small: the L1 estimate's Laplace scale "
-            "1/(0.1*alpha) overflows to inf\n"
+            "1/(0.1*alpha) overflows to inf in its largest draw\n"
+        )
+
+    def test_alpha_whose_largest_l1_draw_overflows_exits_1(self, files, capsys):
+        # At alpha 1e-307 the L1 estimate's scale 1/(0.1*alpha) is finite, but
+        # its largest draw, about 36 times the scale, is not.  This run once
+        # printed RuntimeWarnings, then "database entries must be finite".
+        _, db, cls = files
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(
+                capsys,
+                ["release", "--db", str(db), "--class", str(cls), "--alpha", "1e-307",
+                 "--m", "3", "--l1", "private", "--seed", "4"],
+            )
+        assert (code, out, caught) == (1, "", [])
+        assert err == (
+            "error: --alpha 1e-307 is too small: the L1 estimate's Laplace scale "
+            "1/(0.1*alpha) overflows to inf in its largest draw\n"
         )
 
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
@@ -306,7 +326,10 @@ class TestAttackCommand:
              "--mechanism", "laplace", "--trials", "5"],
         )
         assert (code, out, searches) == (1, "", [])
-        assert err == "error: --alpha 1e-320 is too small: the Laplace scale k/alpha = 4/alpha overflows to inf\n"
+        assert err == (
+            "error: --alpha 1e-320 is too small: the Laplace scale k/alpha = 4/alpha "
+            "overflows to inf in its largest draw\n"
+        )
         # Other mechanisms draw no Laplace noise and still run.
         monkeypatch.undo()
         code, out, err = run_capture(
@@ -792,6 +815,31 @@ def bench_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def unresolved_exports(module) -> list[str]:
+    return [name for name in module.__all__ if not hasattr(module, name)]
+
+
+class TestExportedNames:
+    def test_every_exported_name_resolves(self):
+        # The package's and each submodule's __all__ name only what exists,
+        # so a removed function cannot stay listed.
+        modules = [sparsedp] + [
+            importlib.import_module(f"sparsedp.{info.name}")
+            for info in pkgutil.iter_modules(sparsedp.__path__)
+        ]
+        exporting = [module for module in modules if hasattr(module, "__all__")]
+        assert {"sparsedp", "sparsedp.core", "sparsedp.mechanisms"} <= {
+            module.__name__ for module in exporting
+        }
+        assert {module.__name__: unresolved_exports(module) for module in exporting} == {
+            module.__name__: [] for module in exporting
+        }
+
+    def test_a_stale_name_is_caught(self, monkeypatch):
+        monkeypatch.setattr(mechanisms, "__all__", [*mechanisms.__all__, "mcmc_state_counts"])
+        assert unresolved_exports(mechanisms) == ["mcmc_state_counts"]
 
 
 class TestBenchmarkTracerSites:

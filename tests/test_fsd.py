@@ -248,8 +248,8 @@ class TestFsd:
         # both {1,2} and {2,3} are fully shattered; {1,2} sorts first
         base = boolean_indicator_class(2)
         queries = []
-        for q in base:
-            queries.append(np.concatenate([[0.5], q.coefficients, [q.coefficients[0]]]))
+        for q in base.matrix:
+            queries.append(np.concatenate([[0.5], q, [q[0]]]))
         c = QueryClass(queries)
         result = fsd(c, 0.5, 2)
         assert result.d == 2

@@ -384,7 +384,7 @@ class TestBestSparseDb:
         from sparsedp.mechanisms import composition_matrix, domain_blocks
 
         for n in range(1, 7):
-            for m in range(9):
+            for m in range(1, 9):
                 full = composition_matrix(n, m)
                 for max_rows in (1, 2, 3, 17):
                     blocks = list(domain_blocks(n, m, max_rows))
