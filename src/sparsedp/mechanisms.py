@@ -491,12 +491,15 @@ def exponential_release_mcmc(
     uniform, is accepted; a NaN ``delta`` is rejected.
 
     The walk keeps the residual ``C @ D - (l1_estimate / m) * (C @ state)``
-    and updates it by two precomputed scaled columns per proposal, as
-    ``(resid + col_i) - col_j``, so its running score may differ from
-    ``quality_score`` in the last bits.  A step allocates nothing: it writes
-    the candidate into the second of two buffers, which trade places on
-    acceptance, and scores it by the magnitude at ``argmax`` (the maximum,
-    NaN included: ``argmax`` stops at the first NaN)."""
+    sign-doubled, as ``[r, -r]``, and adds two precomputed scaled columns,
+    each as ``[col, -col]``, per proposal: ``(resid + col_i) - col_j``, whose
+    running score may differ from ``quality_score`` in the last bits.
+    Rounding is symmetric, so the halves stay exact negations (an exact
+    cancellation gives +0.0 in both), and a candidate scores minus its value
+    at ``argmax``: the largest magnitude, or the first NaN.  A zero score
+    may read +0.0 where ``-|t|`` read -0.0; ``delta >= 0.0`` holds for both.
+    A step allocates nothing: it writes into the second of two buffers,
+    which trade places on acceptance."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if m < 1:
@@ -508,12 +511,13 @@ def exponential_release_mcmc(
     factor = float(l1_estimate) / m
     state = [0] * n
     state[0] = m
-    cols = list(np.ascontiguousarray(factor * c.matrix.T))
+    scaled = np.ascontiguousarray(factor * c.matrix.T)
+    cols = list(np.hstack((scaled, -scaled)))
     resid = c.matrix @ d.entries - factor * (c.matrix @ np.array(state))
     current = float(-abs(resid).max())
+    resid = np.concatenate((resid, -resid))
     trial = np.empty_like(resid)
-    magnitude = np.empty_like(resid)
-    add, subtract, absolute, exp = np.add, np.subtract, np.absolute, math.exp
+    add, subtract, exp = np.add, np.subtract, math.exp
     for start in range(0, steps, CHAIN_BLOCK):
         size = min(CHAIN_BLOCK, steps - start)
         if n > 1:
@@ -527,8 +531,7 @@ def exponential_release_mcmc(
             if state[i] and i != j:
                 add(resid, cols[i], trial)
                 subtract(trial, cols[j], trial)
-                absolute(trial, magnitude)
-                candidate = -magnitude.item(magnitude.argmax())
+                candidate = -trial.item(trial.argmax())
                 delta = scale * (candidate - current)
                 if delta >= 0.0 or exp(delta) > u:
                     state[i] -= 1
@@ -575,6 +578,16 @@ def _laplace_scale(sensitivity: float, alpha: float, name: str) -> float:
     return scale
 
 
+def _check_noisy_value(what: str, value: float, scale: float) -> None:
+    """Refuse, before the draw, a nonnegative true ``value`` that a Laplace
+    draw at ``scale`` could carry past the largest float: ``|value + noise|``
+    is at most ``value + scale * LAPLACE_TAIL``, and rounding is monotone."""
+    if not math.isfinite(value + scale * LAPLACE_TAIL):
+        raise ValueError(
+            f"{what} {value!r} plus the largest Laplace draw at scale {scale!r} overflows to inf"
+        )
+
+
 def laplace_release(
     d: Database, c: QueryClass, p: PrivacyParams, rng: np.random.Generator
 ) -> np.ndarray:
@@ -583,14 +596,18 @@ def laplace_release(
     change, and the k answers compose)."""
     _check_dims(c.n, d.n, "laplace_release: class vs database")
     scale = _laplace_scale(c.k, p.alpha, "alpha")
-    return c.matrix @ d.entries + laplace_noise(rng, scale, size=c.k)
+    answers = c.matrix @ d.entries
+    _check_noisy_value("the largest true answer", float(answers.max()), scale)
+    return answers + laplace_noise(rng, scale, size=c.k)
 
 
 def estimate_l1(d: Database, alpha_share: float, rng: np.random.Generator) -> float:
     """Laplace estimate of ||D||_1 (sensitivity 1), clamped to be nonnegative.
     Clamping is post-processing, so it costs no privacy."""
     scale = _laplace_scale(1.0, alpha_share, "alpha_share")
-    return max(0.0, l1_norm(d) + laplace_noise(rng, scale))
+    norm = l1_norm(d)
+    _check_noisy_value("the L1 norm", norm, scale)
+    return max(0.0, norm + laplace_noise(rng, scale))
 
 
 def utility_threshold(m: int, n: int, eta: float, alpha: float) -> float:

@@ -262,6 +262,27 @@ class TestReleaseCommand:
             "1/(0.1*alpha) overflows to inf in its largest draw\n"
         )
 
+    @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+    def test_norm_that_overflows_after_the_l1_draw_exits_1(self, tmp_path, capsys, sampler):
+        # The scale 1/(0.1*alpha) = 1e306 and its largest draw are finite,
+        # but the norm 1.7e308 plus that draw is not: refused, whatever the
+        # seed, before any draw.
+        db, cls = tmp_path / "big.json", tmp_path / "one.json"
+        save_database(Database([1.7e308]), db)
+        save_query_class(QueryClass([[1.0]]), cls)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(
+                capsys,
+                ["release", "--db", str(db), "--class", str(cls), "--alpha", "1e-305",
+                 "--m", "3", "--l1", "private", "--sampler", sampler],
+            )
+        assert (code, out, caught) == (1, "", [])
+        assert err == (
+            "error: the L1 norm 1.7e+308 plus the largest Laplace draw at scale 1e+306 "
+            "overflows to inf\n"
+        )
+
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(

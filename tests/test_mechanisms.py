@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers_oracles import (
     acceptance_probability,
@@ -899,6 +901,101 @@ class TestChainAgainstAllocatingLoop:
             rule = list(ExponentRule)[trial % 2]
             self.check(d, c, PrivacyParams(1e15), 9, 600, rule, 0.5 * l1_norm(d), trial)
 
+    def test_all_zero_database_at_the_public_norm(self):
+        # The L1 norm is 0, so every scaled column is a signed zero (-0.0
+        # where a coefficient is -0.0, and the negated halves flip each
+        # sign), every residual entry is +0.0 or -0.0, and every candidate
+        # scores a zero.
+        for trial in range(24):
+            rng = np.random.default_rng((77, trial))
+            n = 1 + trial % 6
+            rows = rng.uniform(0.0, 1.0, size=(1 + trial % 5, n))
+            rows[rng.random(rows.shape) < 0.5] = -0.0
+            rule = list(ExponentRule)[trial % 2]
+            p = PrivacyParams((1.0, 1e15)[trial // 2 % 2])
+            d = Database(np.zeros(n))
+            self.check(d, QueryClass(rows), p, 1 + trial % 9, 300, rule, "public", trial)
+
+    def test_private_norm_estimate_clamped_to_zero(self):
+        # Half the Laplace estimates of a zero norm are negative and clamp to
+        # 0.0, so the scaled columns are signed zeros, and so is the residual
+        # of a zero database; the other trials keep a small positive estimate.
+        clamped = 0
+        for trial in range(40):
+            rng = np.random.default_rng((78, trial))
+            n = 2 + trial % 5
+            c = random_query_class(rng, 2 + trial % 4, n)
+            d = Database(np.zeros(n) if trial % 2 else rng.uniform(0.0, 1e-3, size=n))
+            rule = list(ExponentRule)[trial // 2 % 2]
+            self.check(d, c, PrivacyParams(1.0), 7, 300, rule, "private", trial)
+            share = config.L1_ESTIMATE_ALPHA_SHARE
+            clamped += estimate_l1(d, share, np.random.default_rng(trial)) == 0.0
+        assert clamped >= 10
+
+
+def doubled_step(r, a, b):
+    """The chain's step arithmetic on sign-doubled vectors: ``(resid +
+    col_i) - col_j`` with each of the three held as ``[v, -v]``."""
+    resid, col_i, col_j = (np.concatenate((v, -v)) for v in (r, a, b))
+    trial = np.empty_like(resid)
+    np.add(resid, col_i, trial)
+    np.subtract(trial, col_j, trial)
+    return trial
+
+
+# Floats up to 1e300 in magnitude, so no sum of three overflows, with signed
+# zeros, subnormals and repeats drawn often enough to meet exact cancellation.
+step_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1.0, -1.0, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+step_vectors = st.integers(1, 12).flatmap(
+    lambda k: st.tuples(*[st.lists(step_floats, min_size=k, max_size=k)] * 3)
+)
+
+
+class TestSignDoubledStep:
+    """The identity the chain's scoring rests on.  Round-to-nearest is
+    symmetric, so the second half of a sign-doubled step is the negation of
+    the first: bit for bit on every nonzero entry, while an exact
+    cancellation rounds to +0.0 in both halves.  So the value at ``argmax``
+    is the largest magnitude of the plain step."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(step_vectors)
+    @example(([1.0, -0.0, 0.0], [-1.0, -0.0, 0.0], [0.0, 0.0, -0.0]))
+    def test_second_half_negates_the_first(self, vectors):
+        r, a, b = (np.array(v) for v in vectors)
+        k = len(r)
+        t = (r + a) - b
+        t2 = doubled_step(r, a, b)
+        first, second = t2[:k], t2[k:]
+        assert np.array_equal(first.view(np.int64), t.view(np.int64))
+        nonzero = first != 0.0
+        assert np.array_equal((second == 0.0), ~nonzero)
+        assert np.array_equal(second[nonzero].view(np.int64), (-first[nonzero]).view(np.int64))
+        assert -t2.item(t2.argmax()) == -np.abs(t).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_vectors, st.integers(0, 2), st.integers(0, 11))
+    def test_planted_nan_scores_nan(self, vectors, which, index):
+        vectors = [np.array(v) for v in vectors]
+        vectors[which][index % len(vectors[which])] = math.nan
+        t2 = doubled_step(*vectors)
+        assert math.isnan(-t2.item(t2.argmax()))
+
+
+class TopUniforms:
+    """A generator stub whose uniforms are all 1 - 2**-53, the largest below
+    1, which make laplace_noise's largest positive draw; it counts reads."""
+
+    reads = 0
+
+    def random(self, size=None):
+        self.reads += 1
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
 
 class TestLaplace:
     def test_noise_matches_inverse_cdf_shape(self):
@@ -971,6 +1068,22 @@ class TestLaplace:
         with pytest.raises(ValueError, match="overflows to inf in its largest draw"):
             mechanisms._laplace_scale(math.nextafter(top, math.inf), 1.0, "alpha")
 
+    def test_true_answer_that_overflows_after_the_draw_is_refused(self):
+        # 1.7e308 plus the largest draw at scale 1e306 (about 3.6e307) passes
+        # the largest float; the answer was once inf, with numpy's overflow
+        # RuntimeWarning.  1e308 still fits, and is answered.
+        c = QueryClass([[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = TopUniforms()
+            with pytest.raises(
+                ValueError, match=r"the largest true answer 1\.7e\+308 plus the largest .* overflows to inf"
+            ):
+                laplace_release(Database([1.7e308]), c, PrivacyParams(1e-306), rng)
+            assert rng.reads == 0
+            answer = laplace_release(Database([1e308]), c, PrivacyParams(1e-306), rng)
+        assert rng.reads == 1 and np.isfinite(answer).all() and answer[0] > 1e308
+
     def test_finite_scale_keeps_values_and_stream(self):
         # Pinned from the sampler as it was before the finiteness check.
         rng = np.random.default_rng(5)
@@ -1014,6 +1127,19 @@ class TestEstimateL1:
         with pytest.raises(ValueError, match=r"alpha_share=1e-310 is too small: the Laplace scale 1.0/alpha_share"):
             estimate_l1(Database([1.0]), 1e-310, rng)
         assert rng.random() == np.random.default_rng(0).random()
+
+    def test_norm_that_overflows_after_the_draw_is_refused(self):
+        # The estimate was once inf, with no warning: it adds Python floats.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng = TopUniforms()
+            with pytest.raises(
+                ValueError, match=r"the L1 norm 1\.7e\+308 plus the largest .* overflows to inf"
+            ):
+                estimate_l1(Database([1.7e308]), 1e-306, rng)
+            assert rng.reads == 0
+            estimate = estimate_l1(Database([1e308]), 1e-306, rng)
+        assert rng.reads == 1 and 1e308 < estimate < math.inf
 
     def test_finite_share_keeps_value_and_stream(self):
         # Pinned from the estimate as it was before the finiteness check.
