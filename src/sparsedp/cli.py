@@ -3,9 +3,10 @@
 Subcommands: ``release`` (run a private release), ``fsd`` (shattering
 dimension search), ``attack`` (reconstruction experiment), ``verify-privacy``
 (brute-force ratio certificate), and ``oracle`` (closed-form distribution and
-best-surrogate dumps).  Every run prints one JSON document to stdout, byte for
-byte as ``json.dumps(doc, indent=2, sort_keys=True)`` would, that embeds the
-resolved configuration and the library version; ``--out DIR``
+best-surrogate dumps).  Every run prints one JSON document to stdout with
+``json.dumps(doc, indent=2, sort_keys=True)``, embedding the resolved
+configuration and the library version; ``oracle`` fills its distribution's
+slot with the bytes ``json.dumps`` would print for it.  ``--out DIR``
 additionally writes the same document (plus per-trial / per-query CSV tables
 where applicable) to disk.  Identical configuration and seed give
 byte-identical outputs.
@@ -21,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -142,8 +142,9 @@ def _resolved_config(args: argparse.Namespace) -> dict:
     return out
 
 
-def _payload(args, result: dict) -> dict:
-    return {"version": __version__, "config": _resolved_config(args), "result": result}
+def _document(args, result: dict) -> str:
+    payload = {"version": __version__, "config": _resolved_config(args), "result": result}
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _floatstr(x: float) -> str:
@@ -156,115 +157,49 @@ def _floatstr(x: float) -> str:
     return float.__repr__(x)
 
 
-class _Columns:
-    """Named, equal-length columns of ints or floats: a 1-d array holds one
-    number per row, a 2-d array one list of numbers per row.  ``_dumps``
-    prints it exactly as ``json.dumps`` prints its list of per-row dicts,
-    ``[{name: column[i].tolist(), ...} for i in range(rows)]``, without
-    building them."""
+def _oracle_text(text: str, counts: np.ndarray, probabilities: np.ndarray) -> str:
+    """The ``oracle`` document ``text``, whose ``"distribution": []`` slot
+    is filled as ``json.dumps`` prints the list of per-row dicts
+    ``{"counts": counts[i].tolist(), "probability": probabilities[i]}``,
+    without building them.  JSON escapes every quote inside a string, so the
+    slot's text can only be that one key's.
 
-    __slots__ = ("columns", "rows")
-
-    def __init__(self, columns: dict[str, np.ndarray]):
-        for column in columns.values():
-            if column.dtype.kind not in "iuf" or column.ndim not in (1, 2):
-                raise TypeError(
-                    f"a column must be a 1-d or 2-d int or float array, not {column.ndim}-d "
-                    f"{column.dtype}"
-                )
-        lengths = {len(column) for column in columns.values()}
-        if len(lengths) != 1:
-            raise ValueError(f"columns must be one or more of one length, not {sorted(lengths)}")
-        self.columns = columns
-        self.rows = lengths.pop()
-
-
-def _encode_columns(table: _Columns, depth: int, before: str, after: str) -> str:
-    """One row template, filled by one ``%`` over every row's values in
-    sorted-key order, as one flat tuple of ``.tolist()`` values.  The text
-    ``before`` and ``after`` the table goes into the same ``%``, so no
-    separate copy of the table's text is made to join it to them."""
-    if not table.rows:
-        return before + "[]" + after
-    for key in table.columns:
-        if not isinstance(key, str):
-            raise TypeError(f"keys must be str, not {type(key).__name__}")
-    row_indent, field_indent, item_indent = ("\n" + "  " * (depth + i) for i in (1, 2, 3))
-    fields, flat_columns = [], []
-    for key in sorted(table.columns):
-        column = table.columns[key]
-        if column.ndim == 1:
-            slot = "%s"
-            flat_columns.append(column)
-        elif column.shape[1]:
-            items = ("," + item_indent).join(["%s"] * column.shape[1])
-            slot = "[" + item_indent + items + field_indent + "]"
-            flat_columns.extend(column.T)
-        else:
-            slot = "[]"
-        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + slot)
-    row = "{" + field_indent + ("," + field_indent).join(fields) + row_indent + "}"
-    width = len(flat_columns)
-    flat = [None] * (width * table.rows)
-    for offset, column in enumerate(flat_columns):
-        if column.dtype.kind == "f":
-            values = column.tolist()
-            if not np.isfinite(column).all():
-                values = list(map(_floatstr, values))
-        else:
-            # Each distinct int is formatted once: domain counts repeat a few
-            # small values, and formatting is most of an int's cost.
-            distinct, index = np.unique(column, return_inverse=True)
-            texts = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
-            values = texts[index].tolist()
-        flat[offset::width] = values
-    rows = ("," + row_indent).join([row] * table.rows)
-    head, tail = before.replace("%", "%%"), after.replace("%", "%%")
-    template = "".join((head, "[", row_indent, rows, "\n", "  " * depth, "]", tail))
+    One row template is filled by one ``%`` over every row's values as one
+    flat tuple of ``.tolist()`` values.  The text before and after the slot
+    goes into the same ``%``, so no separate copy of the table's text is
+    made to join it to them."""
+    head, tail = text.split('"distribution": []')
+    indent = head[head.rfind("\n") + 1 :]
+    row_indent = "\n" + indent + "  "
+    field_indent, item_indent = row_indent + "  ", row_indent + "    "
+    items = ("," + item_indent).join(["%s"] * counts.shape[1])
+    row = "".join((
+        "{", field_indent, '"counts": [', item_indent, items, field_indent, "],",
+        field_indent, '"probability": %s', row_indent, "}",
+    ))
+    width = counts.shape[1] + 1
+    flat = [None] * (width * len(counts))
+    for offset, column in enumerate(counts.T):
+        # Each distinct count is formatted once: a domain's counts repeat a
+        # few small values, and formatting is most of an int's cost.
+        distinct, index = np.unique(column, return_inverse=True)
+        texts = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
+        flat[offset::width] = texts[index].tolist()
+    values = probabilities.tolist()
+    if not np.isfinite(probabilities).all():
+        values = list(map(_floatstr, values))
+    flat[width - 1 :: width] = values
+    rows = ("," + row_indent).join([row] * len(counts))
+    template = "".join((
+        head.replace("%", "%%"), '"distribution": [', row_indent, rows, "\n", indent, "]",
+        tail.replace("%", "%%"),
+    ))
     return template % tuple(flat)
 
 
-# What ``json.dumps`` prints in place of each ``_Columns``: it holds NULs,
-# which no argv string can carry, so no CLI document holds it.
-_MARKER = "\0columns\0"
-_ENCODED_MARKER = json.dumps(_MARKER)
-
-
-def _dumps(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)``, reading a
-    ``_Columns`` as its list of per-row dicts: json prints a marker for each
-    table, and ``_encode_columns`` prints the table in its place, at the
-    marker line's depth, together with the text around it.  A document with
-    tables that also holds the marker's text is refused."""
-    tables = []
-
-    def default(value):
-        if isinstance(value, _Columns):
-            tables.append(value)
-            return _MARKER
-        return json.JSONEncoder().default(value)
-
-    text = json.dumps(obj, indent=2, sort_keys=True, default=default)
-    if not tables:
-        return text
-    pieces = text.split(_ENCODED_MARKER)
-    if len(pieces) != len(tables) + 1:
-        raise ValueError("the document holds the text of the columns marker")
-    text = pieces[0]
-    for table, after in zip(tables, pieces[1:]):
-        line = text[text.rfind("\n") + 1 :]
-        text = _encode_columns(table, (len(line) - len(line.lstrip(" "))) // 2, text, after)
-    # json's encoder leaves a reference cycle that holds ``default``, and so
-    # ``tables``: emptied, it keeps no table's arrays alive until the cyclic
-    # collector runs.
-    tables.clear()
-    return text
-
-
-def _emit(args, payload: dict, tables: dict | None = None) -> None:
-    """Print the document; under ``--out`` also write it, and each CSV file
-    of ``tables`` (file name -> function returning its rows, called only then)."""
-    text = _dumps(payload)
+def _emit(args, text: str, tables: dict | None = None) -> None:
+    """Print the document ``text``; under ``--out`` also write it, and each CSV
+    file of ``tables`` (file name -> function returning its rows, called only then)."""
     print(text)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
@@ -347,14 +282,14 @@ def _cmd_release(args) -> int:
         [i, repr(float(t)), repr(float(r)), repr(abs(float(t) - float(r)))]
         for i, (t, r) in enumerate(zip(cls.matrix @ db.entries, released))
     ]
-    _emit(args, _payload(args, result), {"per_query.csv": rows})
+    _emit(args, _document(args, result), {"per_query.csv": rows})
     return 0
 
 
 def _cmd_fsd(args) -> int:
     cls = load_query_class(args.query_class)
     result = fsd(cls, args.gamma, args.dmax, budget=args.budget)
-    _emit(args, _payload(args, result.to_dict()))
+    _emit(args, _document(args, result.to_dict()))
     return 0
 
 
@@ -379,8 +314,7 @@ def _cmd_attack(args) -> int:
         # one's law is kept after its first release while it fits the budget;
         # an over-budget domain is refused here, not counted as a failure of
         # each trial.
-        laws = ExactLawTable(family.databases, cls, p, m, rule)
-        mechanism = lambda db, rng: exponential_release_exact(db, cls, p, m, rng, rule, laws=laws)
+        mechanism = ExactLawTable(family.databases, cls, p, m, rule).release
     elif args.mechanism == "mcmc":
         mechanism = lambda db, rng: exponential_release_mcmc(db, cls, p, m, args.steps, rng, rule)
     else:
@@ -399,7 +333,7 @@ def _cmd_attack(args) -> int:
     rows = lambda: [["trial", "epsilon_hat", "symdiff"]] + [
         [i, repr(e), s] for i, (e, s) in enumerate(report.per_trial)
     ]
-    _emit(args, _payload(args, result), {"per_trial.csv": rows})
+    _emit(args, _document(args, result), {"per_trial.csv": rows})
     return 0
 
 
@@ -421,7 +355,7 @@ def _cmd_verify_privacy(args) -> int:
         cert = postprocessing_certificate(
             g, args.n, args.entry_cap, cls, p, args.m, rule, real_probes=args.probes, rng=rng
         )
-    _emit(args, _payload(args, cert.to_dict()))
+    _emit(args, _document(args, cert.to_dict()))
     return 0
 
 
@@ -432,16 +366,13 @@ def _cmd_oracle(args) -> int:
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
     distribution = exact_output_distribution(db, cls, p, args.m, rule)
-    result = {
-        "distribution": _Columns(
-            {"counts": distribution.counts, "probability": distribution.probabilities}
-        )
-    }
+    result = {"distribution": []}
     if args.best_sparse:
         # The distribution's scores are best_sparse_db's: one scoring pass.
         best, relative_error = best_surrogate(distribution.counts, distribution.scores, l1_norm(db))
         result["best_sparse"] = {"counts": best.counts.tolist(), "relative_error": relative_error}
-    _emit(args, _payload(args, result))
+    text = _document(args, result)
+    _emit(args, _oracle_text(text, distribution.counts, distribution.probabilities))
     return 0
 
 

@@ -12,6 +12,7 @@ threads.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,10 +79,16 @@ class Database:
         arr = _frozen_array(self.entries, np.float64, "database entries")
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("database must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(arr)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = arr.sum()
+        # A NaN or infinite entry leaves the sum non-finite too, so the
+        # entries are scanned for one only when the sum is.
+        if not math.isfinite(total) and not np.isfinite(arr).all():
             raise ValueError("database entries must be finite")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ValueError("database entries must be nonnegative")
+        if not math.isfinite(total):
+            raise ValueError("database entries must have a finite sum: the L1 norm overflows to inf")
         object.__setattr__(self, "entries", arr)
 
     @property

@@ -39,6 +39,7 @@ from .core import (
     l1_norm,
     rescale,
 )
+from .fsd import _validate_eta
 
 __all__ = [
     "ExponentRule",
@@ -360,23 +361,14 @@ def exponential_release_exact(
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
     l1="public",
-    laws: "ExactLawTable | None" = None,
 ) -> ReleaseOutput:
     """Draw one uniform against the cumulative ``_exact_law`` of the whole
     domain at the alpha left for the weights (0.9 alpha under
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
     enumeration budget and names the MCMC fallback.  The reported score is
-    ``quality_score`` of the drawn row, exactly.
-
-    ``laws``, an ``ExactLawTable`` holding ``d``, keeps the domain and its
-    databases' laws and releases.  The release is the same, and reads the
-    generator the same way, with or without it."""
+    ``quality_score`` of the drawn row, exactly."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
-    if laws is not None:
-        if not isinstance(laws, ExactLawTable):
-            raise TypeError(f"laws must be an ExactLawTable, got {type(laws).__name__}")
-        return laws._draw_release(d, c, p, m, rng, exponent_rule, l1)
     counts = composition_matrix(d.n, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
@@ -401,11 +393,10 @@ class ExactLawTable:
     A database's law is computed on its first release, by the per-call
     sampler's own ``_exact_law``, and the ``ReleaseOutput`` of a
     (database, row) pair on its first draw; later releases only draw one
-    uniform.  A release is therefore the one the per-call sampler makes
-    from the same generator, which it leaves in the same state.  A database
-    is known by its entries; one not in the table is refused, as are a
-    different class, alpha, m or rule and a non-public ``l1``, all before
-    the generator is read.
+    uniform.  A release is therefore the one ``exponential_release_exact``
+    makes from the same generator, which it leaves in the same state.  A
+    database is known by its entries; one not in the table is refused
+    before the generator is read.
 
     Each kept law is the size of a pass over ``counts``, so a law (and the
     releases drawn from it) is kept only while the kept laws and the new
@@ -431,19 +422,12 @@ class ExactLawTable:
     def counts(self) -> np.ndarray:
         return self._counts
 
-    def _draw_release(self, d, c, p, m, rng, exponent_rule, l1) -> ReleaseOutput:
-        if m != self.m:
-            raise ValueError(f"ExactLawTable: built for m={self.m}, but m={m} was given")
-        if (c is not self.c and not np.array_equal(c.matrix, self.c.matrix)) or (
-            p.alpha != self.alpha or exponent_rule != self.exponent_rule
-        ):
-            raise ValueError("ExactLawTable: built for another class, alpha or exponent rule")
-        if not (isinstance(l1, str) and l1 == "public"):
-            raise ValueError(f"ExactLawTable: keeps laws at the public L1 norm, got l1={l1!r}")
+    def release(self, d: Database, rng: np.random.Generator) -> ReleaseOutput:
+        """One exact release of ``d``, one of the table's databases."""
         s = self._index.get(d.entries.tobytes())
         if s is None:
             raise ValueError("ExactLawTable: the database is not one of the table's")
-        counts = self._counts
+        c, counts, exponent_rule = self.c, self._counts, self.exponent_rule
         cumulative = self._cumulative[s]
         if cumulative is None:
             law = _exact_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)[1]
@@ -616,6 +600,6 @@ def utility_threshold(m: int, n: int, eta: float, alpha: float) -> float:
     DEFAULT_CU * m * ln(n) / (eta * alpha)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be at least 1")
-    _check_positive("eta", eta)
+    eta = _validate_eta(eta)
     _check_positive("alpha", alpha)
     return config.DEFAULT_CU * m * math.log(n) / (eta * alpha)

@@ -113,8 +113,7 @@ def test_04_reconstruction_bound_over_1e4_trials():
     family = build_family(c, 0.5, 4)
     assert family.d == 4 and family.gamma == 0.5
     p = PrivacyParams(1.0)
-    laws = ExactLawTable(family.databases, c, p, 2, ExponentRule.PAPER_QUARTER)
-    mechanism = lambda db, rng: exponential_release_exact(db, c, p, 2, rng, laws=laws)
+    mechanism = ExactLawTable(family.databases, c, p, 2, ExponentRule.PAPER_QUARTER).release
     report = attack_experiment(mechanism, family, 10_000, np.random.default_rng(4_000), alpha=1.0)
     assert report.completed == 10_000
     assert report.mechanism_failures == 0
@@ -201,7 +200,7 @@ def test_08_sampler_agreement():
     draws = 100_000
     counts: dict = {}
     for _ in range(draws):
-        key = exponential_release_exact(d, c, p, 2, rng, laws=laws).d_prime.as_tuple()
+        key = laws.release(d, rng).d_prime.as_tuple()
         counts[key] = counts.get(key, 0) + 1
     empirical = {key: value / draws for key, value in counts.items()}
     assert total_variation(empirical, exact) < 0.02

@@ -291,8 +291,7 @@ class TestAttackExperiment:
         family = build_family(c, 0.5, dimension)
         m = dimension // 2
         for rule in ExponentRule:
-            laws = ExactLawTable(family.databases, c, self.p, m, rule)
-            table = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule, laws=laws)
+            table = ExactLawTable(family.databases, c, self.p, m, rule).release
             per_call = lambda db, rng: exponential_release_exact(db, c, self.p, m, rng, rule)
             a = attack_experiment(table, family, 300, np.random.default_rng(8), alpha=1.0)
             b = attack_experiment(per_call, family, 300, np.random.default_rng(8), alpha=1.0)
@@ -458,7 +457,7 @@ def reference_mechanisms(family):
 
     return {
         "identity": lambda db, rng: db,
-        "law-table": lambda db, rng: exponential_release_exact(db, c, p, m, rng, laws=laws),
+        "law-table": laws.release,
         "per-call": lambda db, rng: exponential_release_exact(db, c, p, m, rng),
         "laplace": lambda db, rng: laplace_release(db, c, PrivacyParams(alpha=40.0), rng),
         "mcmc": lambda db, rng: exponential_release_mcmc(db, c, p, m, 15, rng),

@@ -283,6 +283,21 @@ class TestReleaseCommand:
             "overflows to inf\n"
         )
 
+    @pytest.mark.parametrize("command", ["oracle", "release"])
+    def test_database_whose_l1_norm_overflows_exits_1(self, tmp_path, capsys, command):
+        # Each entry is finite, but their sum is not: refused when the file
+        # is read, before any sum warns.
+        db, cls = tmp_path / "big.json", tmp_path / "cls.json"
+        db.write_text(json.dumps({"entries": [1e308, 1e308]}))
+        save_query_class(QueryClass([[1.0, 1.0]]), cls)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_capture(
+                capsys, [command, "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "2"]
+            )
+        assert (code, out, caught) == (1, "", [])
+        assert err == "error: database entries must have a finite sum: the L1 norm overflows to inf\n"
+
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(
@@ -468,6 +483,20 @@ class TestOracleCommand:
         code, out, err = run_capture(capsys, argv)
         assert (code, err) == (0, "")
         assert out == oracle_stdout_by_dicts(db, cls, 0.7, m, exponent, best_sparse)
+
+    @pytest.mark.parametrize("best_sparse", [False, True])
+    def test_paths_holding_the_slot_text_and_percents(self, tmp_path, capsys, best_sparse):
+        # The paths print escaped, so the distribution's slot is found only
+        # at its key, and their percent signs go through the table's ``%``.
+        folder = tmp_path / '"distribution": [] %s %%'
+        folder.mkdir()
+        db, cls = folder / 'db "distribution": [].json', folder / "cls %s %%.json"
+        save_database(Database([1.0, 2.0, 0.5]), db)
+        save_query_class(QueryClass([[1, 0, 0], [0.5, 0.5, 1]]), cls)
+        argv = ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "0.7", "--m", "3"]
+        code, out, err = run_capture(capsys, argv + ["--best-sparse"] * best_sparse)
+        assert (code, err) == (0, "")
+        assert out == oracle_stdout_by_dicts(db, cls, 0.7, 3, "paper", best_sparse)
 
 
 class TestContracts:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,15 @@ class TestConstruction:
     def test_database_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             Database([1.0, -0.1])
+
+    def test_database_rejects_entries_whose_sum_overflows(self):
+        # Each entry is finite, but the L1 norm would be inf; the refusal
+        # warns of no overflow on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite sum: the L1 norm overflows to inf"):
+                Database([1e308, 1e308])
+            assert l1_norm(Database([1e308, 7e307])) == 1.7e308
 
     def test_database_rejects_empty(self):
         with pytest.raises(ValueError):

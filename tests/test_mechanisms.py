@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -330,9 +331,10 @@ class TestLawOverflow:
     def test_every_logit_overflowing_is_refused(self):
         d, rule = Database([10, 3, 7]), ExponentRule.PAPER_QUARTER
         table = mechanisms.ExactLawTable([d], self.c, self.p, 4, rule)
-        for laws in (None, table):
+        per_call = lambda d, rng: exponential_release_exact(d, self.c, self.p, 4, rng)
+        for release in (per_call, table.release):
             with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
-                exponential_release_exact(d, self.c, self.p, 4, np.random.default_rng(0), laws=laws)
+                release(d, np.random.default_rng(0))
 
 
 class FixedUniform:
@@ -390,7 +392,7 @@ class TestExactLawTable:
             for d in databases + [Database(databases[-1].entries.copy())]:
                 for seed in rng.integers(2**31, size=3).tolist():
                     a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    got = exponential_release_exact(d, c, p, m, a_rng, rule, laws=table)
+                    got = table.release(d, a_rng)
                     want = exponential_release_exact(d, c, p, m, b_rng, rule)
                     assert_same_release(got, want)
                     assert a_rng.random() == b_rng.random()
@@ -403,10 +405,10 @@ class TestExactLawTable:
                         # The first row whose cumulative probability exceeds u.
                         first = min(int((cumulative <= u).sum()), len(cumulative) - 1)
                         assert want.d_prime.as_tuple() == tuple(counts[first].tolist())
-                        got = exponential_release_exact(d, c, p, m, fixed, rule, laws=table)
+                        got = table.release(d, fixed)
                         assert_same_release(got, want)
                         # Built on the first draw of the row, then reused.
-                        assert exponential_release_exact(d, c, p, m, fixed, rule, laws=table) is got
+                        assert table.release(d, fixed) is got
         if slice_cells is not None:
             assert sliced >= 20
 
@@ -432,28 +434,12 @@ class TestExactLawTable:
         ]
         rule = ExponentRule.PAPER_QUARTER
         table = mechanisms.ExactLawTable(databases, c, p, 2, rule)
-        release = lambda d, rng, c=c, p=p, rule=rule, **kw: exponential_release_exact(
-            d, c, p, 2, rng, rule, laws=table, **kw
-        )
         rng = np.random.default_rng(3)
         for unknown in (Database([1, 1, 1, 0]), Database([0.5, 0.5, 0.5, 0.5])):
             with pytest.raises(ValueError, match="not one of the table's"):
-                release(unknown, rng)
-        with pytest.raises(DimensionMismatchError, match="class vs database"):
-            release(Database([1, 1, 0]), rng)
-        other = QueryClass([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 1, 0]])
-        for kw in ({"c": other}, {"p": PrivacyParams(1.5)}, {"rule": ExponentRule.TIGHT_SENSITIVITY}):
-            with pytest.raises(ValueError, match="another class, alpha or exponent rule"):
-                release(databases[0], rng, **kw)
-        for l1 in ("private", 2.0):
-            with pytest.raises(ValueError, match="public L1 norm"):
-                release(databases[0], rng, l1=l1)
+                table.release(unknown, rng)
         # A refusal comes before the generator is read.
         assert rng.random() == np.random.default_rng(3).random()
-        # An equal class is accepted.
-        same = QueryClass(c.matrix.copy())
-        got = release(databases[0], np.random.default_rng(4), c=same)
-        assert release(databases[0], np.random.default_rng(4)) is got
 
         # Each kept law is a pass over the 10-row domain: a budget of 59
         # keeps five of the six, 60 keeps all six.  A database whose law is
@@ -464,7 +450,7 @@ class TestExactLawTable:
             seeds = np.random.default_rng(5).integers(2**31, size=4 * len(databases)).tolist()
             for d, seed in zip(databases * 4, seeds):
                 a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = exponential_release_exact(d, c, p, 2, a_rng, rule, laws=fitted)
+                got = fitted.release(d, a_rng)
                 want = exponential_release_exact(d, c, p, 2, b_rng, rule)
                 assert_same_release(got, want)
                 assert a_rng.random() == b_rng.random()
@@ -514,17 +500,16 @@ class TestExactLawTable:
         assert calls == []
         rng = np.random.default_rng(5)
         for d in [databases[1], databases[1], databases[0], databases[1]]:
-            exponential_release_exact(d, c, p, 3, rng, laws=table)
+            table.release(d, rng)
         assert calls == [[0, 1, 0], [1, 0, 0]]
 
 
 class TestPreparedDomain:
-    """The prepared path: an ``ExactLawTable`` passed as ``laws=``."""
+    """The prepared path: ``ExactLawTable.release``."""
 
     def test_prepared_release_matches_unprepared(self):
         # Same row, score and estimate, and the generator left in the same
-        # state, over both rules with the public L1 norm; the table refuses
-        # a private or caller-supplied L1 before the generator is read.
+        # state, over both rules with the public L1 norm.
         rng = np.random.default_rng(9)
         for trial in range(60):
             n = int(rng.integers(1, 5))
@@ -537,33 +522,13 @@ class TestPreparedDomain:
             table = mechanisms.ExactLawTable([d], c, p, m, rule)
             a_rng, b_rng = np.random.default_rng(trial), np.random.default_rng(trial)
             if l1 != "public":
-                with pytest.raises(ValueError, match="public L1 norm"):
-                    exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, laws=table)
-                assert b_rng.random() == a_rng.random()
                 continue
             a = exponential_release_exact(d, c, p, m, a_rng, rule, l1=l1)
-            b = exponential_release_exact(d, c, p, m, b_rng, rule, l1=l1, laws=table)
+            b = table.release(d, b_rng)
             assert b.d_prime.as_tuple() == a.d_prime.as_tuple()
             assert b.score == a.score
             assert b.l1_estimate == a.l1_estimate
             assert b_rng.random() == a_rng.random()
-
-    def test_mismatched_domain_is_refused(self):
-        d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
-        rule = ExponentRule.PAPER_QUARTER
-        table = mechanisms.ExactLawTable([d], c, p, 2, rule)
-        rng = np.random.default_rng(0)
-        with pytest.raises(DimensionMismatchError, match="class vs database"):
-            exponential_release_exact(Database([1.0, 2.0, 0.0]), c, p, 2, rng, rule, laws=table)
-        for bad_m in (1, 3):
-            with pytest.raises(ValueError, match=f"m=2, but m={bad_m}"):
-                exponential_release_exact(d, c, p, bad_m, rng, rule, laws=table)
-        for not_a_table in (composition_matrix(2, 2), table.counts, object()):
-            with pytest.raises(TypeError, match="laws must be an ExactLawTable"):
-                exponential_release_exact(d, c, p, 2, rng, rule, laws=not_a_table)
-        # A refusal comes before the generator is read.
-        assert rng.random() == np.random.default_rng(0).random()
-
 
 class TestExactRelease:
     def test_huge_alpha_returns_argmax(self):
@@ -1158,10 +1123,12 @@ class TestUtility:
         with pytest.raises(ValueError):
             utility_threshold(0, 4, 0.5, 1.0)
         for bad in (math.nan, math.inf, 0.0, -1.0):
-            with pytest.raises(ValueError, match=f"eta must be finite and positive, got {bad}"):
+            with pytest.raises(ValueError, match=re.escape(f"eta must lie in (0, 1], got {bad}")):
                 utility_threshold(3, 4, bad, 1.0)
             with pytest.raises(ValueError, match=f"alpha must be finite and positive, got {bad}"):
                 utility_threshold(3, 4, 0.5, bad)
+        with pytest.raises(ValueError, match=re.escape("eta must lie in (0, 1], got 1.5")):
+            utility_threshold(3, 4, 1.5, 1.0)
 
     def test_reads_the_constant_at_call_time(self, monkeypatch):
         monkeypatch.setattr(config, "DEFAULT_CU", 3.0)
