@@ -6,6 +6,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -93,3 +94,45 @@ def test_percent_text_around_columns():
     config = {"db": '"distribution": [] %s %%', "query_class": "%(x)s %d", "%s": "%"}
     want = reference(oracle_document(config, None, row_dicts(counts, probabilities)))
     assert printed(oracle_document(config, None, []), counts, probabilities) == want
+
+
+# Fixed cases at the ``oracle`` document's shape: config, best_sparse,
+# counts and probabilities.
+PINNED = {
+    "percent keys": ({"%": 1, "%s": [1, 2], "a%%b": {"%(x)s": None}, "%d": "%s"}, None,
+                     np.array([[1, 0], [0, 1]]), np.array([0.5, 0.5])),
+    "escaped keys": ({'q"': 1, "new\nline": 2, "é": 3, "😀": 4, "\\": 5, "\x00": 6}, None,
+                     np.array([[2]]), np.array([1.0])),
+    "bools with ints": ({"best_sparse": True, "m": 1, "out": False},
+                        {"counts": [1, 0], "relative_error": 0.0},
+                        np.array([[1, 0], [0, 1]]), np.array([1.0, 0.0])),
+    "big ints": ({"m": 2**200, "seed": -(2**63) - 1}, None,
+                 np.array([[INT64.max, INT64.min], [0, -1]]), np.array([0.25, 0.75])),
+    "special floats": ({"alpha": math.nan}, None, np.arange(6).reshape(6, 1),
+                       np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.5])),
+    "finite floats": ({"alpha": 1e308}, None, np.arange(5).reshape(5, 1),
+                      np.array([0.1, -0.0, 5e-324, 1e308, 2.5])),
+    "nan in a column": ({"m": 1}, None, np.array([[1, 0], [0, 1], [1, 1]]),
+                        np.array([0.5, math.nan, -math.inf])),
+    "non-square rows": ({"m": 3}, None, np.array([[1, 2, 0], [0, 1, 2]]), np.array([0.5, 0.5])),
+    "empty containers": ({"a": [], "b": {}, "c": [[]], "d": [{}], "e": {"distribution": {}}},
+                         None, np.array([[1]]), np.array([1.0])),
+    "reordered keys": (dict(reversed(sorted({"z": 1, "m": 2, "a": 3, "db": "x"}.items()))),
+                       {"relative_error": 0.5, "counts": [0, 2]},
+                       np.array([[2, 0], [0, 2]]), np.array([0.5, 0.5])),
+    "scalars": ({"none": None, "s": "s", "i": 3, "f": 2.0, "t": True}, None,
+                np.array([[0]]), np.array([1.0])),
+    "tuples": ({"shape": (2, (3,)), "empty": ()}, None, np.array([[1, 1]]), np.array([1.0])),
+    "document": ({"m": 2, "out": None, "best_sparse": True}, {"counts": [2, 0], "relative_error": 0.0},
+                 np.array([[2, 0], [1, 1]]), np.array([0.75, 0.25])),
+    "NUL and marker text in config strings": (
+        {"db": "a\x00b", "class": '"distribution": []', "out": '\\"distribution\\": [] %s'},
+        None, np.array([[1, 0]]), np.array([1.0])),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED.values()), ids=list(PINNED))
+def test_pinned(case):
+    config, best_sparse, counts, probabilities = case
+    want = reference(oracle_document(config, best_sparse, row_dicts(counts, probabilities)))
+    assert printed(oracle_document(config, best_sparse, []), counts, probabilities) == want

@@ -530,6 +530,19 @@ class TestPreparedDomain:
             assert b.l1_estimate == a.l1_estimate
             assert b_rng.random() == a_rng.random()
 
+    def test_mismatched_domain_is_refused(self):
+        # A database of another length, or of the same length but not in
+        # the table, has no law there; the refusal comes before the
+        # generator is read.
+        d, c, p = Database([1.0, 2.0]), QueryClass([[1, 0], [0.5, 0.5]]), PrivacyParams(1.0)
+        table = mechanisms.ExactLawTable([d], c, p, 2, ExponentRule.PAPER_QUARTER)
+        rng = np.random.default_rng(0)
+        for other in (Database([1.0, 2.0, 0.0]), Database([1.0]), Database([2.0, 1.0])):
+            with pytest.raises(ValueError, match="not one of the table's"):
+                table.release(other, rng)
+        assert rng.random() == np.random.default_rng(0).random()
+
+
 class TestExactRelease:
     def test_huge_alpha_returns_argmax(self):
         d = Database([3, 1])
