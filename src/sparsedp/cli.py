@@ -6,10 +6,10 @@ dimension search), ``attack`` (reconstruction experiment), ``verify-privacy``
 best-surrogate dumps).  Every run prints one JSON document to stdout with
 ``json.dumps(doc, indent=2, sort_keys=True)``, embedding the resolved
 configuration and the library version; ``oracle`` fills its distribution's
-slot with the bytes ``json.dumps`` would print for it.  ``--out DIR``
-additionally writes the same document (plus per-trial / per-query CSV tables
-where applicable) to disk.  Identical configuration and seed give
-byte-identical outputs.
+slot, a block of rows at a time, with the bytes ``json.dumps`` would print
+for it.  ``--out DIR`` additionally writes the same document (plus per-trial
+/ per-query CSV tables where applicable) to disk.  Identical configuration
+and seed give byte-identical outputs.
 
 Exit codes: 0 success, 1 validation error (bad flags or malformed files),
 2 budget refusal (the domain enumeration, or a shattering search that
@@ -157,6 +157,11 @@ def _floatstr(x: float) -> str:
     return float.__repr__(x)
 
 
+# Rows per joined block of ``_oracle_text``: one join over a whole m=20
+# table holds every row's pieces at once and raised the benchmark's peak RSS.
+_ORACLE_BLOCK_ROWS = 2048
+
+
 def _oracle_text(text: str, counts: np.ndarray, probabilities: np.ndarray) -> str:
     """The ``oracle`` document ``text``, whose ``"distribution": []`` slot
     is filled as ``json.dumps`` prints the list of per-row dicts
@@ -164,37 +169,43 @@ def _oracle_text(text: str, counts: np.ndarray, probabilities: np.ndarray) -> st
     without building them.  JSON escapes every quote inside a string, so the
     slot's text can only be that one key's.
 
-    One row template is filled by one ``%`` over every row's values as one
-    flat tuple of ``.tolist()`` values.  The text before and after the slot
-    goes into the same ``%``, so no separate copy of the table's text is
-    made to join it to them."""
+    The table is a list of pieces, one per cell, joined a block of rows at
+    a time.  Each column's distinct counts are formatted once, with the text
+    that follows them folded in; column 0's pieces also carry the previous
+    row's close and the row's opening, trimmed on the first row.  The text
+    before and after the slot are the first and last pieces."""
     head, tail = text.split('"distribution": []')
     indent = head[head.rfind("\n") + 1 :]
     row_indent = "\n" + indent + "  "
     field_indent, item_indent = row_indent + "  ", row_indent + "    "
-    items = ("," + item_indent).join(["%s"] * counts.shape[1])
-    row = "".join((
-        "{", field_indent, '"counts": [', item_indent, items, field_indent, "],",
-        field_indent, '"probability": %s', row_indent, "}",
-    ))
+    close = row_indent + "},"
+    opening = close + row_indent + "{" + field_indent + '"counts": [' + item_indent
     width = counts.shape[1] + 1
-    flat = [None] * (width * len(counts))
+    last = field_indent + "]," + field_indent + '"probability": '
+    follows = ["," + item_indent] * (width - 2) + [last]
+    columns = []
     for offset, column in enumerate(counts.T):
         # Each distinct count is formatted once: a domain's counts repeat a
         # few small values, and formatting is most of an int's cost.
         distinct, index = np.unique(column, return_inverse=True)
-        texts = np.array(list(map(int.__repr__, distinct.tolist())), dtype=object)
-        flat[offset::width] = texts[index].tolist()
-    values = probabilities.tolist()
-    if not np.isfinite(probabilities).all():
-        values = list(map(_floatstr, values))
-    flat[width - 1 :: width] = values
-    rows = ("," + row_indent).join([row] * len(counts))
-    template = "".join((
-        head.replace("%", "%%"), '"distribution": [', row_indent, rows, "\n", indent, "]",
-        tail.replace("%", "%%"),
-    ))
-    return template % tuple(flat)
+        before = opening if offset == 0 else ""
+        texts = [before + repr(value) + follows[offset] for value in distinct.tolist()]
+        columns.append((np.array(texts, dtype=object), index))
+    format_float = float.__repr__ if np.isfinite(probabilities).all() else _floatstr
+    blocks = [head + '"distribution": [']
+    for start in range(0, len(counts), _ORACLE_BLOCK_ROWS):
+        stop = min(start + _ORACLE_BLOCK_ROWS, len(counts))
+        pieces = [None] * (width * (stop - start))
+        for offset, (texts, index) in enumerate(columns):
+            pieces[offset::width] = texts[index[start:stop]].tolist()
+        pieces[width - 1 :: width] = map(format_float, probabilities[start:stop].tolist())
+        if start == 0:
+            pieces[0] = pieces[0][len(close) :]
+        blocks.append("".join(pieces))
+    blocks.append(row_indent + "}\n" + indent + "]" + tail)
+    # The column indexes are not kept while the whole text is held twice.
+    del columns, index
+    return "".join(blocks)
 
 
 def _emit(args, text: str, tables: dict | None = None) -> None:
@@ -218,9 +229,9 @@ def _parse_l1(raw: str):
         raise _CliError(f"--l1 must be 'public', 'private', or a number, got {raw!r}")
 
 
-def _check_at_least_one(flag: str, value: int | None) -> None:
-    if value is not None and value < 1:
-        raise _CliError(f"{flag} must be at least 1")
+def _check_at_least(flag: str, value: int | None, least: int = 1) -> None:
+    if value is not None and value < least:
+        raise _CliError(f"{flag} must be at least {least}")
 
 
 def _check_laplace_scale(alpha: float, scale: float, what: str) -> None:
@@ -231,7 +242,7 @@ def _check_laplace_scale(alpha: float, scale: float, what: str) -> None:
 
 
 def _derive_m(args, cls) -> int:
-    _check_at_least_one("--m", args.m)
+    _check_at_least("--m", args.m)
     if args.m is not None:
         return args.m
     if args.eta is None or args.gamma is None:
@@ -249,8 +260,9 @@ def _derive_m(args, cls) -> int:
 
 
 def _cmd_release(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     if args.sampler == "mcmc":
-        _check_at_least_one("--steps", args.steps)
+        _check_at_least("--steps", args.steps)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
@@ -294,15 +306,16 @@ def _cmd_fsd(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _check_at_least_one("--trials", args.trials)
+    _check_at_least("--seed", args.seed, 0)
+    _check_at_least("--trials", args.trials)
     if args.mechanism == "mcmc":
-        _check_at_least_one("--steps", args.steps)
+        _check_at_least("--steps", args.steps)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
     if args.mechanism == "laplace":
         _check_laplace_scale(args.alpha, cls.k / p.alpha, f"the Laplace scale k/alpha = {cls.k}/alpha")
-    _check_at_least_one("--m", args.m)
+    _check_at_least("--m", args.m)
     d_max = args.dmax if args.dmax is not None else max(2, int(math.log2(cls.k)))
     family = build_family(cls, args.gamma, d_max)
     m = args.m if args.m is not None else family.d // 2
@@ -338,7 +351,11 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify_privacy(args) -> int:
-    _check_at_least_one("--m", args.m)
+    _check_at_least("--m", args.m)
+    _check_at_least("--entry-cap", args.entry_cap)
+    _check_at_least("--probes", args.probes, 0)
+    if args.probes:
+        _check_at_least("--seed", args.seed, 0)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
@@ -360,7 +377,7 @@ def _cmd_verify_privacy(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_at_least_one("--m", args.m)
+    _check_at_least("--m", args.m)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)

@@ -16,7 +16,6 @@ best surrogate to ``max_error`` and the certificates, which score a whole
 grid in one batched pass, to a per-point reference.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,7 +135,7 @@ def _certificate(
 
     # Grid points in product order; the neighbour of a point one unit up on
     # axis i sits stride[i] rows later.  Pairs go by point, then by axis.
-    grid = np.array(list(itertools.product(range(entry_cap + 1), repeat=n)))
+    grid = np.indices((entry_cap + 1,) * n).reshape(n, -1).T
     stride = (entry_cap + 1) ** np.arange(n - 1, -1, -1)
     lower, axis = np.nonzero(grid < entry_cap)
     upper = lower + stride[axis]
@@ -175,12 +174,14 @@ def _certificate(
         np.add.at(pushed, label_of_row, dist.T)
         dist, labels = pushed.T, list(index)
 
-    # Both orders of every pair; a ratio is inf when only its denominator is
-    # 0 and 1 when both are.  The first maximum in (pair, order, label) order
-    # is the witness.
-    x, y = dist[pairs], dist[pairs[:, ::-1]]
+    # Both orders of every pair, from one gather: y is x with each pair
+    # reversed.  A ratio is inf when only its denominator is 0 and 1 when both
+    # are.  The first maximum in (pair, order, label) order is the witness.
+    x = dist[pairs]
+    y = x[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where((x == 0.0) & (y == 0.0), 1.0, x / y)
+        ratios = x / y
+    ratios[(x == 0.0) & (y == 0.0)] = 1.0
     pair, order, label = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     max_ratio = float(ratios[pair, order, label])
     witness = pairs[pair] if order == 0 else pairs[pair, ::-1]

@@ -98,7 +98,36 @@ class TestVerifyPrivacyCommand:
         )
         assert code == 1
         assert out == ""
-        assert "real_probes must be nonnegative" in err
+        assert "--probes must be at least 0" in err
+
+    @pytest.mark.parametrize("postprocess", ["none", "first-coordinate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--probes", "-1"], "--probes must be at least 0"),
+        (["--entry-cap", "0"], "--entry-cap must be at least 1"),
+        (["--entry-cap", "-2"], "--entry-cap must be at least 1"),
+        (["--probes", "5", "--seed", "-1"], "--seed must be at least 0"),
+    ])
+    def test_bad_count_exits_1_before_the_certificate(
+        self, files, capsys, monkeypatch, postprocess, flags, message
+    ):
+        # Each bad flag is refused by name before any grid is scored.
+        _, _, cls = files
+        calls = []
+        for name in ("privacy_ratio_certificate", "postprocessing_certificate"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+                "--alpha", "1", "--m", "1", "--postprocess", postprocess]
+        code, out, err = run_capture(capsys, argv + flags)
+        assert (code, out, err, calls) == (1, "", f"error: {message}\n", [])
+
+    def test_negative_seed_without_probes_is_not_read(self, files, capsys):
+        # Without probes the certificate draws nothing, so no seed is used.
+        _, _, cls = files
+        argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+                "--alpha", "1", "--m", "1"]
+        code, out, err = run_capture(capsys, argv + ["--seed", "-1"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == json.loads(run_capture(capsys, argv)[1])["result"]
 
     @pytest.mark.parametrize("m", ["0", "-1"])
     def test_nonpositive_m_exits_1(self, files, capsys, m):
@@ -298,6 +327,21 @@ class TestReleaseCommand:
         assert (code, out, caught) == (1, "", [])
         assert err == "error: database entries must have a finite sum: the L1 norm overflows to inf\n"
 
+    @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+    def test_negative_seed_exits_1_before_the_search(self, files, capsys, monkeypatch, sampler):
+        # Refused by name before the shattering search and any draw, not by
+        # numpy once the search has run.
+        _, db, cls = files
+        calls = []
+        for name in ("fsd", "exponential_release_exact", "exponential_release_mcmc"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--eta", "0.5", "--gamma", "0.5", "--sampler", sampler, "--seed", "-1"],
+        )
+        assert (code, out, err, calls) == (1, "", "error: --seed must be at least 0\n", [])
+
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
         code, _, err = run_capture(
@@ -335,6 +379,19 @@ class TestAttackCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["result"]["reconstruction_bound_violations"] == 0
+
+    @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
+    def test_negative_seed_exits_1_before_the_search(self, files, capsys, monkeypatch, mechanism):
+        _, _, cls = files
+        calls = []
+        for name in ("build_family", "attack_experiment"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", mechanism, "--trials", "5", "--seed", "-4"],
+        )
+        assert (code, out, err, calls) == (1, "", "error: --seed must be at least 0\n", [])
 
     def test_laplace_and_mcmc_mechanisms(self, files, capsys):
         _, _, cls = files

@@ -4,13 +4,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsedp import __version__
+from sparsedp import Database, PrivacyParams, QueryClass, __version__, cli
+from sparsedp import exact_output_distribution
 from sparsedp.cli import _oracle_text
 
 
@@ -136,3 +138,33 @@ def test_pinned(case):
     config, best_sparse, counts, probabilities = case
     want = reference(oracle_document(config, best_sparse, row_dicts(counts, probabilities)))
     assert printed(oracle_document(config, best_sparse, []), counts, probabilities) == want
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 7])
+def test_row_blocks_join_to_the_same_text(monkeypatch, block_rows):
+    # Blocks of a row or a few rows split every case into several joins.
+    monkeypatch.setattr(cli, "_ORACLE_BLOCK_ROWS", block_rows)
+    for config, best_sparse, counts, probabilities in PINNED.values():
+        want = reference(oracle_document(config, best_sparse, row_dicts(counts, probabilities)))
+        assert printed(oracle_document(config, best_sparse, []), counts, probabilities) == want
+
+
+def test_a_real_table_is_printed_in_bounded_memory():
+    # The law of n=5 at m=20, the benchmark's largest oracle table: 10,626
+    # rows and 1.7 MB of text.  Built in row blocks its peak was 3.4 MB; one
+    # template filled by one % over a flat tuple peaked at 6.4 MB.
+    rng = np.random.default_rng(61)
+    d, c = Database(rng.uniform(0, 4, size=5)), QueryClass(rng.uniform(0, 1, size=(16, 5)))
+    law = exact_output_distribution(d, c, PrivacyParams(1.0), 20)
+    document = oracle_document({"m": 20}, None, [])
+    text = reference(document)
+    tracemalloc.start()
+    try:
+        got = _oracle_text(text, law.counts, law.probabilities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20
+    rows = row_dicts(law.counts, law.probabilities)
+    assert got == reference(oracle_document({"m": 20}, None, rows))
+    assert len(law) == 10_626 > cli._ORACLE_BLOCK_ROWS

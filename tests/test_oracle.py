@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ class TestPrivacyCertificate:
         with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
             exact_output_distribution(Database([10, 3, 7]), c, p, 4)
 
+    def test_scan_memory_is_bounded(self):
+        # Pairs are gathered once and the reversed order is a view of them:
+        # at n=4, cap 5, m=4 with 200 probes the scan peaked at 6.7 MB, and
+        # at 11.4 MB with a second gather and an np.where over both.
+        c = QueryClass(np.random.default_rng(53).uniform(0, 1, size=(6, 4)))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            privacy_ratio_certificate(4, 5, c, PrivacyParams(1.0), 4, real_probes=200, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20
+
     def test_negative_probe_count_refused(self):
         with pytest.raises(ValueError, match="real_probes must be nonnegative"):
             privacy_ratio_certificate(
@@ -262,6 +277,35 @@ class TestAgainstPerPointCertificate:
             assert cert.witness_outcome == 0
             reference = per_point_certificate(n, 2, c, p, 2, rule, lambda dp: 0)
             assert cert.to_dict() == reference.to_dict()
+
+    @pytest.mark.parametrize("alpha, rule", [
+        (500.0, ExponentRule.TIGHT_SENSITIVITY), (700.0, ExponentRule.PAPER_QUARTER),
+    ])
+    def test_exact_zero_probabilities(self, alpha, rule):
+        # At these alphas some weights underflow to 0.0 while every law keeps
+        # a positive weight, so the scan meets pairs where both sides are 0
+        # (ratio 1) and pairs where only the denominator is (ratio inf).
+        n, cap, m, p = 3, 3, 3, PrivacyParams(alpha)
+        grid = list(itertools.product(range(cap + 1), repeat=n))
+        law = {
+            point: exact_output_distribution(Database(point), CANONICAL_N3, p, m, rule)
+            for point in grid
+        }
+        both_zero = only_one_zero = 0
+        for point in grid:
+            for i in range(n):
+                if point[i] < cap:
+                    up = point[:i] + (point[i] + 1,) + point[i + 1 :]
+                    x, y = law[point].probabilities, law[up].probabilities
+                    both_zero += int(((x == 0.0) & (y == 0.0)).sum())
+                    only_one_zero += int(((x == 0.0) != (y == 0.0)).sum())
+        assert both_zero > 0 and only_one_zero > 0
+        for g in OUTCOME_MAPS.values():
+            cert = certify(g, n, cap, CANONICAL_N3, p, m, rule)
+            reference = per_point_certificate(n, cap, CANONICAL_N3, p, m, rule, g)
+            assert cert.to_dict() == reference.to_dict()
+        raw = privacy_ratio_certificate(n, cap, CANONICAL_N3, p, m, rule)
+        assert (raw.max_ratio, raw.passed) == (math.inf, False)
 
     def test_true_answers_are_each_points_database_matvec(self, monkeypatch):
         # The certificate computes every point's answers in one stacked
