@@ -224,9 +224,12 @@ def _parse_l1(raw: str):
     if raw in ("public", "private"):
         return raw
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise _CliError(f"--l1 must be 'public', 'private', or a number, got {raw!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise _CliError(f"--l1 must be finite and nonnegative, got {raw!r}")
+    return value
 
 
 def _check_at_least(flag: str, value: int | None, least: int = 1) -> None:

@@ -223,15 +223,19 @@ def score_rows(
     The rows go in slices of about ``SCORE_SLICE_CELLS / k`` rows, and the
     batch in groups that keep a slice's pass near ``SCORE_SLICE_CELLS``
     cells; two buffers made once per call serve every slice and group.  A
-    slice's candidate answers are one matmul into a (rows, k) buffer; each
-    group's errors are then worked in place in a query-major (group, k,
-    rows) buffer, so the maximum over queries is an elementwise maximum of k
-    row vectors.  A slice has at least two rows, the last one taking the row
-    before it when one is left over, because a one-row matmul goes through
-    BLAS's matrix-vector path, which can round differently.  So the scores
-    are bit for bit those of one matmul over all rows, and agree with
-    ``quality_score`` to rounding only: a matmul may round differently in
-    the last bit."""
+    slice's candidate answers are one query-major matmul, ``matrix @
+    piece.T``, into a (k, rows) buffer; each group's errors are then worked
+    in place, contiguously, in a (group, k, rows) buffer, so the maximum
+    over queries is an elementwise maximum of k row vectors.  This rests on
+    the two gemm orientations summing each entry's n products in the same
+    order, which the tests check against one row-major matmul.  A class of
+    one query keeps the row-major ``piece @ matrix.T``, written through the
+    same buffer viewed as (rows, 1): the other orientation takes BLAS's
+    vector path, which can round differently.  For the same reason a slice
+    has at least two rows, the last one taking the row before it when one
+    is left over.  So the scores are bit for bit those of one matmul over
+    all rows, and agree with ``quality_score`` to rounding only: a matmul
+    may round differently in the last bit."""
     if m < 1:
         raise ValueError("m must be at least 1")
     true_answers = np.asarray(true_answers, dtype=np.float64)[:, :, None]
@@ -247,12 +251,15 @@ def score_rows(
         start = max(0, min(start, rows - 2))
         piece = counts[start : start + step]
         size = len(piece)
-        piece_answers = answers[: size * k].reshape(size, k)
-        np.matmul(piece, c.matrix.T, out=piece_answers)
+        piece_answers = answers[: k * size].reshape(k, size)
+        if k == 1:
+            np.matmul(piece, c.matrix.T, out=piece_answers.reshape(size, 1))
+        else:
+            np.matmul(c.matrix, piece.T, out=piece_answers)
         for first in range(0, len(factors), group):
             last = min(first + group, len(factors))
             errors = work[: (last - first) * k * size].reshape(last - first, k, size)
-            np.multiply(factors[first:last], piece_answers.T, out=errors)
+            np.multiply(factors[first:last], piece_answers, out=errors)
             np.subtract(true_answers[first:last], errors, out=errors)
             np.abs(errors, out=errors)
             np.maximum.reduce(errors, axis=1, out=scores[first:last, start : start + size])

@@ -16,6 +16,7 @@ best surrogate to ``max_error`` and the certificates, which score a whole
 grid in one batched pass, to a per-point reference.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,11 +187,13 @@ def _certificate(
     max_ratio = float(ratios[pair, order, label])
     witness = pairs[pair] if order == 0 else pairs[pair, ::-1]
 
+    # alpha is finite, so an infinite ratio breaks e^alpha even where the
+    # bound itself overflows to inf.
     bound = _safe_exp(p.alpha)
     return CertificateResult(
         max_ratio=max_ratio,
         bound=bound,
-        passed=max_ratio <= bound + RATIO_SLACK,
+        passed=math.isfinite(max_ratio) and max_ratio <= bound + RATIO_SLACK,
         witness_pair=tuple(
             tuple((grid[i] if i < len(grid) else points[i]).tolist()) for i in witness
         ),

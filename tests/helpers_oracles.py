@@ -35,6 +35,7 @@ from sparsedp import (
 from sparsedp.core import _check_dims
 from sparsedp.mechanisms import (
     _resolve_l1,
+    _safe_exp,
     composition_matrix,
     estimate_l1,
     exponent_divisor,
@@ -465,11 +466,11 @@ def per_point_certificate(
     for a, b in real_probe_pairs(rng, n, entry_cap, real_probes):
         consider(a, b, distribution(a), distribution(b))
 
-    bound = math.exp(p.alpha)
+    bound = _safe_exp(p.alpha)
     return CertificateResult(
         max_ratio=float(max_ratio),
         bound=bound,
-        passed=max_ratio <= bound + RATIO_SLACK,
+        passed=math.isfinite(max_ratio) and max_ratio <= bound + RATIO_SLACK,
         witness_pair=witness_pair,
         witness_outcome=witness_outcome,
         pairs_checked=pairs_checked,

@@ -203,6 +203,34 @@ class TestReleaseCommand:
         assert code == 0
         assert json.loads(out)["result"]["l1_estimate"] == 6.0
 
+    @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+    @pytest.mark.parametrize("l1", ["-5", "nan", "inf"])
+    def test_bad_l1_exits_1_before_the_search(self, files, capsys, monkeypatch, sampler, l1):
+        # A negative or non-finite --l1 is refused by name before the
+        # shattering search and any draw.
+        _, db, cls = files
+        calls = []
+        for name in ("fsd", "exponential_release_exact", "exponential_release_mcmc"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--eta", "0.5", "--gamma", "0.5", "--l1", l1, "--sampler", sampler],
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err == f"error: --l1 must be finite and nonnegative, got {l1!r}\n"
+
+    @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
+    def test_zero_l1_still_runs(self, files, capsys, sampler):
+        _, db, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--m", "2", "--l1", "0", "--sampler", sampler, "--seed", "1"],
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["l1_estimate"] == 0.0
+
     def test_inexact_dimension_search_refused(self, capsys, tmp_path):
         rng = np.random.default_rng(5)
         c = QueryClass(rng.uniform(0.0, 1.0, size=(64, 12)))

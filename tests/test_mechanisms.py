@@ -173,11 +173,11 @@ class TestQualityScore:
 
     @pytest.mark.parametrize("slice_cells", [None, 48, 8])
     def test_kernel_is_one_matmul_over_all_rows_bit_for_bit(self, monkeypatch, slice_cells):
-        # Slices, groups and the query-major buffer change no bit: the
+        # Slices, groups and the query-major matmul change no bit: the
         # scores are those of one matmul over all rows, at any slice size.
         # The (n, m, k, batch, rows) shapes take in k = 1, n = 1, one and no
-        # rows, slices that leave one row over (513 rows at k = 64), and
-        # batches of more than one group.
+        # rows, slices that leave one row over (513 rows at k = 64), batches
+        # of more than one group, and the strata release-exact scores.
         if slice_cells is not None:
             monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
         rng = np.random.default_rng(43)
@@ -187,6 +187,8 @@ class TestQualityScore:
         for _ in range(30):
             shapes.append((int(rng.integers(1, 9)), int(rng.integers(1, 5)),
                            int(rng.integers(1, 71)), int(rng.integers(1, 41)), None))
+        shapes += [(n, m, k, 1, None) for n, m in ((4, 30), (5, 16), (6, 12), (8, 6), (5, 24))
+                   for k in (16, 32, 64)]
         for n, m, k, batch, rows in shapes:
             counts = composition_matrix(n, m)[:rows]
             c = random_query_class(rng, k, n)

@@ -280,6 +280,7 @@ class TestAgainstPerPointCertificate:
 
     @pytest.mark.parametrize("alpha, rule", [
         (500.0, ExponentRule.TIGHT_SENSITIVITY), (700.0, ExponentRule.PAPER_QUARTER),
+        (710.0, ExponentRule.PAPER_QUARTER), (710.0, ExponentRule.TIGHT_SENSITIVITY),
     ])
     def test_exact_zero_probabilities(self, alpha, rule):
         # At these alphas some weights underflow to 0.0 while every law keeps
