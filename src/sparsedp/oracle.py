@@ -82,7 +82,8 @@ def exact_output_distribution(
 @dataclass(frozen=True)
 class CertificateResult:
     """Worst probability ratio found across every enumerated neighboring pair
-    (plus any random real-valued probe pairs), against the e^alpha bound."""
+    (plus any random real-valued probe pairs, single-axis and split alike),
+    against the e^alpha bound; ``pairs_checked`` counts both orders of each."""
 
     max_ratio: float
     bound: float
@@ -110,6 +111,24 @@ class CertificateResult:
             "pairs_checked": self.pairs_checked,
             "real_probes": self.real_probes,
         }
+
+
+def _probe_pairs(rng, n: int, entry_cap: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` real neighbouring pairs (a, b) as two (count, n) arrays, from
+    five whole-array draws of ``rng`` in this order: a uniform in
+    [0, entry_cap]^n; an axis per pair; a split coin per pair; weights in
+    (0, 1], normalised per row, or the axis's one-hot where the coin said
+    not to split; a down coin per coordinate, heeded only where a is at
+    least its weight.  So b = a +- w >= 0 with ||w||_1 = 1 up to rounding."""
+    a = rng.uniform(0.0, float(entry_cap), size=(count, n))
+    axis = rng.integers(n, size=count)
+    split = rng.random(count) < 0.5
+    w = 1.0 - rng.random((count, n))
+    w /= w.sum(axis=1, keepdims=True)
+    w[~split] = 0.0
+    w[~split, axis[~split]] = 1.0
+    down = (rng.random((count, n)) < 0.5) & (a >= w)
+    return a, a + np.where(down, -w, w)
 
 
 def _certificate(
@@ -141,19 +160,14 @@ def _certificate(
     lower, axis = np.nonzero(grid < entry_cap)
     upper = lower + stride[axis]
 
-    probes_a, probes_b = [], []
-    for _ in range(real_probes):
-        a = rng.uniform(0.0, float(entry_cap), size=n)
-        i = int(rng.integers(n))
-        b = a.copy()
-        if a[i] >= 1.0 and rng.random() < 0.5:
-            b[i] -= 1.0
-        else:
-            b[i] += 1.0
-        probes_a.append(a)
-        probes_b.append(b)
-    points = np.vstack([grid.astype(np.float64), *probes_a, *probes_b])
-    probe_index = len(grid) + np.arange(real_probes)
+    # Grid, then every probe's a, then every probe's b, in one array.
+    g = len(grid)
+    points = np.empty((g + 2 * real_probes, n))
+    points[:g] = grid
+    if real_probes:
+        a, b = _probe_pairs(rng, n, entry_cap, real_probes)
+        points[g : g + real_probes], points[g + real_probes :] = a, b
+    probe_index = g + np.arange(real_probes)
     pairs = np.column_stack((
         np.concatenate((lower, probe_index)),
         np.concatenate((upper, probe_index + real_probes)),
@@ -195,7 +209,7 @@ def _certificate(
         bound=bound,
         passed=math.isfinite(max_ratio) and max_ratio <= bound + RATIO_SLACK,
         witness_pair=tuple(
-            tuple((grid[i] if i < len(grid) else points[i]).tolist()) for i in witness
+            tuple((grid[i] if i < g else points[i]).tolist()) for i in witness
         ),
         witness_outcome=tuple(counts[label].tolist()) if labels is None else labels[label],
         pairs_checked=2 * len(pairs),
@@ -218,9 +232,12 @@ def privacy_ratio_certificate(
     {0..entry_cap}^n differing by one unit in one coordinate, compute both
     exact output distributions (each at its own public true norm), and report
     the worst outcome-probability ratio.  Optionally also probes random
-    real-valued pairs at L1 distance exactly 1, since the privacy definition
+    real-valued pairs at L1 distance 1, since the privacy definition
     quantifies over real neighbors and the grid alone checks the weaker
-    integer reading."""
+    integer reading: about half move one coordinate by exactly 1 and the
+    rest split the unit over every coordinate (``_probe_pairs``).  They
+    take five draws from ``rng`` however many there are, after the budget
+    check, which counts each as two passes."""
     return _certificate(n, entry_cap, c, p, m, exponent_rule, None, real_probes, rng)
 
 

@@ -403,17 +403,33 @@ def law_by_row(dist) -> dict:
 
 def real_probe_pairs(rng, n: int, entry_cap: int, count: int) -> list:
     """The certificates' real-valued probe pairs, drawn from ``rng`` in the
-    library's order: a point in [0, entry_cap]^n, then one coordinate moved
-    down by 1 (when it can be, with probability 1/2) or else up by 1."""
+    library's order of five whole-array calls (points, axes, split coins,
+    weights, down coins), then built one pair at a time: a single-axis pair
+    moves its axis by 1, a split pair moves every coordinate by its weight
+    over the row's sum, and each moved coordinate goes down (when it can,
+    with probability 1/2) or else up.  No probes read nothing."""
+    if not count:
+        return []
+    points = rng.uniform(0.0, float(entry_cap), size=(count, n))
+    axes = rng.integers(n, size=count)
+    splits = rng.random(count) < 0.5
+    weights = 1.0 - rng.random((count, n))
+    coins = rng.random((count, n)) < 0.5
     pairs = []
-    for _ in range(count):
-        a = rng.uniform(0.0, float(entry_cap), size=n)
-        i = int(rng.integers(n))
-        b = a.copy()
-        if a[i] >= 1.0 and rng.random() < 0.5:
-            b[i] -= 1.0
+    for a, i, split, w, coin in zip(points, axes, splits, weights, coins):
+        if split:
+            delta = w / w.sum()
         else:
-            b[i] += 1.0
+            delta = np.zeros(n)
+            delta[i] = 1.0
+        b = a.copy()
+        for j in range(n):
+            if delta[j] == 0.0:
+                continue
+            if coin[j] and a[j] >= delta[j]:
+                b[j] = a[j] - delta[j]
+            else:
+                b[j] = a[j] + delta[j]
         pairs.append((a, b))
     return pairs
 

@@ -28,6 +28,23 @@ CANONICAL_N2 = QueryClass([[1, 0], [0, 1], [0.5, 0.5]])
 CANONICAL_N3 = QueryClass([[1, 0, 0], [0, 1, 0], [0, 0, 1], [0.5, 0.5, 0.5]])
 
 
+class CountingGenerator:
+    """A seeded numpy Generator that counts the calls made to it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
 class TestExactDistribution:
     def test_uniform_limit(self):
         dist = exact_output_distribution(
@@ -157,12 +174,44 @@ class TestPrivacyCertificate:
         # 4-row domain of (n=2, m=3): 16,016 rows scored.
         c = QueryClass([[1.0, 0.5]])
         monkeypatch.setenv("FSDP_BUDGET", "16")
+        rng = CountingGenerator(0)
         with pytest.raises(DomainTooLargeError, match="scored 4004 times"):
-            privacy_ratio_certificate(
-                2, 1, c, PrivacyParams(1.0), 3, real_probes=2000, rng=np.random.default_rng(0),
-            )
+            privacy_ratio_certificate(2, 1, c, PrivacyParams(1.0), 3, real_probes=2000, rng=rng)
+        assert rng.calls == 0  # refused before the first draw
         cert = privacy_ratio_certificate(2, 1, c, PrivacyParams(1.0), 3)
         assert cert.passed
+
+    def test_generator_calls_do_not_grow_with_probes(self):
+        calls = {}
+        for probes in (0, 1, 500):
+            rng = CountingGenerator(7)
+            cert = privacy_ratio_certificate(
+                2, 1, CANONICAL_N2, PrivacyParams(1.0), 2, real_probes=probes, rng=rng
+            )
+            assert cert.pairs_checked == 8 + 2 * probes
+            calls[probes] = rng.calls
+        assert calls == {0: 0, 1: 5, 500: 5}
+
+    def test_probe_pairs_are_real_neighbours(self):
+        # Every pair is at L1 distance 1 (up to rounding) and stays
+        # nonnegative; a single-axis pair moves one coordinate by exactly 1.0
+        # and a split pair moves all n, and both kinds appear.
+        for n, cap in itertools.product(range(1, 9), range(1, 6)):
+            for probes in (1, 50, 500):
+                a, b = oracle._probe_pairs(np.random.default_rng((n, cap, probes)), n, cap, probes)
+                assert a.shape == b.shape == (probes, n)
+                assert ((a >= 0.0) & (a <= cap)).all() and (b >= 0.0).all()
+                assert (np.abs(np.abs(b - a).sum(axis=1) - 1.0) <= 1e-12).all()
+                moved = (a != b).sum(axis=1)
+                single = moved == 1
+                rows, axes = np.nonzero(a != b)
+                keep = single[rows]
+                ends, starts = b[rows[keep], axes[keep]], a[rows[keep], axes[keep]]
+                assert ((ends == starts + 1.0) | (ends == starts - 1.0)).all()
+                if n > 1:
+                    assert (single | (moved == n)).all()
+                    if probes >= 50:
+                        assert single.any() and (moved == n).any()
 
     def test_probes_need_generator(self):
         with pytest.raises(ValueError):
@@ -194,8 +243,8 @@ class TestPrivacyCertificate:
 
     def test_scan_memory_is_bounded(self):
         # Pairs are gathered once and the reversed order is a view of them:
-        # at n=4, cap 5, m=4 with 200 probes the scan peaked at 6.7 MB, and
-        # at 11.4 MB with a second gather and an np.where over both.
+        # at n=4, cap 5, m=4 with 200 probes the certificate peaks at 6.31 MB,
+        # and peaked at 11.4 MB with a second gather and an np.where over both.
         c = QueryClass(np.random.default_rng(53).uniform(0, 1, size=(6, 4)))
         rng = np.random.default_rng(0)
         tracemalloc.start()
