@@ -18,7 +18,8 @@ privacy any accurate mechanism can claim.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -196,12 +197,12 @@ def reconstruct(answers_db: Database, family: ShatteredFamily) -> tuple[int, ...
 
 
 def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
-    """(eps_hat, |T symdiff T*|, x in T*, x in T*_swapped) of each trial of a
-    chunk, from its hidden subsets, distinguished elements and ``used``
-    answers (hidden and swapped, 2 x trials x used), with T* and T*_swapped
-    as ``_argmin_subset`` picks them.  The hidden subsets' true answers add
-    their ``used_rows`` columns in index order, as ``evaluate``'s dot product
-    sums them; they are not tabulated, as all subsets would take
+    """The per-trial arrays (eps_hat, |T symdiff T*|, x in T*, x in
+    T*_swapped) of a chunk, from its hidden subsets, distinguished elements
+    and ``used`` answers (hidden and swapped, 2 x trials x used), with T* and
+    T*_swapped as ``_argmin_subset`` picks them.  The hidden subsets' true
+    answers add their ``used_rows`` columns in index order, as ``evaluate``'s
+    dot product sums them; they are not tabulated, as all subsets would take
     C(d, d/2)^2 floats, 1.3 GB at d = 16."""
     hidden = np.array(hidden)
     true_answers = np.zeros_like(answers[0])
@@ -212,12 +213,7 @@ def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
     star, star_swapped = np.argmin(family.base - answers[:, :, family.used_position], axis=2)
     members = family.members
     symdiff = (members[hidden] != members[star]).sum(axis=1)
-    return zip(
-        eps_hat.tolist(),
-        symdiff.tolist(),
-        members[star, xs].tolist(),
-        members[star_swapped, xs].tolist(),
-    )
+    return eps_hat, symdiff, members[star, xs], members[star_swapped, xs]
 
 
 @dataclass(frozen=True)
@@ -245,24 +241,9 @@ class AttackReport:
     per_trial: tuple = field(default=(), repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "completed": self.completed,
-            "mechanism_failures": self.mechanism_failures,
-            "symdiff_counts": {str(k): v for k, v in sorted(self.symdiff_counts.items())},
-            "mean_symdiff": self.mean_symdiff,
-            "mean_eps_hat": self.mean_eps_hat,
-            "reconstruction_bound_violations": self.reconstruction_bound_violations,
-            "vacuous_fraction": self.vacuous_fraction,
-            "recovery_rate_target": self.recovery_rate_target,
-            "recovery_rate_swapped": self.recovery_rate_swapped,
-            "recovery_ratio": self.recovery_ratio,
-            "alpha": self.alpha,
-            "single_change_bound": self.single_change_bound,
-            "double_change_bound": self.double_change_bound,
-            "implied_bound": self.implied_bound,
-            "epsilon_floor": self.epsilon_floor,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
+        doc["symdiff_counts"] = {str(k): v for k, v in sorted(self.symdiff_counts.items())}
+        return doc
 
 
 def attack_experiment(
@@ -288,7 +269,9 @@ def attack_experiment(
     raises (a budget refusal, say) is counted and the trial skipped; other
     exceptions are programming errors and propagate.  Trials draw from
     independent child generators, so results do not depend on execution
-    order.
+    order.  Each completed round is recorded once, in the per-trial arrays
+    its chunk's reconstruction returns; the report is tallied from them after
+    the last chunk.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -299,14 +282,7 @@ def attack_experiment(
 
     failures = 0
     completed = 0
-    violations = 0
-    vacuous = 0
-    hits_target = 0
-    hits_swapped = 0
-    total_symdiff = 0
-    total_eps = 0.0
-    symdiff_counts: dict[int, int] = {}
-    per_trial: list[tuple[float, int]] = []
+    record = tuple(np.empty(trials, dtype) for dtype in (np.float64, np.int64, bool, bool))
 
     # A trial only draws and releases; its chunk is reconstructed at once.
     # Each spawn continues the parent's child count, so trial i draws from
@@ -333,27 +309,22 @@ def attack_experiment(
             xs.append(t_hidden[a])
         if not hidden:
             continue
+        chunk = _reconstruct_chunk(family, hidden, xs, answers[:, : len(hidden)])
+        for column, values in zip(record, chunk):
+            column[completed : completed + len(hidden)] = values
+        completed += len(hidden)
 
-        # Plain float sums in trial order: np.sum pairs its terms, and the
-        # built-in sum compensates from Python 3.12 on.
-        for eps_hat, symdiff, hit, hit_swapped in _reconstruct_chunk(
-            family, hidden, xs, answers[:, : len(hidden)]
-        ):
-            bound = 4.0 * eps_hat / gamma
-            if symdiff > bound + 1e-9:
-                violations += 1
-            if bound >= d:
-                vacuous += 1
-            hits_target += hit
-            hits_swapped += hit_swapped
-            total_symdiff += symdiff
-            total_eps += eps_hat
-            symdiff_counts[symdiff] = symdiff_counts.get(symdiff, 0) + 1
-            per_trial.append((eps_hat, symdiff))
-            completed += 1
+    eps_hat, symdiff, hit, hit_swapped = (column[:completed] for column in record)
+    bound = 4.0 * eps_hat / gamma
 
-    rate_target = hits_target / completed if completed else 0.0
-    rate_swapped = hits_swapped / completed if completed else 0.0
+    def mean(total):
+        return total / completed if completed else 0.0
+
+    # A plain float sum in trial order: np.sum pairs its terms, and the
+    # built-in sum compensates from Python 3.12 on.
+    total_eps = float(np.add.accumulate(eps_hat)[-1]) if completed else 0.0
+    rate_target = mean(int(np.count_nonzero(hit)))
+    rate_swapped = mean(int(np.count_nonzero(hit_swapped)))
     if completed == 0:
         ratio = None
     elif rate_swapped == 0.0:
@@ -364,11 +335,11 @@ def attack_experiment(
         trials=trials,
         completed=completed,
         mechanism_failures=failures,
-        symdiff_counts=symdiff_counts,
-        mean_symdiff=total_symdiff / completed if completed else 0.0,
-        mean_eps_hat=total_eps / completed if completed else 0.0,
-        reconstruction_bound_violations=violations,
-        vacuous_fraction=vacuous / completed if completed else 0.0,
+        symdiff_counts=dict(Counter(symdiff.tolist())),
+        mean_symdiff=mean(int(symdiff.sum())),
+        mean_eps_hat=mean(total_eps),
+        reconstruction_bound_violations=int(np.count_nonzero(symdiff > bound + 1e-9)),
+        vacuous_fraction=mean(int(np.count_nonzero(bound >= d))),
         recovery_rate_target=rate_target,
         recovery_rate_swapped=rate_swapped,
         recovery_ratio=ratio,
@@ -378,6 +349,6 @@ def attack_experiment(
         epsilon_floor=(
             gamma * d / (4.0 * (_safe_exp(alpha) + 1.0)) if alpha is not None else None
         ),
-        per_trial=tuple(per_trial),
+        per_trial=tuple(zip(eps_hat.tolist(), symdiff.tolist())),
     )
 

@@ -311,6 +311,7 @@ def _cmd_fsd(args) -> int:
 def _cmd_attack(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     _check_at_least("--trials", args.trials)
+    _check_at_least("--dmax", args.dmax, 2)
     if args.mechanism == "mcmc":
         _check_at_least("--steps", args.steps)
     cls = load_query_class(args.query_class)

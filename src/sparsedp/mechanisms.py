@@ -405,10 +405,11 @@ class ExactLawTable:
     database is known by its entries; one not in the table is refused
     before the generator is read.
 
-    Each kept law is the size of a pass over ``counts``, so a law (and the
-    releases drawn from it) is kept only while the kept laws and the new
-    one fit the domain budget as passes.  A database whose law does not
-    fit is released the per-call way, every time."""
+    Each kept law is the size of a pass over ``counts``, so a law is kept
+    only while the kept laws and the new one fit the domain budget as
+    passes.  A database whose law does not fit computes it again on each
+    release.  Every drawn release is kept, whether or not its law was, so a
+    repeated (database, row) draw returns the same object."""
 
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
@@ -421,8 +422,7 @@ class ExactLawTable:
         self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
         self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
         self._l1 = [l1_norm(d) for d in databases]
-        self._cumulative: list[np.ndarray | None] = [None] * len(databases)
-        self._kept = 0
+        self._cumulative: dict[int, np.ndarray] = {}
         self._releases: dict[tuple[int, int], ReleaseOutput] = {}
 
     @property
@@ -435,16 +435,13 @@ class ExactLawTable:
         if s is None:
             raise ValueError("ExactLawTable: the database is not one of the table's")
         c, counts, exponent_rule = self.c, self._counts, self.exponent_rule
-        cumulative = self._cumulative[s]
+        cumulative = self._cumulative.get(s)
         if cumulative is None:
             law = _exact_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)[1]
             cumulative = np.cumsum(law)
-            if (self._kept + 1) * len(counts) <= config.domain_budget():
+            if (len(self._cumulative) + 1) * len(counts) <= config.domain_budget():
                 self._cumulative[s] = cumulative
-                self._kept += 1
         idx = _draw(cumulative, rng.random())
-        if self._cumulative[s] is None:
-            return _release(d, c, counts[idx], self.m, exponent_rule, self._l1[s])
         out = self._releases.get((s, idx))
         if out is None:
             out = self._releases[s, idx] = _release(

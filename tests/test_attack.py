@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from sparsedp import (
     LinearQuery,
     PrivacyParams,
     QueryClass,
+    ShatteredFamily,
     ShatteringWitness,
     attack_experiment,
     build_family,
@@ -152,6 +154,19 @@ class TestBuildFamily:
         family = build_family(c, 0.5, 3)
         assert family.d == 2
         assert family.bucket == (0, 1)
+
+    def test_family_construction_refusals(self):
+        witness = make_witness((0, 1, 2, 3), (0.5,) * 4, 0.5)
+        cases = [
+            ((0, 1, 2), "bucket must have even size >= 2"),
+            ((), "bucket must have even size >= 2"),
+            (tuple(range(18)), "bucket size 18 exceeds the d<=16 cap on exhaustive reconstruction"),
+            ((0, 5), "bucket must be a subset of the witness subset"),
+        ]
+        for bucket, message in cases:
+            with pytest.raises(ValueError) as refused:
+                ShatteredFamily(BOOL4, witness, 1, bucket)
+            assert str(refused.value) == message
 
 
 class TestReconstruct:
@@ -306,6 +321,22 @@ class TestAttackExperiment:
         assert report.vacuous_fraction == 1.0
         assert report.reconstruction_bound_violations == 0
 
+    def test_overclaimed_margin_counts_violations(self):
+        # The 0.3-scaled cube is shattered at margin 0.15 only.  A witness
+        # that claims 0.5 shrinks the recovery bound 4*eps/gamma below what
+        # the class guarantees, so some trials break it.
+        c = QueryClass(0.3 * np.array(list(itertools.product((0.0, 1.0), repeat=4))))
+        witness = dataclasses.replace(build_family(c, 0.15, 4).witness, gamma=0.5)
+        family = ShatteredFamily(c, witness, *partition_buckets(witness))
+        p = PrivacyParams(alpha=40.0)
+        mechanism = lambda db, rng: laplace_release(db, c, p, rng)
+        got = attack_experiment(mechanism, family, 300, np.random.default_rng(1), alpha=40.0)
+        want = per_trial_attack_reference(
+            mechanism, family, 300, np.random.default_rng(1), alpha=40.0
+        )
+        assert got.reconstruction_bound_violations > 0
+        assert got == want
+
     def test_mechanism_failures_counted(self, monkeypatch):
         def broken(db, rng):
             raise RuntimeError("mechanism exploded")
@@ -349,6 +380,17 @@ class TestAttackExperiment:
                 attack_experiment(
                     lambda db, rng: np.full(BOOL4.k, bad), self.family, 3, np.random.default_rng(6)
                 )
+
+    def test_answer_vector_of_the_wrong_length_refused(self):
+        for length in (BOOL4.k - 1, BOOL4.k + 1):
+            with pytest.raises(ValueError) as refused:
+                attack_experiment(
+                    lambda db, rng: np.zeros(length), self.family, 3, np.random.default_rng(6)
+                )
+            assert str(refused.value) == (
+                f"mechanism output must be a Database or a length-16 answer vector, "
+                f"got shape ({length},)"
+            )
 
     def test_answer_vector_mechanism(self):
         # noise scale is k/alpha = 16/400, small enough for clean recovery

@@ -220,6 +220,16 @@ class TestReleaseCommand:
         assert (code, out, calls) == (1, "", [])
         assert err == f"error: --l1 must be finite and nonnegative, got {l1!r}\n"
 
+    def test_non_numeric_l1_exits_1_naming_the_flag(self, files, capsys):
+        _, db, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--m", "2", "--l1", "abc"],
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: --l1 must be 'public', 'private', or a number, got 'abc'\n"
+
     @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
     def test_zero_l1_still_runs(self, files, capsys, sampler):
         _, db, cls = files
@@ -420,6 +430,21 @@ class TestAttackCommand:
              "--mechanism", mechanism, "--trials", "5", "--seed", "-4"],
         )
         assert (code, out, err, calls) == (1, "", "error: --seed must be at least 0\n", [])
+
+    @pytest.mark.parametrize("dmax", ["1", "0"])
+    def test_dmax_below_two_exits_1_before_the_search(self, capsys, monkeypatch, tmp_path, dmax):
+        # A family needs a shattered pair; a search capped below 2 cannot
+        # find one, whatever the class.
+        cube = tmp_path / "cube2.json"
+        save_query_class(boolean_indicator_class(2), cube)
+        searches = []
+        monkeypatch.setattr(cli, "build_family", lambda *args: searches.append(args))
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", "identity", "--trials", "5", "--dmax", dmax],
+        )
+        assert (code, out, err, searches) == (1, "", "error: --dmax must be at least 2\n", [])
 
     def test_laplace_and_mcmc_mechanisms(self, files, capsys):
         _, _, cls = files

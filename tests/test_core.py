@@ -92,6 +92,20 @@ class TestConstruction:
         dp = SparseSyntheticDatabase([1.0, 2.0])
         assert dp.counts.dtype == np.int64 and dp.as_tuple() == (1, 2) and dp.m == 3
 
+    def test_database_refuses_non_finite_entries(self):
+        for entries in ([1.0, math.nan], [math.inf, 0.0], [2.0, -math.inf], [math.inf, -math.inf]):
+            with pytest.raises(ValueError) as refused:
+                Database(entries)
+            assert str(refused.value) == "database entries must be finite"
+
+    def test_sparse_db_refuses_2d_and_negative_counts(self):
+        with pytest.raises(ValueError) as refused:
+            SparseSyntheticDatabase([[1, 2], [0, 1]])
+        assert str(refused.value) == "counts must be a nonempty 1-d vector"
+        with pytest.raises(ValueError) as refused:
+            SparseSyntheticDatabase([3, -1])
+        assert str(refused.value) == "counts must be nonnegative"
+
 
 # Exception type and message for each faulty input, as validating the queries
 # one at a time gives them: the first faulty query in input order names the
@@ -397,3 +411,31 @@ class TestFiles:
         cls.write_text("{}")
         with pytest.raises(ValueError, match="queries"):
             load_query_class(cls)
+
+    def test_json_top_level_must_be_an_object(self, tmp_path):
+        path = tmp_path / "rows.json"
+        path.write_text("[[1.0, 0.5]]")
+        for load in (load_database, load_query_class):
+            with pytest.raises(ValueError) as refused:
+                load(path)
+            assert str(refused.value) == f"{path}:1: expected a JSON object at top level"
+
+    def test_empty_csv_refused_and_blank_rows_skipped(self, tmp_path):
+        for text in ("", "\n , \n\n"):
+            path = tmp_path / "empty.csv"
+            path.write_text(text)
+            for load in (load_database, load_query_class):
+                with pytest.raises(ValueError) as refused:
+                    load(path)
+                assert str(refused.value) == f"{path}:1: empty CSV file"
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n1.0,0.5\n\n ,\n0.0,1.0\n")
+        assert load_query_class(path).matrix.tolist() == [[1.0, 0.5], [0.0, 1.0]]
+        path.write_text("\n\n2.0,3.0\n,\n")
+        assert load_database(path).entries.tolist() == [2.0, 3.0]
+
+    def test_class_json_without_n_takes_the_rows_length(self, tmp_path):
+        path = tmp_path / "cls.json"
+        path.write_text(json.dumps({"queries": [[0.5, 1.0, 0.0]]}))
+        c = load_query_class(path)
+        assert (c.k, c.n, c.matrix.tolist()) == (1, 3, [[0.5, 1.0, 0.0]])

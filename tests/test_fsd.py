@@ -81,6 +81,27 @@ class TestVerifyShattering:
         with pytest.raises(ValueError):
             ShatteringWitness(subset=(0, 1), thresholds=(0.5, 0.5), assignment={(0, 0): 0}, gamma=0.5)
 
+    def test_construction_refusals(self):
+        full = indicator_assignment()
+        cases = [
+            (dict(subset=(), thresholds=(), assignment={(): 0}, gamma=0.5),
+             "witness subset must be nonempty"),
+            (dict(subset=(1, 1), thresholds=(0.5, 0.5), assignment=full, gamma=0.5),
+             "witness subset indices must be distinct"),
+            (dict(subset=(0, 1), thresholds=(0.5,), assignment=full, gamma=0.5),
+             "thresholds must match subset length"),
+            (dict(subset=(0, 1), thresholds=(0.5, 0.5), assignment=full, gamma=0.0),
+             "gamma must be positive, got 0.0"),
+            (dict(subset=(0, 1), thresholds=(0.5, 0.5), assignment=full, gamma=math.nan),
+             "gamma must be positive, got nan"),
+            (dict(subset=(0, 1), thresholds=(0.5, 0.5), assignment={(0, 0): 0}, gamma=0.5),
+             "assignment must cover all 4 patterns"),
+        ]
+        for kwargs, message in cases:
+            with pytest.raises(ValueError) as refused:
+                ShatteringWitness(**kwargs)
+            assert str(refused.value) == message
+
 
 class TestIsGammaShattered:
     def test_full_boolean_witness(self):

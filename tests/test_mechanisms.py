@@ -445,7 +445,7 @@ class TestExactLawTable:
 
         # Each kept law is a pass over the 10-row domain: a budget of 59
         # keeps five of the six, 60 keeps all six.  A database whose law is
-        # not kept releases as the per-call sampler does, every time.
+        # not kept releases as the per-call sampler does.
         for budget, kept in (("59", 5), ("60", 6)):
             monkeypatch.setenv("FSDP_BUDGET", budget)
             fitted = mechanisms.ExactLawTable(databases, c, p, 2, rule)
@@ -456,10 +456,26 @@ class TestExactLawTable:
                 want = exponential_release_exact(d, c, p, 2, b_rng, rule)
                 assert_same_release(got, want)
                 assert a_rng.random() == b_rng.random()
-            assert sum(law is not None for law in fitted._cumulative) == kept
+            assert len(fitted._cumulative) == kept
 
         with pytest.raises(DimensionMismatchError, match="class vs database"):
             mechanisms.ExactLawTable([Database([1, 1, 0])], c, p, 2, rule)
+
+    def test_repeated_draw_without_a_kept_law_returns_the_same_release(self, monkeypatch):
+        # At a budget of 59 the sixth database's law is not kept, but each
+        # of its drawn releases is.
+        c, p = QueryClass([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 1, 1]]), PrivacyParams(1.0)
+        databases = [
+            Database(np.eye(4)[list(t)].sum(axis=0)) for t in itertools.combinations(range(4), 2)
+        ]
+        monkeypatch.setenv("FSDP_BUDGET", "59")
+        table = mechanisms.ExactLawTable(databases, c, p, 2, ExponentRule.PAPER_QUARTER)
+        for d in databases:
+            table.release(d, np.random.default_rng(0))
+        first = table.release(databases[5], np.random.default_rng(7))
+        again = table.release(databases[5], np.random.default_rng(7))
+        assert again is first
+        assert len(table._cumulative) == 5 and 5 not in table._cumulative
 
     def test_build_refusals(self, monkeypatch):
         # Over the budget the table refuses as composition_matrix does, with
@@ -680,6 +696,16 @@ class TestExactRelease:
                 quality_score(d, SparseSyntheticDatabase(np.array([1, 1])), c, bad)
         with pytest.raises(ValueError):
             exponential_release_exact(d, c, p, 2, np.random.default_rng(1), l1="bogus")
+
+    def test_private_l1_needs_a_generator(self):
+        d, c, p = Database([4, 4]), QueryClass([[1, 0]]), PrivacyParams(1.0)
+        for release in (
+            lambda: exponential_release_exact(d, c, p, 2, None, l1="private"),
+            lambda: exponential_release_mcmc(d, c, p, 2, 10, None, l1="private"),
+        ):
+            with pytest.raises(ValueError) as refused:
+                release()
+            assert str(refused.value) == "private L1 estimation needs a generator"
 
     def test_m_below_one_refused_before_any_draw(self):
         d, c, p = Database([4, 4]), QueryClass([[1, 0]]), PrivacyParams(1.0)

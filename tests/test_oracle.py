@@ -164,6 +164,17 @@ class TestPrivacyCertificate:
         d1, d2 = cert.witness_pair
         assert sum(abs(a - b) for a, b in zip(d1, d2)) == 1
 
+    def test_entry_cap_below_one_refused(self):
+        p = PrivacyParams(1.0)
+        for entry_cap in (0, -2):
+            for certify_with in (
+                lambda: privacy_ratio_certificate(2, entry_cap, CANONICAL_N2, p, 1),
+                lambda: postprocessing_certificate(lambda row: 0, 2, entry_cap, CANONICAL_N2, p, 1),
+            ):
+                with pytest.raises(ValueError) as refused:
+                    certify_with()
+                assert str(refused.value) == "entry_cap must be at least 1"
+
     def test_budget_refusal(self, monkeypatch):
         monkeypatch.setenv("FSDP_BUDGET", "10")
         with pytest.raises(DomainTooLargeError):
