@@ -302,6 +302,8 @@ def _cmd_release(args) -> int:
 
 
 def _cmd_fsd(args) -> int:
+    _check_at_least("--dmax", args.dmax)
+    _check_at_least("--budget", args.budget)
     cls = load_query_class(args.query_class)
     result = fsd(cls, args.gamma, args.dmax, budget=args.budget)
     _emit(args, _document(args, result.to_dict()))

@@ -55,14 +55,26 @@ class TestFsdCommand:
         assert payload["config"]["gamma"] == 0.5
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_budget_below_one_exits_1(self, files, capsys, budget):
+    def test_budget_below_one_exits_1(self, files, capsys, monkeypatch, budget):
         _, _, cls = files
+        searches = []
+        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
         code, out, err = run_capture(
             capsys,
             ["fsd", "--class", str(cls), "--gamma", "0.1", "--dmax", "2", "--budget", budget],
         )
-        assert (code, out) == (1, "")
-        assert f"node budget must be at least 1, got {budget}" in err
+        assert (code, out, err, searches) == (1, "", "error: --budget must be at least 1\n", [])
+
+    @pytest.mark.parametrize("dmax", ["0", "-3"])
+    def test_dmax_below_one_exits_1_before_the_search(self, capsys, monkeypatch, tmp_path, dmax):
+        cube = tmp_path / "cube4.json"
+        save_query_class(boolean_indicator_class(4), cube)
+        searches = []
+        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
+        code, out, err = run_capture(
+            capsys, ["fsd", "--class", str(cube), "--gamma", "0.5", "--dmax", dmax]
+        )
+        assert (code, out, err, searches) == (1, "", "error: --dmax must be at least 1\n", [])
 
 
 class TestVerifyPrivacyCommand:
