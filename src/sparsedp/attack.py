@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-from numpy.random.bit_generator import ISpawnableSeedSequence, SeedSequence
 
 from . import config
 from .core import Database, DimensionMismatchError, QueryClass
@@ -155,167 +154,10 @@ def build_family(c: QueryClass, gamma: float, d_max: int) -> ShatteredFamily:
     return ShatteredFamily(c, witness, j_star, bucket)
 
 
-# Trials per chunk: a chunk's generators, draws and releases come first,
-# then one array pass reconstructs them all, so what a chunk holds does not
-# grow with the trial count.
+# Trials per chunk: a chunk's draws and releases come first, then one array
+# pass reconstructs them all, so a chunk's answers do not grow with the
+# trial count.
 TRIAL_CHUNK = 256
-
-# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32 = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF
-
-
-def _uint32_words(value) -> list[int]:
-    """The uint32 words numpy's SeedSequence assembles from an entropy or a
-    spawn key: an int's little-endian words ([0] for 0), a "0x" hex or a
-    decimal string as that int, a sequence's items' words in order."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        words = [value & _MASK32]
-        while value := value >> 32:
-            words.append(value & _MASK32)
-        return words
-    if isinstance(value, str):
-        return _uint32_words(int(value, 16) if value.startswith("0x") else int(value))
-    return [word for item in value for word in _uint32_words(item)]
-
-
-def _mix(x, y):
-    """numpy's mix of two uint32 words, on masked ints or uint32 arrays."""
-    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
-class _ChunkSeeds:
-    """numpy's ``SeedSequence(entropy, spawn_key=key + (i,), pool_size)`` for
-    the children i = first, ..., first + size - 1 of a parent sequence, as one
-    (size, pool_size) array of entropy pools.  A child's entropy is the
-    parent's run entropy zero-padded to the pool size, the parent's key words,
-    then its own key, one word as a child count is a uint32.  Only that last
-    word differs between children, so the mixing runs on Python ints (masked,
-    as a numpy uint32 scalar warns on overflow) up to it and on a column of
-    keys for it."""
-
-    def __init__(self, seq: SeedSequence, first: int, size: int):
-        self.seq, self.first = seq, first
-        width = seq.pool_size
-        prefix = _uint32_words(seq.entropy)
-        prefix += [0] * (width - len(prefix)) + _uint32_words(seq.spawn_key)
-        hash_const = _INIT_A
-
-        def hashmix(value):
-            nonlocal hash_const
-            value ^= hash_const
-            hash_const = hash_const * _MULT_A & _MASK32
-            value = value * hash_const & _MASK32
-            return value ^ value >> _XSHIFT
-
-        pool = [hashmix(word) for word in prefix[:width]]
-        for src in range(width):
-            for dst in range(width):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-        for word in prefix[width:]:
-            pool = [_mix(word_dst, hashmix(word)) for word_dst in pool]
-        # The key is hashed once per pool word, with successive constants.
-        consts = [hash_const]
-        for _ in pool:
-            consts.append(consts[-1] * _MULT_A & _MASK32)
-        consts = np.array(consts, dtype=np.uint32)
-        hashed = np.arange(first, first + size, dtype=np.uint32)[:, None] ^ consts[:-1]
-        hashed *= consts[1:]
-        hashed ^= hashed >> _XSHIFT
-        self.pools = _mix(np.array(pool, dtype=np.uint32), hashed)
-        self._states = {}
-
-    def generate_state(self, n_words: int, dtype) -> np.ndarray:
-        """Every child's ``generate_state(n_words, dtype)``, one per row."""
-        key = (n_words, dtype)
-        if key not in self._states:
-            out_dtype = np.dtype(dtype)
-            if out_dtype == np.uint32:
-                words = n_words
-            elif out_dtype == np.uint64:
-                words = 2 * n_words
-            else:
-                raise ValueError("only support uint32 or uint64")
-            consts = [_INIT_B]
-            for _ in range(words):
-                consts.append(consts[-1] * _MULT_B & _MASK32)
-            consts = np.array(consts, dtype=np.uint32)
-            cycles = -(-words // self.pools.shape[1])
-            state = np.tile(self.pools, (1, cycles))[:, :words] ^ consts[:-1]
-            state *= consts[1:]
-            state ^= state >> _XSHIFT
-            if out_dtype == np.uint64:
-                state = state.astype("<u4").view("<u8").astype(np.uint64)
-            self._states[key] = state
-        return self._states[key]
-
-
-class _ChildSeed(ISpawnableSeedSequence):
-    """Child ``row`` of a ``_ChunkSeeds`` as a bit generator's seed: it hands
-    out its row of the chunk's states.  Spawning, and reading any public
-    attribute (``spawn_key``, ``n_children_spawned``, ...), go to numpy's own
-    SeedSequence for the child, built on first use."""
-
-    __slots__ = ("_chunk", "_row", "_sequence")
-
-    def __init__(self, chunk: _ChunkSeeds, row: int):
-        self._chunk, self._row, self._sequence = chunk, row, None
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self._chunk.generate_state(n_words, dtype)[self._row].copy()
-
-    def spawn(self, n_children):
-        return self._seed_sequence().spawn(n_children)
-
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._seed_sequence(), name)
-
-    def _seed_sequence(self) -> SeedSequence:
-        if self._sequence is None:
-            parent, key = self._chunk.seq, self._chunk.first + self._row
-            self._sequence = SeedSequence(
-                parent.entropy, spawn_key=parent.spawn_key + (key,), pool_size=parent.pool_size
-            )
-        return self._sequence
-
-
-def _advance_child_count(bit_generator, seq: SeedSequence, count: int) -> bool:
-    """Give ``bit_generator`` a copy of ``seq`` that has spawned ``count``
-    children (``n_children_spawned`` is read-only), through the
-    ``(state, seed_seq)`` pair that ``BitGenerator.__reduce__`` pickles.
-    False, and nothing changed, where this numpy's ``__setstate__`` refuses
-    the pair or does not keep its sequence.  A count past the uint32 range
-    raises ``OverflowError``; ``spawn`` would not return there."""
-    advanced = SeedSequence(
-        seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size, n_children_spawned=count
-    )
-    try:
-        bit_generator.__setstate__((bit_generator.state, advanced))
-    except TypeError:
-        return False
-    return bit_generator.seed_seq.n_children_spawned == count
-
-
-def _spawn(rng: np.random.Generator, size: int) -> list:
-    """``rng.spawn(size)``, draw for draw and with the parent's child count
-    advanced as ``spawn`` advances it, from one vectorised pass of numpy's
-    SeedSequence mixing over the children's keys.  A parent whose sequence is
-    not numpy's ``SeedSequence``, or whose count this numpy cannot advance,
-    spawns with ``rng.spawn`` (and raises where that does)."""
-    bit_generator = rng.bit_generator
-    seq = bit_generator.seed_seq
-    if type(seq) is not SeedSequence:
-        return rng.spawn(size)
-    first = seq.n_children_spawned
-    if not _advance_child_count(bit_generator, seq, first + size):
-        return rng.spawn(size)
-    chunk = _ChunkSeeds(seq, first, size)
-    return [type(rng)(type(bit_generator)(seed=_ChildSeed(chunk, row))) for row in range(size)]
 
 
 def _used_answers(output, family: ShatteredFamily) -> np.ndarray:
@@ -426,9 +268,12 @@ def attack_experiment(
     ``mechanism`` is ``callable(database, generator) -> Database | answer
     vector | ReleaseOutput``.  A ``RuntimeError`` or ``ArithmeticError`` it
     raises (a budget refusal, say) is counted and the trial skipped; other
-    exceptions are programming errors and propagate.  Trials draw from
-    independent child generators, so results do not depend on execution
-    order.  Each completed round is recorded once, in the per-trial arrays
+    exceptions are programming errors and propagate.  Every trial draws
+    from ``rng`` itself, in trial order: ``integers(len(subsets))`` for the
+    hidden subset, ``integers(d/2)`` for the element swapped out and
+    ``integers(d/2)`` for the one swapped in, then whatever the mechanism
+    draws on D_T and on the swapped database.  A failed trial keeps the draws
+    it made.  Each completed round is recorded once, in the per-trial arrays
     its chunk's reconstruction returns; the report is tallied from them after
     the last chunk.
     """
@@ -440,25 +285,23 @@ def attack_experiment(
     half = d // 2
 
     failures = 0
-    completed = 0
-    record = tuple(np.empty(trials, dtype) for dtype in (np.float64, np.int64, bool, bool))
+    chunks = []
 
-    # A trial only draws and releases; its chunk is reconstructed at once.
-    # Each chunk's spawn continues the parent's child count, so trial i draws
-    # from SeedSequence(seed, spawn_key=(i,)) whatever the chunk size.
+    # A trial only draws and releases; its chunk is reconstructed at once,
+    # and the chunks' per-trial arrays are joined after the last one.
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
         answers = np.empty((2, size, len(family.used)))
         hidden, xs = [], []
-        for trial_rng in _spawn(rng, size):
-            s_hidden = int(trial_rng.integers(len(subsets)))
+        for _ in range(size):
+            s_hidden = int(rng.integers(len(subsets)))
             t_hidden = subsets[s_hidden]
-            a = int(trial_rng.integers(half))
-            y = int(outside[s_hidden, int(trial_rng.integers(half))])
+            a = int(rng.integers(half))
+            y = int(outside[s_hidden, int(rng.integers(half))])
             s_swapped = position[tuple(sorted(t_hidden[:a] + t_hidden[a + 1 :] + (y,)))]
             try:
-                out_hidden = mechanism(family.databases[s_hidden], trial_rng)
-                out_swapped = mechanism(family.databases[s_swapped], trial_rng)
+                out_hidden = mechanism(family.databases[s_hidden], rng)
+                out_swapped = mechanism(family.databases[s_swapped], rng)
             except (RuntimeError, ArithmeticError):
                 failures += 1
                 continue
@@ -466,14 +309,13 @@ def attack_experiment(
             answers[1, len(hidden)] = _used_answers(out_swapped, family)
             hidden.append(s_hidden)
             xs.append(t_hidden[a])
-        if not hidden:
-            continue
-        chunk = _reconstruct_chunk(family, hidden, xs, answers[:, : len(hidden)])
-        for column, values in zip(record, chunk):
-            column[completed : completed + len(hidden)] = values
-        completed += len(hidden)
+        if hidden:
+            chunks.append(_reconstruct_chunk(family, hidden, xs, answers[:, : len(hidden)]))
 
-    eps_hat, symdiff, hit, hit_swapped = (column[:completed] for column in record)
+    empty = tuple(np.empty(0, dtype) for dtype in (np.float64, np.int64, bool, bool))
+    eps_hat, symdiff, hit, hit_swapped = (np.concatenate(column) for column in zip(empty, *chunks))
+    del chunks  # so only the joined arrays live beside the per_trial tuples
+    completed = len(eps_hat)
     bound = 4.0 * eps_hat / gamma
 
     def mean(total):

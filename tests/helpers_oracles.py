@@ -667,16 +667,16 @@ def _true_answers(family, subset) -> np.ndarray:
 
 
 def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
-    """``attack_experiment`` as the library ran it before trials were
-    reconstructed a chunk at a time: all children spawned up front, and each
-    trial drawn, released and reconstructed on its own, with Python set and
-    list operations.  Same arguments and return value."""
+    """``attack_experiment`` as one plain loop: each trial drawn from ``rng``
+    in trial order (hidden subset, element out, element in, then the
+    mechanism's draws on both databases), released and reconstructed on its
+    own, with Python set and list operations.  Same arguments and return
+    value."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     subsets = family.subsets()
     gamma = family.gamma
     d = family.d
-    children = rng.spawn(trials)
 
     failures = 0
     completed = 0
@@ -689,20 +689,20 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
     symdiff_counts: dict[int, int] = {}
     per_trial: list[tuple[float, int]] = []
 
-    for trial_rng in children:
-        s_hidden = int(trial_rng.integers(len(subsets)))
+    for _ in range(trials):
+        s_hidden = int(rng.integers(len(subsets)))
         t_hidden = subsets[s_hidden]
         inside = list(t_hidden)
         outside = [i for i in family.bucket if i not in t_hidden]
-        x = inside[int(trial_rng.integers(len(inside)))]
-        y = outside[int(trial_rng.integers(len(outside)))]
+        x = inside[int(rng.integers(len(inside)))]
+        y = outside[int(rng.integers(len(outside)))]
         t_swapped = tuple(sorted(set(t_hidden) - {x} | {y}))
 
         d_hidden = family.databases[s_hidden]
         d_swapped = family.database_for(t_swapped)
         try:
-            out_hidden = mechanism(d_hidden, trial_rng)
-            out_swapped = mechanism(d_swapped, trial_rng)
+            out_hidden = mechanism(d_hidden, rng)
+            out_swapped = mechanism(d_swapped, rng)
         except (RuntimeError, ArithmeticError):
             failures += 1
             continue

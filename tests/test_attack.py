@@ -239,31 +239,39 @@ class TestAttackExperiment:
         assert report.reconstruction_bound_violations == 0
 
     def test_trial_streams_follow_the_documented_split(self):
-        # Trial i draws from SeedSequence(seed, spawn_key=(i,)): its subset,
-        # its swapped pair, then whatever the mechanism draws.  The keys run
-        # on across chunks and from a parent's earlier children, and the
-        # parent's next child is the one after the last trial's.
+        # Every trial draws from the caller's generator in trial order: its
+        # subset, the element swapped out, the one swapped in, then whatever
+        # the mechanism draws on D_T and on the swapped database.  A failed
+        # trial keeps the draws it made, and the caller's next draw is the
+        # stream's next one after the last trial's.
         seed = 12345
-        half = len(self.family.bucket) // 2
-        for trials, spawned in ((8, 0), (attack.TRIAL_CHUNK + 3, 0), (attack.TRIAL_CHUNK + 3, 5)):
+        n_subsets, half = len(self.family.subsets()), self.family.d // 2
+        chunk = attack.TRIAL_CHUNK
+        for trials, failing_trial in ((8, None), (chunk + 3, None), (chunk + 3, chunk // 2)):
             draws = []
+            failing_call = None if failing_trial is None else 2 * failing_trial + 1
 
             def recording(db, rng):
                 draws.append(rng.random())
+                if len(draws) == failing_call:  # the failing trial's release on D_T
+                    raise RuntimeError("refused")
                 return db
 
             rng = np.random.default_rng(seed)
-            rng.spawn(spawned)
-            attack_experiment(recording, self.family, trials, rng)
+            report = attack_experiment(recording, self.family, trials, rng)
+            stream = np.random.default_rng(seed)
             expected = []
-            for i in range(spawned, spawned + trials):
-                stream = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-                stream.integers(len(self.family.subsets()))
+            for i in range(trials):
+                stream.integers(n_subsets)
                 stream.integers(half)
-                stream.integers(len(self.family.bucket) - half)
-                expected += [stream.random(), stream.random()]
+                stream.integers(half)
+                expected.append(stream.random())
+                if i != failing_trial:
+                    expected.append(stream.random())
             assert draws == expected
-            assert rng.spawn(1)[0].bit_generator.seed_seq.spawn_key == (spawned + trials,)
+            assert report.mechanism_failures == (failing_trial is not None)
+            assert report.completed == trials - report.mechanism_failures
+            assert rng.random() == stream.random()
 
     def test_exact_mechanism_bound_and_ground_truth(self):
         mech = lambda db, rng: exponential_release_exact(db, BOOL4, self.p, 2, rng)
@@ -360,6 +368,15 @@ class TestAttackExperiment:
             assert report.mechanism_failures == 25
             assert report.completed == 0
             assert report.recovery_ratio is None
+
+    def test_trial_record_is_not_sized_by_the_trial_count(self):
+        # 10**13 trials' per-trial arrays would take tens of TiB; only the
+        # trials run are recorded, so the mechanism's bug is what surfaces.
+        def typo(db, rng):
+            raise TypeError("a bug in the mechanism")
+
+        with pytest.raises(TypeError, match="a bug"):
+            attack_experiment(typo, self.family, 10**13, np.random.default_rng(4))
 
     def test_programming_errors_propagate(self):
         def raising(error):
@@ -581,10 +598,10 @@ class TestChunkedTrialsAgainstPerTrialLoop:
 
 def test_identity_trials_keep_memory_flat():
     # Only the per-trial record grows with the trial count: four array
-    # entries and one per_trial tuple, about 122 bytes a trial on Python
-    # 3.11 (1.21 MB peak at 5,000 trials, 6.68 MB at 50,000).  The bound of
-    # 200 allows 60% over that; seeding every trial up front, or keeping
-    # every trial's generator, adds about 700 bytes a trial and breaks it.
+    # entries and one per_trial tuple, about 119 bytes a trial on Python
+    # 3.11 (1.14 MB peak at 5,000 trials, 6.25 MB at 50,000).  The bound of
+    # 200 allows 68% over that; keeping every trial's generator, or its
+    # answers, breaks it.
     family = build_family(boolean_indicator_class(8), 0.5, 8)
 
     def peak(trials):
@@ -598,80 +615,3 @@ def test_identity_trials_keep_memory_flat():
     small, large = peak(5_000), peak(50_000)
     assert small < 3 * 2**20
     assert (large - small) / 45_000 < 200
-
-
-BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox, np.random.SFC64]
-
-
-def equal_parents(bit_generator, entropy):
-    """(description, make_fast, make_numpy, sizes): two makers of the same
-    parent, the first spawned from with ``attack._spawn`` and the second
-    with ``Generator.spawn``, and the sizes of two spawns in a row."""
-    def fresh(**kwargs):
-        return lambda: np.random.Generator(bit_generator(np.random.SeedSequence(entropy, **kwargs)))
-
-    return [
-        ("fresh", fresh(), fresh(), (3, 4)),
-        ("pool_size 8", fresh(pool_size=8), fresh(pool_size=8), (3, 4)),
-        ("parent key", fresh(spawn_key=(2**40, 3)), fresh(spawn_key=(2**40, 3)), (3, 4)),
-        # numpy's spawn does not return past a count of 2**32 - 1.
-        ("count 2**32 - 3", fresh(n_children_spawned=2**32 - 3),
-         fresh(n_children_spawned=2**32 - 3), (1, 1)),
-        ("numpy's child", lambda: fresh()().spawn(2)[1], lambda: fresh()().spawn(2)[1], (3, 4)),
-        ("a fast child", lambda: attack._spawn(fresh()(), 2)[1], lambda: fresh()().spawn(2)[1], (3, 4)),
-    ]
-
-
-@pytest.mark.parametrize(
-    "entropy", [0, 2**31 - 1, 2**64 + 7, [1, 2, 3, 4, 5, 6], np.array([7, 2**40]), ["0x1f", "12"]]
-)
-@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
-def test_chunk_spawn_matches_generator_spawn(bit_generator, entropy):
-    for description, make_fast, make_numpy, sizes in equal_parents(bit_generator, entropy):
-        fast, slow = make_fast(), make_numpy()
-        for size in sizes:
-            got, want = attack._spawn(fast, size), slow.spawn(size)
-            assert len(got) == len(want) == size, description
-            for child, expected in zip(got, want):
-                assert type(child.bit_generator) is bit_generator
-                assert child.random(3).tolist() == expected.random(3).tolist(), description
-                assert child.integers(0, 10**6, 4).tolist() == expected.integers(0, 10**6, 4).tolist()
-                (grandchild,), (expected_grandchild,) = child.spawn(1), expected.spawn(1)
-                assert grandchild.random() == expected_grandchild.random(), description
-            assert (fast.bit_generator.seed_seq.n_children_spawned
-                    == slow.bit_generator.seed_seq.n_children_spawned), description
-        assert fast.random() == slow.random(), description
-
-
-def test_chunk_spawn_refuses_a_sequence_that_cannot_spawn():
-    class Unspawnable(np.random.bit_generator.ISeedSequence):
-        def generate_state(self, n_words, dtype=np.uint32):
-            return np.random.SeedSequence(4).generate_state(n_words, dtype)
-
-    rng = np.random.Generator(np.random.PCG64(Unspawnable()))
-    with pytest.raises(TypeError) as numpy_error:
-        rng.spawn(2)
-    with pytest.raises(TypeError) as error:
-        attack._spawn(rng, 2)
-    assert str(error.value) == str(numpy_error.value)
-
-
-def test_spawn_fallback_gives_the_same_report(monkeypatch):
-    # Where numpy does not keep the seed sequence a (state, seed_seq) pair
-    # restores, every chunk spawns with Generator.spawn.
-    family = build_family(BOOL4, 0.5, 4)
-
-    def noisy(db, rng):
-        return Database(db.entries + rng.uniform(0.0, 0.6, size=db.n))
-
-    def run():
-        rng = np.random.default_rng(21)
-        report = attack_experiment(noisy, family, attack.TRIAL_CHUNK + 44, rng, alpha=1.0)
-        return report, rng.spawn(1)[0].random()
-
-    fast = run()
-    monkeypatch.setattr(attack, "_advance_child_count", lambda *args: False)
-    monkeypatch.setattr(attack, "_ChunkSeeds", None)  # the fast path is never taken
-    fallback = run()
-    assert fallback == fast
-    assert fallback[0].per_trial == fast[0].per_trial and len(set(fast[0].per_trial)) > 1
