@@ -18,7 +18,6 @@ privacy any accurate mechanism can claim.
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -205,7 +204,6 @@ def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
     answers add their ``used_rows`` columns in index order, as ``evaluate``'s
     dot product sums them; they are not tabulated, as all subsets would take
     C(d, d/2)^2 floats, 1.3 GB at d = 16."""
-    hidden = np.array(hidden)
     true_answers = np.zeros_like(answers[0])
     columns = family.used_rows.T
     for index in family.members[hidden].nonzero()[1].reshape(len(hidden), -1).T:
@@ -219,7 +217,9 @@ def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
 
 @dataclass(frozen=True)
 class AttackReport:
-    """Summary of a reconstruction experiment."""
+    """Summary of a reconstruction experiment.  ``eps_hat`` and ``symdiff`` hold
+    each completed trial's realized error and |T symdiff T*|, in trial order,
+    as read-only arrays, outside equality and ``to_dict``."""
 
     trials: int
     completed: int
@@ -235,14 +235,19 @@ class AttackReport:
     alpha: float | None
     single_change_bound: float | None
     double_change_bound: float | None
+    eps_hat: np.ndarray = field(repr=False, compare=False)
+    symdiff: np.ndarray = field(repr=False, compare=False)
     # The hidden subset and its swap differ by two unit changes, so the
     # <=1-change privacy definition only implies the doubled bound.
     implied_bound: str = "double_change"
     epsilon_floor: float | None = None
-    per_trial: tuple = field(default=(), repr=False)
+
+    def __post_init__(self):
+        self.eps_hat.setflags(write=False)
+        self.symdiff.setflags(write=False)
 
     def to_dict(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_trial"}
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
         doc["symdiff_counts"] = {str(k): v for k, v in sorted(self.symdiff_counts.items())}
         return doc
 
@@ -275,7 +280,7 @@ def attack_experiment(
     draws on D_T and on the swapped database.  A failed trial keeps the draws
     it made.  Each completed round is recorded once, in the per-trial arrays
     its chunk's reconstruction returns; the report is tallied from them after
-    the last chunk.
+    the last chunk and keeps two of them, ``eps_hat`` and ``symdiff``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -292,7 +297,8 @@ def attack_experiment(
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
         answers = np.empty((2, size, len(family.used)))
-        hidden, xs = [], []
+        hidden, xs = np.empty((2, size), dtype=np.int64)
+        done = 0
         for _ in range(size):
             s_hidden = int(rng.integers(len(subsets)))
             t_hidden = subsets[s_hidden]
@@ -305,16 +311,16 @@ def attack_experiment(
             except (RuntimeError, ArithmeticError):
                 failures += 1
                 continue
-            answers[0, len(hidden)] = _used_answers(out_hidden, family)
-            answers[1, len(hidden)] = _used_answers(out_swapped, family)
-            hidden.append(s_hidden)
-            xs.append(t_hidden[a])
-        if hidden:
-            chunks.append(_reconstruct_chunk(family, hidden, xs, answers[:, : len(hidden)]))
+            answers[0, done] = _used_answers(out_hidden, family)
+            answers[1, done] = _used_answers(out_swapped, family)
+            hidden[done], xs[done] = s_hidden, t_hidden[a]
+            done += 1
+        if done:
+            chunks.append(_reconstruct_chunk(family, hidden[:done], xs[:done], answers[:, :done]))
 
     empty = tuple(np.empty(0, dtype) for dtype in (np.float64, np.int64, bool, bool))
     eps_hat, symdiff, hit, hit_swapped = (np.concatenate(column) for column in zip(empty, *chunks))
-    del chunks  # so only the joined arrays live beside the per_trial tuples
+    del chunks  # so the chunks' arrays are freed before the tally
     completed = len(eps_hat)
     bound = 4.0 * eps_hat / gamma
 
@@ -332,11 +338,13 @@ def attack_experiment(
         ratio = math.inf if rate_target > 0 else 1.0
     else:
         ratio = rate_target / rate_swapped
+    values, first, counts = np.unique(symdiff, return_index=True, return_counts=True)
+    order = np.argsort(first)  # each value in the order the trials first met it
     return AttackReport(
         trials=trials,
         completed=completed,
         mechanism_failures=failures,
-        symdiff_counts=dict(Counter(symdiff.tolist())),
+        symdiff_counts=dict(zip(values[order].tolist(), counts[order].tolist())),
         mean_symdiff=mean(int(symdiff.sum())),
         mean_eps_hat=mean(total_eps),
         reconstruction_bound_violations=int(np.count_nonzero(symdiff > bound + 1e-9)),
@@ -347,9 +355,10 @@ def attack_experiment(
         alpha=alpha,
         single_change_bound=_safe_exp(alpha) if alpha is not None else None,
         double_change_bound=_safe_exp(2 * alpha) if alpha is not None else None,
+        eps_hat=eps_hat,
+        symdiff=symdiff,
         epsilon_floor=(
             gamma * d / (4.0 * (_safe_exp(alpha) + 1.0)) if alpha is not None else None
         ),
-        per_trial=tuple(zip(eps_hat.tolist(), symdiff.tolist())),
     )
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, config
 from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
-from .fsd import SearchBudgetExceeded, _validate_eta, choose_m, fsd
+from .fsd import SearchBudgetExceeded, _validate_eta, _validate_gamma, choose_m, fsd
 from .mechanisms import (
     LAPLACE_TAIL,
     ExactLawTable,
@@ -250,7 +250,6 @@ def _derive_m(args, cls) -> int:
         return args.m
     if args.eta is None or args.gamma is None:
         raise _CliError("either --m or both --eta and --gamma are required")
-    _validate_eta(args.eta)
     d_max = max(1, int(math.log2(cls.k)))
     result = fsd(cls, args.gamma, d_max)
     if not result.exact:
@@ -266,6 +265,11 @@ def _cmd_release(args) -> int:
     _check_at_least("--seed", args.seed, 0)
     if args.sampler == "mcmc":
         _check_at_least("--steps", args.steps)
+    # Refused even when --m leaves them unused: the document prints them.
+    if args.eta is not None:
+        _validate_eta(args.eta)
+    if args.gamma is not None:
+        _validate_gamma(args.gamma)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
@@ -350,7 +354,8 @@ def _cmd_attack(args) -> int:
         "m": m,
     }
     rows = lambda: [["trial", "epsilon_hat", "symdiff"]] + [
-        [i, repr(e), s] for i, (e, s) in enumerate(report.per_trial)
+        [i, repr(e), s]
+        for i, (e, s) in enumerate(zip(report.eps_hat.tolist(), report.symdiff.tolist()))
     ]
     _emit(args, _document(args, result), {"per_trial.csv": rows})
     return 0

@@ -687,7 +687,8 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
     total_symdiff = 0
     total_eps = 0.0
     symdiff_counts: dict[int, int] = {}
-    per_trial: list[tuple[float, int]] = []
+    eps_hats: list[float] = []
+    symdiffs: list[int] = []
 
     for _ in range(trials):
         s_hidden = int(rng.integers(len(subsets)))
@@ -724,7 +725,8 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
         total_symdiff += symdiff
         total_eps += eps_hat
         symdiff_counts[symdiff] = symdiff_counts.get(symdiff, 0) + 1
-        per_trial.append((float(eps_hat), symdiff))
+        eps_hats.append(eps_hat)
+        symdiffs.append(symdiff)
         completed += 1
 
     rate_target = hits_target / completed if completed else 0.0
@@ -753,6 +755,15 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
         epsilon_floor=(
             gamma * d / (4.0 * (attack._safe_exp(alpha) + 1.0)) if alpha is not None else None
         ),
-        per_trial=tuple(per_trial),
+        eps_hat=np.array(eps_hats, dtype=np.float64),
+        symdiff=np.array(symdiffs, dtype=np.int64),
     )
 
+
+def assert_same_trials(got, want):
+    """Two attack reports hold the same per-trial arrays: values, order and
+    dtype (the arrays are outside dataclass equality)."""
+    for name in ("eps_hat", "symdiff"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tolist() == b.tolist(), name

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers_oracles import (
+    assert_same_trials,
     boolean_indicator_class,
     per_trial_attack_reference,
     query_of,
@@ -36,6 +37,11 @@ from sparsedp import (
 from sparsedp import attack
 
 BOOL4 = boolean_indicator_class(4)
+
+
+def distinct_trials(report) -> set:
+    """The distinct (eps_hat, symdiff) pairs among a report's trials."""
+    return set(zip(report.eps_hat.tolist(), report.symdiff.tolist()))
 
 
 def make_witness(subset, thresholds, gamma):
@@ -325,7 +331,8 @@ class TestAttackExperiment:
             a = attack_experiment(table, family, 300, np.random.default_rng(8), alpha=1.0)
             b = attack_experiment(per_call, family, 300, np.random.default_rng(8), alpha=1.0)
             assert a == b
-            assert a.completed == 300 and len(set(a.per_trial)) > 1
+            assert_same_trials(a, b)
+            assert a.completed == 300 and len(distinct_trials(a)) > 1
 
     def test_huge_noise_flags_vacuous_reconstruction(self):
         def noisy(db, rng):
@@ -350,6 +357,7 @@ class TestAttackExperiment:
         )
         assert got.reconstruction_bound_violations > 0
         assert got == want
+        assert_same_trials(got, want)
 
     def test_mechanism_failures_counted(self, monkeypatch):
         def broken(db, rng):
@@ -431,9 +439,12 @@ class TestAttackExperiment:
         mech = lambda db, rng: exponential_release_exact(db, BOOL4, self.p, 2, rng)
         a = attack_experiment(mech, self.family, 50, np.random.default_rng(7), alpha=1.0)
         b = attack_experiment(mech, self.family, 50, np.random.default_rng(7), alpha=1.0)
-        assert a.per_trial == b.per_trial
-        assert len(a.per_trial) == 50
+        assert_same_trials(a, b)
+        assert len(a.eps_hat) == len(a.symdiff) == 50
         assert a.to_dict() == b.to_dict()
+        for array in (a.eps_hat, a.symdiff):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def jittered_cube_class(rng, d=4):
@@ -497,10 +508,11 @@ def test_trials_match_brute_force_on_float_class(output):
     assert report.completed == len(expected) == 300
     # The family answers a database by one matmul, which may round the last
     # bit differently from per-query ``evaluate``; the argmin must not move.
-    for (eps_hat, symdiff), (want_eps, want_symdiff, _, _) in zip(report.per_trial, expected):
+    trials = zip(report.eps_hat.tolist(), report.symdiff.tolist(), expected, strict=True)
+    for eps_hat, symdiff, (want_eps, want_symdiff, _, _) in trials:
         assert eps_hat == pytest.approx(want_eps, rel=1e-12, abs=1e-12)
         assert symdiff == want_symdiff
-    assert {s for _, s in report.per_trial} != {0}
+    assert set(report.symdiff.tolist()) != {0}
     assert report.recovery_rate_target == np.mean([row[2] for row in expected])
     assert report.recovery_rate_swapped == np.mean([row[3] for row in expected])
 
@@ -548,7 +560,7 @@ def assert_matches_reference(family, name, trials, seed):
         reference_mechanisms(family)[name], family, trials, old_rng, alpha=1.0
     )
     assert got.to_dict() == want.to_dict()
-    assert got.per_trial == want.per_trial
+    assert_same_trials(got, want)
     assert list(got.symdiff_counts.items()) == list(want.symdiff_counts.items())
     assert new_rng.random() == old_rng.random()
     return got
@@ -575,7 +587,7 @@ class TestChunkedTrialsAgainstPerTrialLoop:
             for name in reference_mechanisms(family):
                 report = assert_matches_reference(family, name, trials, family.d)
                 assert report.completed > 0
-                assert len(set(report.per_trial)) > 1 or name == "identity"
+                assert len(distinct_trials(report)) > 1 or name == "identity"
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_bad_output_raises_at_its_trial(self, monkeypatch, chunk):
@@ -598,10 +610,11 @@ class TestChunkedTrialsAgainstPerTrialLoop:
 
 def test_identity_trials_keep_memory_flat():
     # Only the per-trial record grows with the trial count: four array
-    # entries and one per_trial tuple, about 119 bytes a trial on Python
-    # 3.11 (1.14 MB peak at 5,000 trials, 6.25 MB at 50,000).  The bound of
-    # 200 allows 68% over that; keeping every trial's generator, or its
-    # answers, breaks it.
+    # entries a trial, held twice while the chunks' arrays are joined, about
+    # 34 bytes a trial on Python 3.11 (1.14 MiB peak at 5,000 trials, 2.59
+    # MiB at 50,000).  The bound of 48 allows 41% over that; keeping a
+    # Python object per trial (a tuple, a float), its generator or its
+    # answers breaks it.
     family = build_family(boolean_indicator_class(8), 0.5, 8)
 
     def peak(trials):
@@ -614,4 +627,4 @@ def test_identity_trials_keep_memory_flat():
 
     small, large = peak(5_000), peak(50_000)
     assert small < 3 * 2**20
-    assert (large - small) / 45_000 < 200
+    assert (large - small) / 45_000 < 48

@@ -1,4 +1,5 @@
 import builtins
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -16,9 +17,12 @@ import numpy as np
 import pytest
 
 import sparsedp
-from helpers_oracles import boolean_indicator_class, oracle_stdout_by_dicts
+from helpers_oracles import (
+    boolean_indicator_class, oracle_stdout_by_dicts, per_trial_attack_reference,
+)
 from sparsedp import save_database, save_query_class, choose_m, config, fsd, Database, QueryClass
 from sparsedp import PrivacyParams, best_sparse_db, exact_output_distribution, mechanisms, oracle
+from sparsedp import ExactLawTable, ExponentRule, build_family, laplace_release
 from sparsedp import cli
 from sparsedp.cli import run
 
@@ -303,6 +307,30 @@ class TestReleaseCommand:
         assert (code, out, searches) == (1, "", [])
         assert "eta must lie in (0, 1]" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--eta", "5", "eta must lie in (0, 1]"),
+        ("--eta", "0", "eta must lie in (0, 1]"),
+        ("--gamma", "9", "gamma must lie in (0, 1/2]"),
+        ("--gamma", "nan", "gamma must lie in (0, 1/2]"),
+    ])
+    def test_bad_eta_or_gamma_exits_1_even_with_m(
+        self, files, capsys, monkeypatch, flag, value, message
+    ):
+        # --m leaves --eta and --gamma unused, but the document would print
+        # them as the run's configuration: refused before any file is read.
+        _, db, cls = files
+        calls = []
+        for name in ("load_database", "load_query_class",
+                     "exponential_release_exact", "exponential_release_mcmc"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        code, out, err = run_capture(
+            capsys,
+            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+             "--m", "3", flag, value],
+        )
+        assert (code, out, calls) == (1, "", [])
+        assert err.startswith(f"error: {message}, got ")
+
     @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
     def test_alpha_too_small_for_the_l1_estimate_exits_1(self, files, capsys, monkeypatch, sampler):
         # 1/(0.1*alpha) overflows at alpha = 1e-309: the refusal names --alpha
@@ -418,6 +446,35 @@ class TestAttackCommand:
         rows = (out_dir / "per_trial.csv").read_text().splitlines()
         assert rows[0] == "trial,epsilon_hat,symdiff"
         assert len(rows) == 21
+
+    @pytest.mark.parametrize("mechanism", ["exact", "laplace"])
+    def test_per_trial_csv_holds_the_reference_trials(self, files, capsys, tmp_path, mechanism):
+        # Each row is the trial's index, the repr of its Python float error
+        # and its symdiff, as the reference loop gives them; a writer that
+        # iterated the report's arrays would print np.float64(...) text.
+        _, _, cls = files
+        out_dir = tmp_path / "attack_art"
+        code, _, _ = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+             "--mechanism", mechanism, "--trials", "40", "--seed", "3", "--out", str(out_dir)],
+        )
+        assert code == 0
+        c, p = boolean_indicator_class(2), PrivacyParams(alpha=1.0)
+        family = build_family(c, 0.5, 2)
+        if mechanism == "exact":
+            laws = ExactLawTable(family.databases, c, p, family.d // 2, ExponentRule("paper"))
+            release = laws.release
+        else:
+            release = lambda db, rng: laplace_release(db, c, p, rng)
+        want = per_trial_attack_reference(release, family, 40, np.random.default_rng(3), alpha=1.0)
+        with (out_dir / "per_trial.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["trial", "epsilon_hat", "symdiff"]] + [
+            [str(i), repr(e), str(s)]
+            for i, (e, s) in enumerate(zip(want.eps_hat.tolist(), want.symdiff.tolist()))
+        ]
+        assert len(rows) == 41
 
     def test_exact_mechanism_attack(self, files, capsys):
         _, _, cls = files
