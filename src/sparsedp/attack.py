@@ -290,10 +290,9 @@ def attack_experiment(
     half = d // 2
 
     failures = 0
-    chunks = []
-
-    # A trial only draws and releases; its chunk is reconstructed at once,
-    # and the chunks' per-trial arrays are joined after the last one.
+    # A trial only draws and releases; its chunk is reconstructed at once.
+    # Each per-trial array is a list of chunk pieces, freed as it is joined.
+    columns = [[np.empty(0, dtype)] for dtype in (np.float64, np.int64, bool, bool)]
     for start in range(0, trials, TRIAL_CHUNK):
         size = min(TRIAL_CHUNK, trials - start)
         answers = np.empty((2, size, len(family.used)))
@@ -316,20 +315,24 @@ def attack_experiment(
             hidden[done], xs[done] = s_hidden, t_hidden[a]
             done += 1
         if done:
-            chunks.append(_reconstruct_chunk(family, hidden[:done], xs[:done], answers[:, :done]))
+            chunk = _reconstruct_chunk(family, hidden[:done], xs[:done], answers[:, :done])
+            for column, array in zip(columns, chunk):
+                column.append(array)
 
-    empty = tuple(np.empty(0, dtype) for dtype in (np.float64, np.int64, bool, bool))
-    eps_hat, symdiff, hit, hit_swapped = (np.concatenate(column) for column in zip(empty, *chunks))
-    del chunks  # so the chunks' arrays are freed before the tally
+    eps_hat, symdiff, hit, hit_swapped = (np.concatenate(columns.pop(0)) for _ in range(4))
     completed = len(eps_hat)
-    bound = 4.0 * eps_hat / gamma
 
     def mean(total):
         return total / completed if completed else 0.0
 
-    # A plain float sum in trial order: np.sum pairs its terms, and the
-    # built-in sum compensates from Python 3.12 on.
-    total_eps = float(np.add.accumulate(eps_hat)[-1]) if completed else 0.0
+    # One scratch array holds the float sum in trial order (np.sum pairs terms; the built-in
+    # sum compensates from Python 3.12 on), then the bound, offset once vacuous is read.
+    bound = np.add.accumulate(eps_hat)
+    total_eps = float(bound[-1]) if completed else 0.0
+    np.multiply(eps_hat, 4.0, out=bound)
+    bound /= gamma
+    vacuous = mean(int(np.count_nonzero(bound >= d)))
+    bound += 1e-9
     rate_target = mean(int(np.count_nonzero(hit)))
     rate_swapped = mean(int(np.count_nonzero(hit_swapped)))
     if completed == 0:
@@ -338,17 +341,17 @@ def attack_experiment(
         ratio = math.inf if rate_target > 0 else 1.0
     else:
         ratio = rate_target / rate_swapped
-    values, first, counts = np.unique(symdiff, return_index=True, return_counts=True)
-    order = np.argsort(first)  # each value in the order the trials first met it
+    tally = np.bincount(symdiff)
+    first = {int(np.argmax(symdiff == v)): v for v in np.flatnonzero(tally).tolist()}
     return AttackReport(
         trials=trials,
         completed=completed,
         mechanism_failures=failures,
-        symdiff_counts=dict(zip(values[order].tolist(), counts[order].tolist())),
+        symdiff_counts={v: int(tally[v]) for _, v in sorted(first.items())},
         mean_symdiff=mean(int(symdiff.sum())),
         mean_eps_hat=mean(total_eps),
-        reconstruction_bound_violations=int(np.count_nonzero(symdiff > bound + 1e-9)),
-        vacuous_fraction=mean(int(np.count_nonzero(bound >= d))),
+        reconstruction_bound_violations=int(np.count_nonzero(symdiff > bound)),
+        vacuous_fraction=vacuous,
         recovery_rate_target=rate_target,
         recovery_rate_swapped=rate_swapped,
         recovery_ratio=ratio,

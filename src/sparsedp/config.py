@@ -10,8 +10,8 @@ only per call (``budget=``, the CLI's ``--budget``).
 import os
 
 # Hard wall for enumerating the sparse integer domain {D' : ||D'||_1 = m}.
-# Above this the exact sampler and the brute-force oracles refuse and point
-# the caller at the MCMC sampler.
+# Above this the exact samplers and the brute-force oracles refuse; the
+# samplers point the caller at the MCMC one.
 DEFAULT_DOMAIN_BUDGET = 10_000_000
 
 # Node budget for the exponential-time shattering search, counted in

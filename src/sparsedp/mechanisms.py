@@ -112,24 +112,24 @@ def domain_size(n: int, m: int) -> int:
 # fit in L2: a pass holds a few MB at any domain size.
 BLOCK_ROWS = 1 << 18
 SCORE_SLICE_CELLS = 1 << 15
+MCMC_ADVICE = "; exponential_release_mcmc samples without enumerating it"
 
 
-def _check_budget(n: int, m: int, passes: int = 1) -> int:
+def _check_budget(n: int, m: int, passes: int = 1, counted: str = "", advice: str = "") -> None:
     """The one enumeration-budget check: ``passes`` passes over the sparse
-    domain of (n, m), whose rows hold m >= 1 units, must fit the budget.
-    Returns the domain size."""
+    domain of (n, m), whose rows hold m >= 1 units, must fit the budget.  A
+    refusal says what the passes are (``counted``) and ends in ``advice``."""
     if m < 1:
         raise ValueError("m must be at least 1")
     count = domain_size(n, m)
     limit = config.domain_budget()
     if passes * count > limit:
-        scored = f", scored {passes} times," if passes > 1 else ""
+        scored = f", scored {passes} times{counted}," if passes > 1 else ""
         raise DomainTooLargeError(
             f"sparse domain for n={n}, m={m} holds {count} elements{scored} over the "
-            f"budget of {limit}; exponential_release_mcmc samples without enumerating it",
+            f"budget of {limit}{advice}",
             count=passes * count,
         )
-    return count
 
 
 def domain_blocks(n: int, m: int, max_rows: int | None = None):
@@ -190,8 +190,8 @@ def domain_blocks(n: int, m: int, max_rows: int | None = None):
 def sparse_domain(n: int, m: int):
     """Every nonnegative integer vector of length n summing to m, exactly
     once, in lexicographically decreasing order.  Refuses with the count when
-    the domain exceeds the enumeration budget."""
-    _check_budget(n, m)
+    the domain exceeds the enumeration budget, naming the MCMC sampler."""
+    _check_budget(n, m, advice=MCMC_ADVICE)
     blocks = domain_blocks(n, m, BLOCK_ROWS)
     return (SparseSyntheticDatabase(row) for block in blocks for row in block)
 
@@ -222,31 +222,37 @@ def score_rows(
 
     The rows go in slices of about ``SCORE_SLICE_CELLS / k`` rows, and the
     batch in groups that keep a slice's pass near ``SCORE_SLICE_CELLS``
-    cells; two buffers made once per call serve every slice and group.  A
+    cells; buffers made once per call serve every slice and group.  A
     slice's candidate answers are one query-major matmul, ``matrix @
-    piece.T``, into a (k, rows) buffer; each group's errors are then worked
-    in place, contiguously, in a (group, k, rows) buffer, so the maximum
-    over queries is an elementwise maximum of k row vectors.  This rests on
-    the two gemm orientations summing each entry's n products in the same
-    order, which the tests check against one row-major matmul.  A class of
-    one query keeps the row-major ``piece @ matrix.T``, written through the
-    same buffer viewed as (rows, 1): the other orientation takes BLAS's
-    vector path, which can round differently.  For the same reason a slice
-    has at least two rows, the last one taking the row before it when one
-    is left over.  So the scores are bit for bit those of one matmul over
-    all rows, and agree with ``quality_score`` to rounding only: a matmul
-    may round differently in the last bit."""
+    piece.T``, into a (k, rows) buffer.  A group's errors are worked in
+    place along its longer axis: in a (group, k, rows) buffer, where the
+    maximum over queries is one of k contiguous row vectors, or, for a
+    group longer than the slice, in a (k, rows, group) buffer, whose
+    maximum fills a (rows, group) block copied transposed into the scores.
+    Each cell takes the same operations either way, and a maximum is exact
+    in any order.  The matmul rests on the two gemm orientations summing
+    each entry's n products in the same order, which the tests check
+    against one row-major matmul.  A class of one query keeps the
+    row-major ``piece @ matrix.T``, written through the same buffer viewed
+    as (rows, 1): the other orientation takes BLAS's vector path, which can
+    round differently.  For the same reason a slice has at least two rows,
+    the last one taking the row before it when one is left over.  So the
+    scores are bit for bit those of one matmul over all rows, and agree
+    with ``quality_score`` to rounding only: a matmul may round differently
+    in the last bit."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    true_answers = np.asarray(true_answers, dtype=np.float64)[:, :, None]
-    factors = np.asarray(l1_estimates, dtype=np.float64)[:, None, None] / m
-    rows, k = counts.shape[0], c.k
+    true_answers = np.asarray(true_answers, dtype=np.float64)
+    factors = np.asarray(l1_estimates, dtype=np.float64) / m
+    rows, k, batch = counts.shape[0], c.k, len(factors)
     step = max(2, SCORE_SLICE_CELLS // k)
     span = max(1, min(step, rows))
     group = max(1, SCORE_SLICE_CELLS // (span * k))
-    scores = np.empty((len(factors), rows))
+    along_batch = min(group, batch) > span
+    scores = np.empty((batch, rows))
     answers = np.empty(span * k)
-    work = np.empty(min(group, len(factors)) * k * span)
+    work = np.empty(min(group, batch) * k * span)
+    block = np.empty(min(group, batch) * span if along_batch else 0)
     for start in range(0, rows, step):
         start = max(0, min(start, rows - 2))
         piece = counts[start : start + step]
@@ -256,13 +262,21 @@ def score_rows(
             np.matmul(piece, c.matrix.T, out=piece_answers.reshape(size, 1))
         else:
             np.matmul(c.matrix, piece.T, out=piece_answers)
-        for first in range(0, len(factors), group):
-            last = min(first + group, len(factors))
-            errors = work[: (last - first) * k * size].reshape(last - first, k, size)
-            np.multiply(factors[first:last], piece_answers, out=errors)
-            np.subtract(true_answers[first:last], errors, out=errors)
-            np.abs(errors, out=errors)
-            np.maximum.reduce(errors, axis=1, out=scores[first:last, start : start + size])
+        for first in range(0, batch, group):
+            last = min(first + group, batch)
+            if along_batch:
+                errors = work[: k * size * (last - first)].reshape(k, size, last - first)
+                np.multiply(factors[first:last], piece_answers[:, :, None], out=errors)
+                np.subtract(true_answers[first:last].T[:, None, :], errors, out=errors)
+                top = block[: size * (last - first)].reshape(size, last - first)
+                np.maximum.reduce(np.abs(errors, out=errors), axis=0, out=top)
+                scores[first:last, start : start + size] = top.T
+            else:
+                errors = work[: (last - first) * k * size].reshape(last - first, k, size)
+                np.multiply(factors[first:last, None, None], piece_answers, out=errors)
+                np.subtract(true_answers[first:last, :, None], errors, out=errors)
+                np.abs(errors, out=errors)
+                np.maximum.reduce(errors, axis=1, out=scores[first:last, start : start + size])
     return np.negative(scores, out=scores)
 
 
@@ -376,7 +390,8 @@ def exponential_release_exact(
     enumeration budget and names the MCMC fallback.  The reported score is
     ``quality_score`` of the drawn row, exactly."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
-    counts = composition_matrix(d.n, m)
+    _check_budget(d.n, m, advice=MCMC_ADVICE)
+    counts = next(domain_blocks(d.n, m))
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
     idx = _draw(cumulative, rng.random())
@@ -392,10 +407,10 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 class ExactLawTable:
     """The prepared exact sampler of a fixed set of databases: it enumerates
     the domain of (c.n, m) once, as the read-only ``counts`` (refusing m < 1
-    and a domain over the budget, as ``composition_matrix`` does), and keeps
-    each database's cumulative law and each release drawn from it.  It is
-    built for one class, alpha, m and rule, and releases only at the public
-    L1 norm.
+    and a domain over the budget as ``exponential_release_exact`` does), and
+    keeps each database's cumulative law and each release drawn from it.  It
+    is built for one class, alpha, m and rule, and releases only at the
+    public L1 norm.
 
     A database's law is computed on its first release, by the per-call
     sampler's own ``_exact_law``, and the ``ReleaseOutput`` of a
@@ -414,7 +429,8 @@ class ExactLawTable:
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
     ):
-        self._counts = composition_matrix(c.n, m)
+        _check_budget(c.n, m, advice=MCMC_ADVICE)
+        self._counts = next(domain_blocks(c.n, m))
         self._counts.setflags(write=False)
         databases = tuple(databases)
         for d in databases:

@@ -148,7 +148,8 @@ def _certificate(
     if real_probes < 0:
         raise ValueError(f"real_probes must be nonnegative, got {real_probes}")
     # One pass over the domain per grid point and per probe point.
-    _check_budget(n, m, passes=(entry_cap + 1) ** n + 2 * real_probes)
+    g = (entry_cap + 1) ** n
+    _check_budget(n, m, g + 2 * real_probes, f" ({g} grid points plus 2 x {real_probes} probes)")
     if real_probes and rng is None:
         raise ValueError("real-valued probes need a generator")
     counts = composition_matrix(n, m)
@@ -161,7 +162,6 @@ def _certificate(
     upper = lower + stride[axis]
 
     # Grid, then every probe's a, then every probe's b, in one array.
-    g = len(grid)
     points = np.empty((g + 2 * real_probes, n))
     points[:g] = grid
     if real_probes:
@@ -189,14 +189,15 @@ def _certificate(
         np.add.at(pushed, label_of_row, dist.T)
         dist, labels = pushed.T, list(index)
 
-    # Both orders of every pair, from one gather: y is x with each pair
-    # reversed.  A ratio is inf when only its denominator is 0 and 1 when both
-    # are.  The first maximum in (pair, order, label) order is the witness.
+    # Both orders of every pair, from one gather and its reversal.  A ratio
+    # is inf when only its denominator is 0, and 1 when both are: only 0/0
+    # gives NaN, and only in a law with an exact zero.  The first maximum in
+    # (pair, order, label) order is the witness.
     x = dist[pairs]
-    y = x[:, ::-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = x / y
-    ratios[(x == 0.0) & (y == 0.0)] = 1.0
+        ratios = x / x[:, ::-1]
+    if not dist.all():
+        ratios[np.isnan(ratios)] = 1.0
     pair, order, label = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
     max_ratio = float(ratios[pair, order, label])
     witness = pairs[pair] if order == 0 else pairs[pair, ::-1]

@@ -610,11 +610,15 @@ class TestChunkedTrialsAgainstPerTrialLoop:
 
 def test_identity_trials_keep_memory_flat():
     # Only the per-trial record grows with the trial count: four array
-    # entries a trial, held twice while the chunks' arrays are joined, about
-    # 34 bytes a trial on Python 3.11 (1.14 MiB peak at 5,000 trials, 2.59
-    # MiB at 50,000).  The bound of 48 allows 41% over that; keeping a
-    # Python object per trial (a tuple, a float), its generator or its
-    # answers breaks it.
+    # entries a trial (18 bytes), each column's chunk pieces and its joined
+    # copy held together only while it is joined, and one float scratch
+    # array for the total and the recovery bound.  On Python 3.11 the peak
+    # grows by about 20 bytes a trial from 5,000 to 50,000 trials (1.14 and
+    # 1.99 MiB) and 25 from 50,000 to 200,000 (5.57 MiB).  The bound of 48
+    # allows more than twice that; keeping a Python object per trial (a tuple, a
+    # float), its generator or its answers breaks it.  The bound of 32
+    # breaks on every chunk's pieces held with all four joined arrays, or
+    # on np.unique's sorted copies of the trials (52 bytes a trial).
     family = build_family(boolean_indicator_class(8), 0.5, 8)
 
     def peak(trials):
@@ -625,6 +629,7 @@ def test_identity_trials_keep_memory_flat():
         finally:
             tracemalloc.stop()
 
-    small, large = peak(5_000), peak(50_000)
+    small, large, largest = peak(5_000), peak(50_000), peak(200_000)
     assert small < 3 * 2**20
     assert (large - small) / 45_000 < 48
+    assert (largest - large) / 150_000 < 32

@@ -825,6 +825,33 @@ class TestContracts:
         assert (code, out) == (2, "")
         assert err.startswith("budget refusal: sparse domain for n=4, m=2 holds 10 elements")
 
+    def test_only_exact_sampler_refusals_name_mcmc(self, files, capsys, monkeypatch, tmp_path):
+        # Over a budget of 3, the exact samplers' refusals name the MCMC
+        # sampler.  The oracle and the certificates have no sampler to fall
+        # back on; a certificate says what its passes count, here 9 grid
+        # points (n = 2, cap 2) and 2 x 5 probe points.
+        _, db, cls = files
+        cube = tmp_path / "cube4.json"
+        save_query_class(boolean_indicator_class(4), cube)
+        monkeypatch.setenv("FSDP_BUDGET", "3")
+        advice = "; exponential_release_mcmc samples without enumerating it\n"
+        domain = "budget refusal: sparse domain for n=2, m=3 holds 4 elements"
+        for argv, err in (
+            (["release", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "3"],
+             domain + " over the budget of 3" + advice),
+            (["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+              "--mechanism", "exact", "--trials", "5", "--dmax", "4"],
+             "budget refusal: sparse domain for n=4, m=2 holds 10 elements over the budget of 3"
+             + advice),
+            (["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "3",
+              "--best-sparse"],
+             domain + " over the budget of 3\n"),
+            (["verify-privacy", "--n", "2", "--entry-cap", "2", "--class", str(cls),
+              "--alpha", "1", "--m", "3", "--probes", "5"],
+             domain + ", scored 19 times (9 grid points plus 2 x 5 probes), over the budget of 3\n"),
+        ):
+            assert run_capture(capsys, argv) == (2, "", err)
+
     def test_over_budget_law_table_exits_2(self, files, capsys, monkeypatch, tmp_path):
         # The 10-row domain fits a budget of 30 or 59, but the six databases'
         # laws are six passes over it: the table keeps three or five and

@@ -189,6 +189,23 @@ class TestQualityScore:
                            int(rng.integers(1, 71)), int(rng.integers(1, 41)), None))
         shapes += [(n, m, k, 1, None) for n, m in ((4, 30), (5, 16), (6, 12), (8, 6), (5, 24))
                    for k in (16, 32, 64)]
+        # The certificates' batches: many databases on a small domain at
+        # k = 6, which the default slice works with the databases innermost.
+        shapes += [(n, m, 6, batch, None) for n, m in ((3, 3), (3, 4), (4, 3), (4, 4))
+                   for batch in (125, 616, 1025, 1696)]
+        # Each side of the switch between the two layouts, which comes where
+        # a group of databases gets longer than the slice of rows, and groups
+        # of one database fewer and more than a full group; k = 1 and a
+        # one-row domain take the switch too.
+        layouts = set()
+        for n, m, k in ((1, 4, 1), (1, 2, 6), (2, 1, 1), (3, 1, 2), (2, 2, 1), (4, 3, 6)):
+            rows = len(composition_matrix(n, m))
+            span = min(max(2, mechanisms.SCORE_SLICE_CELLS // k), rows)
+            group = max(1, mechanisms.SCORE_SLICE_CELLS // (span * k))
+            for batch in {span, span + 1, group - 1, group, group + 1} - {0}:
+                shapes.append((n, m, k, batch, None))
+                layouts.add(min(group, batch) > span)
+        assert layouts == {False, True}
         for n, m, k, batch, rows in shapes:
             counts = composition_matrix(n, m)[:rows]
             c = random_query_class(rng, k, n)
@@ -198,6 +215,26 @@ class TestQualityScore:
             want = columnwise_scores(c, counts, answers, l1s, m)
             assert got.shape == want.shape == (batch, len(counts))
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slice_cells", [None, 48, 8])
+    def test_exact_cancellation_scores_minus_zero_in_both_layouts(self, monkeypatch, slice_cells):
+        # Halves, whole L1 estimates and m = 4 make every product and sum
+        # exact, so a database whose true answers are a candidate's rescaled
+        # answers cancels it exactly: its error is 0.0, its score -0.0.
+        if slice_cells is not None:
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+        rng = np.random.default_rng(59)
+        for n, k, batch in ((3, 6, 1), (3, 6, 700), (2, 1, 3), (2, 1, 40), (1, 1, 9)):
+            counts = composition_matrix(n, 4)
+            c = QueryClass(rng.integers(0, 3, size=(k, n)) / 2)
+            l1s = rng.integers(1, 9, size=batch).astype(float)
+            picked = rng.integers(len(counts), size=batch)
+            answers = (l1s / 4)[:, None] * (counts[picked] @ c.matrix.T)
+            got = score_rows(c, counts, answers, l1s, 4)
+            want = columnwise_scores(c, counts, answers, l1s, 4)
+            assert got.tobytes() == want.tobytes()
+            cancelled = got[np.arange(batch), picked]
+            assert (cancelled == 0.0).all() and np.signbit(cancelled).all()
 
     def test_matches_max_error_of_rescaled(self):
         rng = np.random.default_rng(21)
@@ -260,6 +297,33 @@ class TestScoringMemory:
             cast = 8 * 5 * (slice_cells // 64)
             assert abs(extra[1] - extra[0]) <= 4096
             assert buffers <= min(extra) <= max(extra) <= buffers + cast + 8 * np.getbufsize() + 8192
+
+    def test_batched_buffers_follow_the_slice_size_not_the_batch(self):
+        # A certificate's batch, worked with the databases innermost.  Past
+        # the scores and the databases' L1 factors, a call holds its two
+        # slice buffers, the (rows, group) block the maximum goes to, the
+        # counts cast to float64 and two of numpy's ufunc buffers: the same
+        # for 625 databases as for 1,696.
+        rng = np.random.default_rng(61)
+        c = random_query_class(rng, 6, 4)
+        counts = composition_matrix(4, 4)
+        span = len(counts)
+        group = mechanisms.SCORE_SLICE_CELLS // (span * 6)
+        extra = []
+        for batch in (625, 1696):
+            answers = rng.uniform(0, 50, size=(batch, 6))
+            l1s = rng.uniform(0, 80, size=batch)
+            tracemalloc.start()
+            try:
+                scores = score_rows(c, counts, answers, l1s, 4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - scores.nbytes - l1s.nbytes)
+        buffers = 8 * (span * 6 + group * 6 * span + span * group)
+        cast = 8 * counts.size
+        assert abs(extra[1] - extra[0]) <= 4096
+        assert buffers <= min(extra) <= max(extra) <= buffers + cast + 16 * np.getbufsize() + 8192
 
 
 class TestScoreSensitivity:
@@ -478,15 +542,17 @@ class TestExactLawTable:
         assert len(table._cumulative) == 5 and 5 not in table._cumulative
 
     def test_build_refusals(self, monkeypatch):
-        # Over the budget the table refuses as composition_matrix does, with
-        # its message and count; at the budget it builds.
+        # Over the budget the table refuses as the per-call sampler does,
+        # with its message (which names the MCMC sampler) and count; at the
+        # budget it builds.
         c, p, rule = QueryClass(np.eye(6)), PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
         monkeypatch.setenv("FSDP_BUDGET", "100")
         with pytest.raises(DomainTooLargeError) as plain:
-            composition_matrix(6, 4)
+            exponential_release_exact(Database(np.ones(6)), c, p, 4, np.random.default_rng(0), rule)
         with pytest.raises(DomainTooLargeError) as prepared:
             mechanisms.ExactLawTable([], c, p, 4, rule)
         assert str(prepared.value) == str(plain.value)
+        assert str(plain.value).endswith(mechanisms.MCMC_ADVICE)
         assert prepared.value.count == plain.value.count == math.comb(9, 5)
         monkeypatch.setenv("FSDP_BUDGET", "126")
         assert mechanisms.ExactLawTable([], c, p, 4, rule).counts.shape == (126, 6)

@@ -368,6 +368,31 @@ class TestAgainstPerPointCertificate:
         raw = privacy_ratio_certificate(n, cap, CANONICAL_N3, p, m, rule)
         assert (raw.max_ratio, raw.passed) == (math.inf, False)
 
+    @pytest.mark.parametrize("alpha, outcome_map, has_zero", [
+        (1.0, "none", False), (710.0, "constant", False), (710.0, "first-coordinate", True),
+    ])
+    def test_nan_ratios_are_sought_only_in_a_law_with_an_exact_zero(
+        self, alpha, outcome_map, has_zero
+    ):
+        # Only 0/0 gives a NaN ratio, so the scan looks for one only when the
+        # certified law holds an exact zero.  At alpha 1 no law does.  At 710
+        # the raw laws do; the constant map's push-forward sums their zeros
+        # away, while the first coordinate's keeps some (a push-forward adds
+        # nonnegative probabilities, so it can lose a zero but not gain one).
+        n, cap, m, rule = 3, 3, 3, ExponentRule.PAPER_QUARTER
+        p, g = PrivacyParams(alpha), OUTCOME_MAPS[outcome_map]
+        zeros = False
+        for point in itertools.product(range(cap + 1), repeat=n):
+            dist = exact_output_distribution(Database(point), CANONICAL_N3, p, m, rule)
+            pushed = {}
+            for row, prob in zip(dist.counts, dist.probabilities.tolist()):
+                label = row.tobytes() if g is None else g(SparseSyntheticDatabase(row))
+                pushed[label] = pushed.get(label, 0.0) + prob
+            zeros |= 0.0 in pushed.values()
+        assert zeros == has_zero
+        cert = certify(g, n, cap, CANONICAL_N3, p, m, rule)
+        assert cert.to_dict() == per_point_certificate(n, cap, CANONICAL_N3, p, m, rule, g).to_dict()
+
     def test_true_answers_are_each_points_database_matvec(self, monkeypatch):
         # The certificate computes every point's answers in one stacked
         # matmul; each must be, bit for bit, the matvec its Database gets.
