@@ -50,6 +50,8 @@ def partition_buckets(witness: ShatteringWitness) -> tuple[int, tuple[int, ...]]
     at least floor(gamma * |S|) members, and its thresholds span at most
     gamma."""
     gamma = witness.gamma
+    if math.isinf(1.0 / gamma):  # no bucket number of a float threshold is finite
+        raise FamilySearchError(f"gamma={gamma} is too small: the bucket count 1/gamma overflows")
     n_buckets = math.ceil(1.0 / gamma)
     members: dict[int, list[int]] = {}
     for index, r in zip(witness.subset, witness.thresholds):
@@ -330,7 +332,8 @@ def attack_experiment(
     bound = np.add.accumulate(eps_hat)
     total_eps = float(bound[-1]) if completed else 0.0
     np.multiply(eps_hat, 4.0, out=bound)
-    bound /= gamma
+    with np.errstate(over="ignore"):  # past the float range a bound is inf, and vacuous
+        bound /= gamma
     vacuous = mean(int(np.count_nonzero(bound >= d)))
     bound += 1e-9
     rate_target = mean(int(np.count_nonzero(hit)))

@@ -11,8 +11,9 @@ for it.  ``--out DIR`` additionally writes the same document (plus per-trial
 / per-query CSV tables where applicable) to disk.  Identical configuration
 and seed give byte-identical outputs.
 
-Exit codes: 0 success, 1 validation error (bad flags or malformed files),
-2 budget refusal (the domain enumeration, or a shattering search that
+Exit codes: 0 success, 1 validation error (a flag outside its ``_DOMAINS``
+entry, refused before any file is read, or a malformed file), 2 budget
+refusal (the domain enumeration, or a shattering search that
 ``release --eta --gamma`` needs exact).
 """
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import __version__, config
 from .attack import FamilySearchError, attack_experiment, build_family
 from .core import DomainTooLargeError, l1_norm, load_database, load_query_class
-from .fsd import SearchBudgetExceeded, _validate_eta, _validate_gamma, choose_m, fsd
+from .fsd import SearchBudgetExceeded, choose_m, fsd
 from .mechanisms import (
     LAPLACE_TAIL,
     ExactLawTable,
@@ -232,20 +233,37 @@ def _parse_l1(raw: str):
     return value
 
 
-def _check_at_least(flag: str, value: int | None, least: int = 1) -> None:
-    if value is not None and value < least:
-        raise _CliError(f"{flag} must be at least {least}")
+# Each value flag's domain by argparse dest, where a (subcommand, dest) key wins:
+# a whole number is its least value, a pair a float test and its domain's text.
+_DOMAINS = {
+    "seed": 0, "probes": 0,
+    "m": 1, "n": 1, "entry_cap": 1, "trials": 1, "steps": 1, "budget": 1, "dmax": 1,
+    ("attack", "dmax"): 2,  # a family needs a shattered pair
+    "alpha": (lambda x: x > 0 and math.isfinite(x), "must be positive and finite"),
+    "eta": (lambda x: 0 < x <= 1, "must lie in (0, 1]"),
+    "gamma": (lambda x: 0 < x <= 0.5, "must lie in (0, 1/2]"),
+}
 
 
-def _check_laplace_scale(alpha: float, scale: float, what: str) -> None:
+def _check_flags(args) -> None:
+    """Refuse a flag value outside its domain, whether or not the run uses
+    the flag: the document prints it."""
+    for dest, value in vars(args).items():
+        domain = _DOMAINS.get((args.command, dest), _DOMAINS.get(dest))
+        if isinstance(domain, int) and value is not None and value < domain:
+            raise _CliError(f"--{dest.replace('_', '-')} must be at least {domain}")
+        if isinstance(domain, tuple) and value is not None and not domain[0](value):
+            raise _CliError(f"--{dest.replace('_', '-')} {domain[1]}, got {value!r}")
+
+
+def _check_laplace_scale(alpha: float, sensitivity: float, divisor: float, what: str) -> None:
     """Refuse, before any draw, an --alpha so small that the largest draw
-    at a Laplace scale the run needs overflows."""
-    if math.isinf(scale * LAPLACE_TAIL):
+    at a Laplace scale ``sensitivity / divisor`` the run needs overflows."""
+    if divisor == 0 or math.isinf(sensitivity / divisor * LAPLACE_TAIL):
         raise _CliError(f"--alpha {alpha!r} is too small: {what} overflows to inf in its largest draw")
 
 
 def _derive_m(args, cls) -> int:
-    _check_at_least("--m", args.m)
     if args.m is not None:
         return args.m
     if args.eta is None or args.gamma is None:
@@ -262,24 +280,16 @@ def _derive_m(args, cls) -> int:
 
 
 def _cmd_release(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    if args.sampler == "mcmc":
-        _check_at_least("--steps", args.steps)
-    # Refused even when --m leaves them unused: the document prints them.
-    if args.eta is not None:
-        _validate_eta(args.eta)
-    if args.gamma is not None:
-        _validate_gamma(args.gamma)
-    db = load_database(args.db)
-    cls = load_query_class(args.query_class)
-    p = PrivacyParams(alpha=args.alpha)
-    rule = ExponentRule(args.exponent)
     l1 = _parse_l1(args.l1)
     if l1 == "private":
         share = config.L1_ESTIMATE_ALPHA_SHARE
         _check_laplace_scale(
-            args.alpha, 1.0 / (share * p.alpha), f"the L1 estimate's Laplace scale 1/({share}*alpha)"
+            args.alpha, 1.0, share * args.alpha, f"the L1 estimate's Laplace scale 1/({share}*alpha)"
         )
+    db = load_database(args.db)
+    cls = load_query_class(args.query_class)
+    p = PrivacyParams(alpha=args.alpha)
+    rule = ExponentRule(args.exponent)
     m = _derive_m(args, cls)
     rng = np.random.default_rng(args.seed)
     if args.sampler == "exact":
@@ -306,8 +316,6 @@ def _cmd_release(args) -> int:
 
 
 def _cmd_fsd(args) -> int:
-    _check_at_least("--dmax", args.dmax)
-    _check_at_least("--budget", args.budget)
     cls = load_query_class(args.query_class)
     result = fsd(cls, args.gamma, args.dmax, budget=args.budget)
     _emit(args, _document(args, result.to_dict()))
@@ -315,17 +323,11 @@ def _cmd_fsd(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--trials", args.trials)
-    _check_at_least("--dmax", args.dmax, 2)
-    if args.mechanism == "mcmc":
-        _check_at_least("--steps", args.steps)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
     if args.mechanism == "laplace":
-        _check_laplace_scale(args.alpha, cls.k / p.alpha, f"the Laplace scale k/alpha = {cls.k}/alpha")
-    _check_at_least("--m", args.m)
+        _check_laplace_scale(args.alpha, cls.k, p.alpha, f"the Laplace scale k/alpha = {cls.k}/alpha")
     d_max = args.dmax if args.dmax is not None else max(2, int(math.log2(cls.k)))
     family = build_family(cls, args.gamma, d_max)
     m = args.m if args.m is not None else family.d // 2
@@ -362,11 +364,6 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_verify_privacy(args) -> int:
-    _check_at_least("--m", args.m)
-    _check_at_least("--entry-cap", args.entry_cap)
-    _check_at_least("--probes", args.probes, 0)
-    if args.probes:
-        _check_at_least("--seed", args.seed, 0)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
@@ -388,7 +385,6 @@ def _cmd_verify_privacy(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_at_least("--m", args.m)
     db = load_database(args.db)
     cls = load_query_class(args.query_class)
     p = PrivacyParams(alpha=args.alpha)
@@ -423,6 +419,7 @@ def run(argv) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _parser().parse_args(argv)
+        _check_flags(args)
         return _COMMANDS[args.command](args)
     except _CliError as e:
         print(f"error: {e}", file=sys.stderr)

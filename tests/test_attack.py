@@ -75,6 +75,14 @@ class TestPartitionBuckets:
         assert bucket == (0, 1)
         assert j_star == 1
 
+    def test_gamma_whose_reciprocal_overflows_is_refused(self):
+        # Past 1/gamma = inf no bucket number is a finite float; just above
+        # that, the bucket numbers are huge but exact.
+        with pytest.raises(FamilySearchError, match="the bucket count 1/gamma overflows"):
+            partition_buckets(make_witness((0, 1), (0.25, 0.75), 1e-310))
+        j_star, bucket = partition_buckets(make_witness((0, 1), (0.25, 0.75), 1e-300))
+        assert (j_star, bucket) == (math.ceil(0.25 / 1e-300 - 1e-12), (0,))
+
     def test_all_equal_thresholds_single_bucket(self):
         w = make_witness((2, 5, 7), (0.4, 0.4, 0.4), 0.3)
         _, bucket = partition_buckets(w)

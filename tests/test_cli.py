@@ -1,8 +1,10 @@
 import builtins
+import contextlib
 import csv
 import importlib
 import importlib.util
 import inspect
+import io
 import itertools
 import json
 import math
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sparsedp
 from helpers_oracles import (
@@ -42,6 +45,23 @@ def run_capture(capsys, argv):
     return code, captured.out, captured.err
 
 
+# The loaders and every command's work: a run refused by its flags calls none.
+UNREACHED = (
+    "load_database", "load_query_class", "fsd", "build_family", "attack_experiment",
+    "exponential_release_exact", "exponential_release_mcmc",
+    "privacy_ratio_certificate", "postprocessing_certificate", "exact_output_distribution",
+)
+
+
+def run_spied(capsys, monkeypatch, argv):
+    """``run_capture`` of ``argv`` with each ``UNREACHED`` name replaced by a
+    spy; also returns the names called, in order."""
+    calls = []
+    for name in UNREACHED:
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+    return (*run_capture(capsys, argv), calls)
+
+
 class TestFsdCommand:
     def test_full_cube_dimension(self, files, capsys, tmp_path):
         _, _, cls = files
@@ -61,24 +81,17 @@ class TestFsdCommand:
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_budget_below_one_exits_1(self, files, capsys, monkeypatch, budget):
         _, _, cls = files
-        searches = []
-        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
-        code, out, err = run_capture(
-            capsys,
-            ["fsd", "--class", str(cls), "--gamma", "0.1", "--dmax", "2", "--budget", budget],
+        argv = ["fsd", "--class", str(cls), "--gamma", "0.1", "--dmax", "2", "--budget", budget]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --budget must be at least 1\n", []
         )
-        assert (code, out, err, searches) == (1, "", "error: --budget must be at least 1\n", [])
 
     @pytest.mark.parametrize("dmax", ["0", "-3"])
     def test_dmax_below_one_exits_1_before_the_search(self, capsys, monkeypatch, tmp_path, dmax):
         cube = tmp_path / "cube4.json"
         save_query_class(boolean_indicator_class(4), cube)
-        searches = []
-        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
-        code, out, err = run_capture(
-            capsys, ["fsd", "--class", str(cube), "--gamma", "0.5", "--dmax", dmax]
-        )
-        assert (code, out, err, searches) == (1, "", "error: --dmax must be at least 1\n", [])
+        argv = ["fsd", "--class", str(cube), "--gamma", "0.5", "--dmax", dmax]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", "error: --dmax must be at least 1\n", [])
 
 
 class TestVerifyPrivacyCommand:
@@ -105,16 +118,13 @@ class TestVerifyPrivacyCommand:
             assert code == 0
             assert json.loads(out)["result"]["pass"] is True
 
-    def test_negative_probe_count_exits_1(self, files, capsys):
+    def test_negative_probe_count_exits_1(self, files, capsys, monkeypatch):
         _, _, cls = files
-        code, out, err = run_capture(
-            capsys,
-            ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
-             "--alpha", "1", "--m", "1", "--probes", "-3"],
+        argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+                "--alpha", "1", "--m", "1", "--probes", "-3"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --probes must be at least 0\n", []
         )
-        assert code == 1
-        assert out == ""
-        assert "--probes must be at least 0" in err
 
     @pytest.mark.parametrize("postprocess", ["none", "first-coordinate"])
     @pytest.mark.parametrize("flags, message", [
@@ -128,33 +138,26 @@ class TestVerifyPrivacyCommand:
     ):
         # Each bad flag is refused by name before any grid is scored.
         _, _, cls = files
-        calls = []
-        for name in ("privacy_ratio_certificate", "postprocessing_certificate"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
         argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
                 "--alpha", "1", "--m", "1", "--postprocess", postprocess]
-        code, out, err = run_capture(capsys, argv + flags)
-        assert (code, out, err, calls) == (1, "", f"error: {message}\n", [])
+        assert run_spied(capsys, monkeypatch, argv + flags) == (1, "", f"error: {message}\n", [])
 
-    def test_negative_seed_without_probes_is_not_read(self, files, capsys):
-        # Without probes the certificate draws nothing, so no seed is used.
+    def test_seed_without_probes_is_not_read(self, files, capsys):
+        # Without probes the certificate draws nothing, so no seed is used;
+        # a negative one is still refused (the probed refusals below).
         _, _, cls = files
         argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
                 "--alpha", "1", "--m", "1"]
-        code, out, err = run_capture(capsys, argv + ["--seed", "-1"])
+        code, out, err = run_capture(capsys, argv + ["--seed", "5"])
         assert (code, err) == (0, "")
         assert json.loads(out)["result"] == json.loads(run_capture(capsys, argv)[1])["result"]
 
     @pytest.mark.parametrize("m", ["0", "-1"])
-    def test_nonpositive_m_exits_1(self, files, capsys, m):
+    def test_nonpositive_m_exits_1(self, files, capsys, monkeypatch, m):
         _, _, cls = files
-        code, out, err = run_capture(
-            capsys,
-            ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
-             "--alpha", "1", "--m", m],
-        )
-        assert (code, out) == (1, "")
-        assert "--m must be at least 1" in err
+        argv = ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", str(cls),
+                "--alpha", "1", "--m", m]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", "error: --m must be at least 1\n", [])
 
     @pytest.mark.parametrize("alpha, bound", [("709", math.exp(709)), ("710", math.inf)])
     def test_alpha_past_the_exp_range_prints_an_infinite_bound(self, files, capsys, alpha, bound):
@@ -297,15 +300,11 @@ class TestReleaseCommand:
         # A bad --eta is refused before the shattering search runs, so it
         # costs no search and is never reported as a budget refusal.
         _, db, cls = files
-        searches = []
-        monkeypatch.setattr(cli, "fsd", lambda *args, **kwargs: searches.append(args))
-        code, out, err = run_capture(
-            capsys,
-            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
-             "--eta", eta, "--gamma", "0.5"],
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+                "--eta", eta, "--gamma", "0.5"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", f"error: --eta must lie in (0, 1], got {float(eta)!r}\n", []
         )
-        assert (code, out, searches) == (1, "", [])
-        assert "eta must lie in (0, 1]" in err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--eta", "5", "eta must lie in (0, 1]"),
@@ -319,17 +318,11 @@ class TestReleaseCommand:
         # --m leaves --eta and --gamma unused, but the document would print
         # them as the run's configuration: refused before any file is read.
         _, db, cls = files
-        calls = []
-        for name in ("load_database", "load_query_class",
-                     "exponential_release_exact", "exponential_release_mcmc"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
-        code, out, err = run_capture(
-            capsys,
-            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
-             "--m", "3", flag, value],
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+                "--m", "3", flag, value]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", f"error: --{message}, got {float(value)!r}\n", []
         )
-        assert (code, out, calls) == (1, "", [])
-        assert err.startswith(f"error: {message}, got ")
 
     @pytest.mark.parametrize("sampler", ["exact", "mcmc"])
     def test_alpha_too_small_for_the_l1_estimate_exits_1(self, files, capsys, monkeypatch, sampler):
@@ -350,6 +343,17 @@ class TestReleaseCommand:
             "error: --alpha 1e-309 is too small: the L1 estimate's Laplace scale "
             "1/(0.1*alpha) overflows to inf in its largest draw\n"
         )
+
+    def test_alpha_whose_l1_share_underflows_exits_1(self, files, capsys, monkeypatch):
+        # 0.1 * 5e-324 rounds to 0: refused by --alpha, not by a division by
+        # zero, before either file is read.
+        _, db, cls = files
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "5e-324",
+                "--m", "3", "--l1", "private"]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", (
+            "error: --alpha 5e-324 is too small: the L1 estimate's Laplace scale "
+            "1/(0.1*alpha) overflows to inf in its largest draw\n"
+        ), [])
 
     def test_alpha_whose_largest_l1_draw_overflows_exits_1(self, files, capsys):
         # At alpha 1e-307 the L1 estimate's scale 1/(0.1*alpha) is finite, but
@@ -410,15 +414,11 @@ class TestReleaseCommand:
         # Refused by name before the shattering search and any draw, not by
         # numpy once the search has run.
         _, db, cls = files
-        calls = []
-        for name in ("fsd", "exponential_release_exact", "exponential_release_mcmc"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
-        code, out, err = run_capture(
-            capsys,
-            ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
-             "--eta", "0.5", "--gamma", "0.5", "--sampler", sampler, "--seed", "-1"],
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1",
+                "--eta", "0.5", "--gamma", "0.5", "--sampler", sampler, "--seed", "-1"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --seed must be at least 0\n", []
         )
-        assert (code, out, err, calls) == (1, "", "error: --seed must be at least 0\n", [])
 
     def test_missing_m_and_eta_is_validation_error(self, files, capsys):
         _, db, cls = files
@@ -490,15 +490,11 @@ class TestAttackCommand:
     @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
     def test_negative_seed_exits_1_before_the_search(self, files, capsys, monkeypatch, mechanism):
         _, _, cls = files
-        calls = []
-        for name in ("build_family", "attack_experiment"):
-            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
-        code, out, err = run_capture(
-            capsys,
-            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
-             "--mechanism", mechanism, "--trials", "5", "--seed", "-4"],
+        argv = ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+                "--mechanism", mechanism, "--trials", "5", "--seed", "-4"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --seed must be at least 0\n", []
         )
-        assert (code, out, err, calls) == (1, "", "error: --seed must be at least 0\n", [])
 
     @pytest.mark.parametrize("dmax", ["1", "0"])
     def test_dmax_below_two_exits_1_before_the_search(self, capsys, monkeypatch, tmp_path, dmax):
@@ -506,14 +502,9 @@ class TestAttackCommand:
         # find one, whatever the class.
         cube = tmp_path / "cube2.json"
         save_query_class(boolean_indicator_class(2), cube)
-        searches = []
-        monkeypatch.setattr(cli, "build_family", lambda *args: searches.append(args))
-        code, out, err = run_capture(
-            capsys,
-            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
-             "--mechanism", "identity", "--trials", "5", "--dmax", dmax],
-        )
-        assert (code, out, err, searches) == (1, "", "error: --dmax must be at least 2\n", [])
+        argv = ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+                "--mechanism", "identity", "--trials", "5", "--dmax", dmax]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", "error: --dmax must be at least 2\n", [])
 
     def test_laplace_and_mcmc_mechanisms(self, files, capsys):
         _, _, cls = files
@@ -554,18 +545,39 @@ class TestAttackCommand:
         )
         assert (code, err) == (0, "")
 
-    @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
-    @pytest.mark.parametrize("m", ["0", "-2"])
-    def test_nonpositive_m_exits_1(self, files, capsys, mechanism, m):
+    def test_gamma_whose_reciprocal_overflows_exits_1(self, files, capsys):
+        # gamma = 1e-310 lies in (0, 1/2], and the cube is shattered at it,
+        # but the witness's thresholds have no finite bucket numbers.
         _, _, cls = files
         code, out, err = run_capture(
             capsys,
-            ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
-             "--mechanism", mechanism, "--trials", "5", "--m", m],
+            ["attack", "--class", str(cls), "--gamma", "1e-310", "--alpha", "1",
+             "--mechanism", "identity", "--trials", "5"],
         )
-        assert code == 1
-        assert out == ""
-        assert "--m must be at least 1" in err
+        assert (code, out) == (1, "")
+        assert err == "error: gamma=1e-310 is too small: the bucket count 1/gamma overflows\n"
+
+    def test_bound_past_the_float_range_is_vacuous(self, files, capsys):
+        # At the smallest normal gamma, 4 * eps_hat / gamma overflows for
+        # some trials: their bound is inf, vacuous and never violated, and
+        # numpy's overflow warning is not raised.
+        _, _, cls = files
+        code, out, err = run_capture(
+            capsys,
+            ["attack", "--class", str(cls), "--gamma", "2.2250738585072014e-308", "--alpha", "1",
+             "--mechanism", "exact", "--trials", "5", "--seed", "3"],
+        )
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert (result["vacuous_fraction"], result["reconstruction_bound_violations"]) == (0.6, 0)
+
+    @pytest.mark.parametrize("mechanism", ["exact", "mcmc", "laplace", "identity"])
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_m_exits_1(self, files, capsys, monkeypatch, mechanism, m):
+        _, _, cls = files
+        argv = ["attack", "--class", str(cls), "--gamma", "0.5", "--alpha", "1",
+                "--mechanism", mechanism, "--trials", "5", "--m", m]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", "error: --m must be at least 1\n", [])
 
 
 def _seeded_oracle_configs(seed: int, count: int) -> dict:
@@ -615,13 +627,10 @@ class TestOracleCommand:
         assert "best_sparse" in payload["result"]
 
     @pytest.mark.parametrize("m", ["0", "-1"])
-    def test_nonpositive_m_exits_1(self, files, capsys, m):
+    def test_nonpositive_m_exits_1(self, files, capsys, monkeypatch, m):
         _, db, cls = files
-        code, out, err = run_capture(
-            capsys, ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", m]
-        )
-        assert (code, out) == (1, "")
-        assert "--m must be at least 1" in err
+        argv = ["oracle", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", m]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", "error: --m must be at least 1\n", [])
 
     @pytest.mark.parametrize("split", ["whole", "blocks", "blocks and slices"])
     @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
@@ -878,17 +887,16 @@ class TestContracts:
         cube = tmp_path / "cube4.json"
         save_query_class(boolean_indicator_class(4), cube)
         monkeypatch.setenv("FSDP_BUDGET", "5")
-        code, out, err = run_capture(
-            capsys,
-            ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
-             "--mechanism", mechanism, "--trials", trials, "--dmax", "4"],
+        argv = ["attack", "--class", str(cube), "--gamma", "0.5", "--alpha", "1",
+                "--mechanism", mechanism, "--trials", trials, "--dmax", "4"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --trials must be at least 1\n", []
         )
-        assert (code, out, err) == (1, "", "error: --trials must be at least 1\n")
 
     @pytest.mark.parametrize("command", ["release", "attack"])
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_exits_1_before_any_load_or_search(
-        self, capsys, tmp_path, command, steps
+        self, capsys, monkeypatch, tmp_path, command, steps
     ):
         # The input files do not exist: the flag is checked before they are
         # read and before any shattering search.
@@ -899,13 +907,14 @@ class TestContracts:
             "attack": ["attack", "--class", missing, "--gamma", "0.5", "--alpha", "1",
                        "--mechanism", "mcmc", "--trials", "3"],
         }[command]
-        code, out, err = run_capture(capsys, argv + ["--steps", steps])
-        assert (code, out, err) == (1, "", "error: --steps must be at least 1\n")
+        assert run_spied(capsys, monkeypatch, argv + ["--steps", steps]) == (
+            1, "", "error: --steps must be at least 1\n", []
+        )
 
     def test_steps_is_not_read_by_the_exact_sampler(self, files, capsys):
         _, db, cls = files
         argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "1", "--m", "2"]
-        code, out, _ = run_capture(capsys, argv + ["--steps", "0"])
+        code, out, _ = run_capture(capsys, argv + ["--steps", "7"])
         assert code == 0
         assert json.loads(out)["result"] == json.loads(run_capture(capsys, argv)[1])["result"]
 
@@ -951,15 +960,13 @@ class TestContracts:
         with pytest.raises(exception):
             run(["fsd", "--class", str(cls), "--gamma", "0.5", "--dmax", "2"])
 
-    def test_infinite_alpha_exits_1(self, files, capsys):
+    def test_infinite_alpha_exits_1(self, files, capsys, monkeypatch):
         _, db, cls = files
-        code, _, err = run_capture(
-            capsys,
-            ["release", "--db", str(db), "--class", str(cls), "--alpha", "inf",
-             "--m", "2", "--seed", "0"],
+        argv = ["release", "--db", str(db), "--class", str(cls), "--alpha", "inf",
+                "--m", "2", "--seed", "0"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --alpha must be positive and finite, got inf\n", []
         )
-        assert code == 1
-        assert "alpha" in err
 
     @pytest.mark.parametrize("command", ["release", "oracle", "verify-privacy"])
     def test_a_law_whose_every_logit_overflows_exits_1(self, capsys, tmp_path, command):
@@ -977,12 +984,12 @@ class TestContracts:
         assert (code, out) == (1, "")
         assert err == "error: alpha=1e+308 overflows every exponential weight of a database\n"
 
-    def test_invalid_gamma_exits_1(self, files, capsys):
+    def test_invalid_gamma_exits_1(self, files, capsys, monkeypatch):
         _, _, cls = files
-        code, _, _ = run_capture(
-            capsys, ["fsd", "--class", str(cls), "--gamma", "0.7", "--dmax", "2"]
+        argv = ["fsd", "--class", str(cls), "--gamma", "0.7", "--dmax", "2"]
+        assert run_spied(capsys, monkeypatch, argv) == (
+            1, "", "error: --gamma must lie in (0, 1/2], got 0.7\n", []
         )
-        assert code == 1
 
 
 def subcommand_argvs(db, cls):
@@ -1042,6 +1049,167 @@ class TestOutputFormat:
         assert (code, json.loads(written)["result"]) == (0, json.loads(out)["result"])
         assert len((out_dir / table).read_text().splitlines()) == 1 + rows
         assert len(reprs) == {"release": 3, "attack": 1}[command] * rows
+
+
+def subparsers() -> dict:
+    return cli._parser()._subparsers._group_actions[0].choices
+
+
+# Each subcommand's value flags, in the parser's order.
+VALUE_FLAGS = {
+    "release": ["--alpha", "--eta", "--gamma", "--m", "--steps", "--seed"],
+    "fsd": ["--gamma", "--dmax", "--budget"],
+    "attack": ["--gamma", "--alpha", "--trials", "--seed", "--m", "--dmax", "--steps"],
+    "verify-privacy": ["--n", "--entry-cap", "--alpha", "--m", "--probes", "--seed"],
+    "oracle": ["--alpha", "--m"],
+}
+# A whole-number flag's least value, and the largest in-domain draw of each
+# flag that sets a run's length, so that no drawn run takes long.
+FLOORS = {
+    "--seed": 0, "--probes": 0, "--m": 1, "--n": 1, "--entry-cap": 1, "--trials": 1,
+    "--steps": 1, "--budget": 1, "--dmax": 1, ("attack", "--dmax"): 2,
+}
+RUN_LENGTHS = {"--trials": 5, "--steps": 50, "--probes": 3, "--entry-cap": 2, "--m": 3, "--n": 3}
+# A float flag's domain (0, high] and the text that names it.
+INTERVALS = {
+    "--alpha": (sys.float_info.max, "must be positive and finite"),
+    "--eta": (1.0, "must lie in (0, 1]"),
+    "--gamma": (0.5, "must lie in (0, 1/2]"),
+}
+
+# Each refusal that a probe of the CLI found missing, or reported only after
+# a file was read: argv with {db}, {cls} and {missing} paths, and stderr.
+PROBED_REFUSALS = {
+    "release exact --steps": (
+        ["release", "--db", "{db}", "--class", "{cls}", "--alpha", "1", "--m", "3", "--steps", "-5"],
+        "--steps must be at least 1"),
+    "attack exact --steps": (
+        ["attack", "--class", "{cls}", "--gamma", "0.5", "--alpha", "1", "--mechanism", "exact",
+         "--trials", "5", "--steps", "-1"],
+        "--steps must be at least 1"),
+    "verify-privacy --seed without probes": (
+        ["verify-privacy", "--n", "2", "--entry-cap", "1", "--class", "{cls}", "--alpha", "1",
+         "--m", "2", "--seed", "-7"],
+        "--seed must be at least 0"),
+    "release --alpha nan": (
+        ["release", "--db", "{db}", "--class", "{cls}", "--alpha", "nan", "--m", "3"],
+        "--alpha must be positive and finite, got nan"),
+    "release --alpha -1, missing --db": (
+        ["release", "--db", "{missing}", "--class", "{cls}", "--alpha", "-1", "--m", "3"],
+        "--alpha must be positive and finite, got -1.0"),
+    "attack --gamma 0.9, missing --class": (
+        ["attack", "--class", "{missing}", "--gamma", "0.9", "--alpha", "1",
+         "--mechanism", "identity", "--trials", "5"],
+        "--gamma must lie in (0, 1/2], got 0.9"),
+    "fsd --gamma 0.9": (
+        ["fsd", "--class", "{cls}", "--gamma", "0.9", "--dmax", "2"],
+        "--gamma must lie in (0, 1/2], got 0.9"),
+    "verify-privacy --n 0": (
+        ["verify-privacy", "--n", "0", "--entry-cap", "1", "--class", "{cls}", "--alpha", "1",
+         "--m", "2"],
+        "--n must be at least 1"),
+    "verify-privacy --n -2": (
+        ["verify-privacy", "--n", "-2", "--entry-cap", "1", "--class", "{cls}", "--alpha", "1",
+         "--m", "2"],
+        "--n must be at least 1"),
+}
+
+
+@st.composite
+def flag_draws(draw, command):
+    """Values for some of ``command``'s value flags: (flag, text, fault),
+    where fault is None in the flag's domain, "domain" outside it and
+    "parse" for text that is not a whole number."""
+    draws = []
+    for flag in VALUE_FLAGS[command]:
+        kind = draw(st.sampled_from([None, None, "inside", "inside", "outside"]))
+        if kind is None:
+            continue
+        if flag in INTERVALS:
+            high, _ = INTERVALS[flag]
+            if kind == "inside":
+                value = draw(st.floats(0.0, high, exclude_min=True))
+            else:
+                value = draw(st.one_of(
+                    st.floats(max_value=0.0), st.just(math.nan),
+                    st.floats(min_value=high).map(lambda v: v if v > high else 2 * v),
+                ))
+            text = draw(st.sampled_from([repr(value), "1e400"])) if value == math.inf else repr(value)
+            draws.append((flag, text, None if kind == "inside" else "domain"))
+            continue
+        least = FLOORS.get((command, flag), FLOORS[flag])
+        if kind == "inside":
+            draws.append((flag, str(draw(st.integers(least, RUN_LENGTHS.get(flag, 2**70)))), None))
+        elif draw(st.booleans()):
+            draws.append((flag, str(draw(st.integers(max_value=least - 1))), "domain"))
+        else:
+            draws.append((flag, draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "2.5"])), "parse"))
+    return draws
+
+
+class TestFlagDomains:
+    def test_every_value_flag_is_listed(self):
+        # A flag added to the parser without a domain here would escape the
+        # property below.
+        found = {
+            command: [a.option_strings[0] for a in parser._actions if a.type in (int, float)]
+            for command, parser in subparsers().items()
+        }
+        assert found == VALUE_FLAGS
+        assert {flag for flags in found.values() for flag in flags} == set(FLOORS) - {
+            ("attack", "--dmax")
+        } | set(INTERVALS)
+
+    @pytest.mark.parametrize("name", list(PROBED_REFUSALS))
+    def test_probed_refusal_exits_1_before_either_loader(self, files, capsys, monkeypatch, name):
+        _, db, cls = files
+        argv, message = PROBED_REFUSALS[name]
+        paths = {"db": db, "cls": cls, "missing": db.parent / "missing.json"}
+        argv = [arg.format(**paths) for arg in argv]
+        assert run_spied(capsys, monkeypatch, argv) == (1, "", f"error: {message}\n", [])
+
+    @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(list(VALUE_FLAGS)))
+    def test_every_flag_is_checked_before_either_loader(self, files, monkeypatch, data, command):
+        # Tiny inputs, any choice of sampler, mechanism, exponent rule and
+        # post-processing, each flag in its domain, outside it or not a
+        # number: the run exits 0, 1 or 2 without raising, prints nothing
+        # unless it exits 0, and a value outside its domain is refused by
+        # name before either file is read.
+        _, db, cls = files
+        choices = [
+            f"{a.option_strings[0]}={data.draw(st.sampled_from(a.choices))}"
+            for a in subparsers()[command]._actions if a.choices
+        ]
+        draws = data.draw(flag_draws(command))
+        argv = subcommand_argvs(db, cls)[command] + choices + [
+            f"{flag}={text}" for flag, text, _ in draws
+        ]
+        loads = []
+        for name in ("load_database", "load_query_class"):
+            loader = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *args, loader=loader: loads.append(args) or loader(*args)
+            )
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        monkeypatch.undo()
+        assert code in (0, 1, 2)
+        assert out.getvalue() == "" or code == 0
+        unparsed = [flag for flag, _, fault in draws if fault == "parse"]
+        outside = {flag: text for flag, text, fault in draws if fault == "domain"}
+        if unparsed:
+            assert err.getvalue().startswith(f"error: argument {unparsed[0]}: invalid int value")
+        elif outside:
+            flag = next(flag for flag in VALUE_FLAGS[command] if flag in outside)
+            if flag in INTERVALS:
+                message = f"{flag} {INTERVALS[flag][1]}, got {float(outside[flag])!r}"
+            else:
+                message = f"{flag} must be at least {FLOORS.get((command, flag), FLOORS[flag])}"
+            assert (code, err.getvalue()) == (1, f"error: {message}\n")
+        if unparsed or outside:
+            assert (code, out.getvalue(), loads) == (1, "", [])
 
 
 class TestParserReuse:
