@@ -185,24 +185,19 @@ def _used_answers(output, family: ShatteredFamily) -> np.ndarray:
     return answers[family.used]
 
 
-def _argmin_subset(family: ShatteredFamily, used_answers: np.ndarray) -> int:
-    """Index of the subset minimizing v(T') = q_T'(D_T') - q_T'(answers),
-    ties to the lexicographically smallest."""
-    return int(np.argmin(family.base - used_answers[family.used_position]))
-
-
 def reconstruct(answers_db: Database, family: ShatteredFamily) -> tuple[int, ...]:
     """Recover the hidden subset from any synthetic-database output: minimize
     v(T') = q_T'(D_T') - q_T'(answers) over half-size subsets, ties to the
     lexicographically smallest."""
-    return family.subsets()[_argmin_subset(family, _used_answers(answers_db, family))]
+    used_answers = _used_answers(answers_db, family)
+    return family.subsets()[int(np.argmin(family.base - used_answers[family.used_position]))]
 
 
 def _reconstruct_chunk(family: ShatteredFamily, hidden, xs, answers):
     """The per-trial arrays (eps_hat, |T symdiff T*|, x in T*, x in
     T*_swapped) of a chunk, from its hidden subsets, distinguished elements
     and ``used`` answers (hidden and swapped, 2 x trials x used), with T* and
-    T*_swapped as ``_argmin_subset`` picks them.  The hidden subsets' true
+    T*_swapped as ``reconstruct`` picks them.  The hidden subsets' true
     answers add their ``used_rows`` columns in index order, as ``evaluate``'s
     dot product sums them; they are not tabulated, as all subsets would take
     C(d, d/2)^2 floats, 1.3 GB at d = 16."""

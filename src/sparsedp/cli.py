@@ -365,6 +365,8 @@ def _cmd_attack(args) -> int:
 
 def _cmd_verify_privacy(args) -> int:
     cls = load_query_class(args.query_class)
+    if cls.n != args.n:
+        raise _CliError(f"--n is {args.n} but --class has {cls.n} coordinates")
     p = PrivacyParams(alpha=args.alpha)
     rule = ExponentRule(args.exponent)
     rng = np.random.default_rng(args.seed) if args.probes else None

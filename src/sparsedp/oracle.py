@@ -6,14 +6,16 @@ sparse domain, certified worst-case probability ratios across all neighboring
 integer databases on a bounded grid, the same ratios after an arbitrary
 post-processing map, and the best achievable surrogate for a given database.
 
-These are the ground truth that the sampling mechanisms are tested against.
-They enumerate the domain with the exact sampler's enumerator
-(``domain_blocks``) and weigh it with the law the exact sampler draws from
-(``exponential_law`` over the ``score_rows`` kernel), so what they print and
-certify is what the sampler runs.  Their independence rests on the
-tests, which hold that kernel to the per-candidate ``quality_score``, the
-best surrogate to ``max_error`` and the certificates, which score a whole
-grid in one batched pass, to a per-point reference.
+These are the ground truth the samplers are tested against.  They enumerate
+the domain with the exact sampler's enumerator (``domain_blocks``) and weigh
+it with the law the exact sampler draws from (``exponential_law`` over the
+``score_rows`` kernel), so what they print and certify is what it runs.  A
+certificate is three steps: its points and neighbouring pairs
+(``_neighbours``), every point's law as one matrix (``_law``) and the ratio
+scan (``_scan``); the post-processing certificate pushes the law through its
+map before the scan.  Their independence rests on the tests, which hold that
+kernel to the per-candidate ``quality_score``, the best surrogate to
+``max_error`` and the certificates to a per-point reference.
 """
 
 import math
@@ -131,17 +133,11 @@ def _probe_pairs(rng, n: int, entry_cap: int, count: int) -> tuple[np.ndarray, n
     return a, a + np.where(down, -w, w)
 
 
-def _certificate(
-    n: int,
-    entry_cap: int,
-    c: QueryClass,
-    p: PrivacyParams,
-    m: int,
-    exponent_rule: ExponentRule,
-    outcome_map,
-    real_probes: int,
-    rng,
-) -> CertificateResult:
+def _neighbours(n: int, entry_cap: int, c: QueryClass, m: int, real_probes: int, rng) -> tuple:
+    """A certificate's checks, then the domain's rows, the integer grid
+    {0..entry_cap}^n in product order, every point (the grid, then every
+    probe's a, then every probe's b) as one float array, and each
+    neighbouring pair as two indices into it."""
     _check_dims(c.n, n, "certificate: class vs grid")
     if entry_cap < 1:
         raise ValueError("entry_cap must be at least 1")
@@ -154,14 +150,12 @@ def _certificate(
         raise ValueError("real-valued probes need a generator")
     counts = composition_matrix(n, m)
 
-    # Grid points in product order; the neighbour of a point one unit up on
-    # axis i sits stride[i] rows later.  Pairs go by point, then by axis.
+    # The neighbour of a grid point one unit up on axis i sits stride[i]
+    # rows later.  Pairs go by point, then by axis, then come the probes.
     grid = np.indices((entry_cap + 1,) * n).reshape(n, -1).T
     stride = (entry_cap + 1) ** np.arange(n - 1, -1, -1)
     lower, axis = np.nonzero(grid < entry_cap)
     upper = lower + stride[axis]
-
-    # Grid, then every probe's a, then every probe's b, in one array.
     points = np.empty((g + 2 * real_probes, n))
     points[:g] = grid
     if real_probes:
@@ -172,49 +166,44 @@ def _certificate(
         np.concatenate((lower, probe_index)),
         np.concatenate((upper, probe_index + real_probes)),
     ))
+    return counts, grid, points, pairs
 
-    # Each point's true answers, bit for bit the matvec a Database gets.
+
+def _law(c: QueryClass, counts, points, m: int, p: PrivacyParams, rule: ExponentRule) -> np.ndarray:
+    """Every point's exact law over ``counts`` at its own true norm, as one
+    (points, rows) matrix.  Each point's true answers come from one stacked
+    matmul, bit for bit the matvec a Database gets."""
     true_answers = (c.matrix @ points[:, :, None])[:, :, 0]
-    l1s = points.sum(axis=1)
-    dist = exponential_law(score_rows(c, counts, true_answers, l1s, m), m, p.alpha, exponent_rule)
-    if outcome_map is None:
-        labels = None
-    else:
-        # Each label's probability is the sum over its rows in row order.
-        index: dict = {}
-        label_of_row = [
-            index.setdefault(outcome_map(SparseSyntheticDatabase(row)), len(index)) for row in counts
-        ]
-        pushed = np.zeros((len(index), len(points)))
-        np.add.at(pushed, label_of_row, dist.T)
-        dist, labels = pushed.T, list(index)
+    return exponential_law(score_rows(c, counts, true_answers, points.sum(axis=1), m), m, p.alpha, rule)
 
-    # Both orders of every pair, from one gather and its reversal.  A ratio
-    # is inf when only its denominator is 0, and 1 when both are: only 0/0
-    # gives NaN, and only in a law with an exact zero.  The first maximum in
-    # (pair, order, label) order is the witness.
-    x = dist[pairs]
+
+def _scan(law: np.ndarray, grid, points, pairs, alpha: float, outcome) -> CertificateResult:
+    """The worst ratio of ``law`` over both orders of every pair and every
+    outcome column, against e^alpha; ``outcome(column)`` names the witness.
+
+    Both orders come from one gather and its reversal.  A ratio is inf when
+    only its denominator is 0, and 1 when both are: only 0/0 gives NaN, and
+    only in a law with an exact zero.  The first maximum in (pair, order,
+    column) order is the witness."""
+    x = law[pairs]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = x / x[:, ::-1]
-    if not dist.all():
+    if not law.all():
         ratios[np.isnan(ratios)] = 1.0
-    pair, order, label = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    max_ratio = float(ratios[pair, order, label])
+    pair, order, column = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
+    max_ratio = float(ratios[pair, order, column])
     witness = pairs[pair] if order == 0 else pairs[pair, ::-1]
-
     # alpha is finite, so an infinite ratio breaks e^alpha even where the
     # bound itself overflows to inf.
-    bound = _safe_exp(p.alpha)
+    bound = _safe_exp(alpha)
     return CertificateResult(
         max_ratio=max_ratio,
         bound=bound,
         passed=math.isfinite(max_ratio) and max_ratio <= bound + RATIO_SLACK,
-        witness_pair=tuple(
-            tuple((grid[i] if i < g else points[i]).tolist()) for i in witness
-        ),
-        witness_outcome=tuple(counts[label].tolist()) if labels is None else labels[label],
+        witness_pair=tuple(tuple((grid[i] if i < len(grid) else points[i]).tolist()) for i in witness),
+        witness_outcome=outcome(column),
         pairs_checked=2 * len(pairs),
-        real_probes=real_probes,
+        real_probes=(len(points) - len(grid)) // 2,
     )
 
 
@@ -232,14 +221,16 @@ def privacy_ratio_certificate(
     """Enumerate every ordered pair of integer databases on the grid
     {0..entry_cap}^n differing by one unit in one coordinate, compute both
     exact output distributions (each at its own public true norm), and report
-    the worst outcome-probability ratio.  Optionally also probes random
-    real-valued pairs at L1 distance 1, since the privacy definition
-    quantifies over real neighbors and the grid alone checks the weaker
-    integer reading: about half move one coordinate by exactly 1 and the
-    rest split the unit over every coordinate (``_probe_pairs``).  They
-    take five draws from ``rng`` however many there are, after the budget
-    check, which counts each as two passes."""
-    return _certificate(n, entry_cap, c, p, m, exponent_rule, None, real_probes, rng)
+    the worst outcome-probability ratio, its outcome named by its count row.
+    Optionally also probes random real-valued pairs at L1 distance 1, since
+    the privacy definition quantifies over real neighbors and the grid alone
+    checks the weaker integer reading: about half move one coordinate by
+    exactly 1 and the rest split the unit over every coordinate
+    (``_probe_pairs``).  They take five draws from ``rng`` however many there
+    are, after the budget check, which counts each as two passes."""
+    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, real_probes, rng)
+    law = _law(c, counts, points, m, p, exponent_rule)
+    return _scan(law, grid, points, pairs, p.alpha, lambda row: tuple(counts[row].tolist()))
 
 
 def postprocessing_certificate(
@@ -256,8 +247,15 @@ def postprocessing_certificate(
 ) -> CertificateResult:
     """Same sweep as ``privacy_ratio_certificate`` but on the distributions
     pushed forward through a fixed outcome map ``g`` (database-independent
-    post-processing cannot worsen the ratio)."""
-    return _certificate(n, entry_cap, c, p, m, exponent_rule, g, real_probes, rng)
+    post-processing cannot worsen the ratio), its outcome named by its
+    label.  Each label's probability is the sum over its rows in row order."""
+    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, real_probes, rng)
+    law = _law(c, counts, points, m, p, exponent_rule)
+    index: dict = {}
+    label_of_row = [index.setdefault(g(SparseSyntheticDatabase(row)), len(index)) for row in counts]
+    pushed = np.zeros((len(index), len(points)))
+    np.add.at(pushed, label_of_row, law.T)
+    return _scan(pushed.T, grid, points, pairs, p.alpha, list(index).__getitem__)
 
 
 def _best_row(scores: np.ndarray) -> int:

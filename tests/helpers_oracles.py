@@ -709,10 +709,9 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
             continue
 
         answers_hidden = attack._used_answers(out_hidden, family)
-        answers_swapped = attack._used_answers(out_swapped, family)
         eps_hat = float(np.abs(_true_answers(family, t_hidden) - answers_hidden).max())
-        t_star = subsets[attack._argmin_subset(family, answers_hidden)]
-        t_star_swapped = subsets[attack._argmin_subset(family, answers_swapped)]
+        t_star = attack.reconstruct(out_hidden, family)
+        t_star_swapped = attack.reconstruct(out_swapped, family)
 
         symdiff = len(set(t_hidden) ^ set(t_star))
         bound = 4.0 * eps_hat / gamma

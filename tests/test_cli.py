@@ -142,6 +142,22 @@ class TestVerifyPrivacyCommand:
                 "--alpha", "1", "--m", "1", "--postprocess", postprocess]
         assert run_spied(capsys, monkeypatch, argv + flags) == (1, "", f"error: {message}\n", [])
 
+    @pytest.mark.parametrize("postprocess", ["none", "first-coordinate"])
+    @pytest.mark.parametrize("n", ["1", "3"])
+    def test_n_unlike_the_class_exits_1_before_the_certificate(
+        self, files, capsys, monkeypatch, postprocess, n
+    ):
+        # The class is read, then --n is refused by name beside --class.
+        _, _, cls = files
+        calls = []
+        for name in ("privacy_ratio_certificate", "postprocessing_certificate"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: calls.append(name))
+        argv = ["verify-privacy", "--n", n, "--entry-cap", "1", "--class", str(cls),
+                "--alpha", "1", "--m", "1", "--postprocess", postprocess]
+        assert (*run_capture(capsys, argv), calls) == (
+            1, "", f"error: --n is {n} but --class has 2 coordinates\n", []
+        )
+
     def test_seed_without_probes_is_not_read(self, files, capsys):
         # Without probes the certificate draws nothing, so no seed is used;
         # a negative one is still refused (the probed refusals below).

@@ -424,11 +424,19 @@ class TestAgainstPerPointCertificate:
 
 class TestPostprocessing:
     def test_identity_matches_raw(self):
-        raw = privacy_ratio_certificate(2, 2, CANONICAL_N2, PrivacyParams(1.0), 2)
-        ident = postprocessing_certificate(
-            lambda dp: dp.as_tuple(), 2, 2, CANONICAL_N2, PrivacyParams(1.0), 2
-        )
-        assert ident.max_ratio == pytest.approx(raw.max_ratio, abs=1e-12)
+        # Adding each probability to 0.0 is exact, so through the identity
+        # map the certificate is the raw one, witness pair and outcome too.
+        rng = np.random.default_rng(43)
+        for trial in range(24):
+            n, cap, m = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            c = QueryClass(rng.uniform(0, 1, size=(int(rng.integers(1, 6)), n)))
+            args = (n, cap, c, PrivacyParams(float(rng.uniform(0.2, 3.0))), m, list(ExponentRule)[trial % 2])
+            for probes in (0, 30):
+                raw = privacy_ratio_certificate(*args, real_probes=probes, rng=np.random.default_rng(trial))
+                ident = postprocessing_certificate(
+                    lambda dp: dp.as_tuple(), *args, real_probes=probes, rng=np.random.default_rng(trial)
+                )
+                assert ident.to_dict() == raw.to_dict()
 
     def test_constant_map_collapses_ratios(self):
         cert = postprocessing_certificate(
@@ -456,6 +464,30 @@ class TestPostprocessing:
         for g in maps:
             pushed = postprocessing_certificate(g, 2, 2, CANONICAL_N2, p, 2)
             assert pushed.max_ratio <= raw.max_ratio + 1e-9
+
+
+def test_each_oracle_enumerates_through_composition_matrix_once(monkeypatch):
+    # The benchmark tracer times the oracle's enumeration at this global.
+    calls = []
+    composition_matrix = oracle.composition_matrix
+
+    def spy(*args):
+        calls.append(args)
+        return composition_matrix(*args)
+
+    monkeypatch.setattr(oracle, "composition_matrix", spy)
+    p, rng = PrivacyParams(1.0), np.random.default_rng(5)
+    runs = [
+        lambda: privacy_ratio_certificate(2, 2, CANONICAL_N2, p, 3),
+        lambda: privacy_ratio_certificate(2, 2, CANONICAL_N2, p, 3, real_probes=4, rng=rng),
+        lambda: postprocessing_certificate(lambda dp: 0, 2, 2, CANONICAL_N2, p, 3),
+        lambda: postprocessing_certificate(lambda dp: 0, 2, 2, CANONICAL_N2, p, 3, real_probes=4, rng=rng),
+        lambda: exact_output_distribution(Database([1.0, 2.0]), CANONICAL_N2, p, 3),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls == [(2, 3)]
 
 
 class TestBestSparseDb:
