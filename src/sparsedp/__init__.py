@@ -19,8 +19,6 @@ from .core import (
     load_query_class,
     max_error,
     rescale,
-    save_database,
-    save_query_class,
 )
 from .fsd import (
     FsdResult,
@@ -43,7 +41,6 @@ from .mechanisms import (
     laplace_noise,
     laplace_release,
     quality_score,
-    score_sensitivity,
     sparse_domain,
     utility_threshold,
 )

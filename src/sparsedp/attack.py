@@ -229,15 +229,15 @@ class AttackReport:
     recovery_rate_target: float
     recovery_rate_swapped: float
     recovery_ratio: float | None
-    alpha: float | None
-    single_change_bound: float | None
-    double_change_bound: float | None
+    alpha: float
+    single_change_bound: float
+    double_change_bound: float
+    epsilon_floor: float
     eps_hat: np.ndarray = field(repr=False, compare=False)
     symdiff: np.ndarray = field(repr=False, compare=False)
     # The hidden subset and its swap differ by two unit changes, so the
     # <=1-change privacy definition only implies the doubled bound.
     implied_bound: str = "double_change"
-    epsilon_floor: float | None = None
 
     def __post_init__(self):
         self.eps_hat.setflags(write=False)
@@ -255,7 +255,7 @@ def attack_experiment(
     trials: int,
     rng: np.random.Generator,
     *,
-    alpha: float | None = None,
+    alpha: float,
 ) -> AttackReport:
     """Run ``trials`` independent reconstruction rounds against a mechanism.
 
@@ -264,8 +264,7 @@ def attack_experiment(
     |T symdiff T*| <= 4 * eps_hat / gamma with eps_hat the realized error on
     the family's own queries.  The round also swaps one hidden element for an
     outside one and reruns, to estimate how distinguishable membership is;
-    the resulting rate ratio is reported against both e^alpha and e^(2*alpha)
-    when alpha is supplied.
+    the resulting rate ratio is reported against both e^alpha and e^(2*alpha).
 
     ``mechanism`` is ``callable(database, generator) -> Database | answer
     vector | ReleaseOutput``.  A ``RuntimeError`` or ``ArithmeticError`` it
@@ -354,12 +353,10 @@ def attack_experiment(
         recovery_rate_swapped=rate_swapped,
         recovery_ratio=ratio,
         alpha=alpha,
-        single_change_bound=_safe_exp(alpha) if alpha is not None else None,
-        double_change_bound=_safe_exp(2 * alpha) if alpha is not None else None,
+        single_change_bound=_safe_exp(alpha),
+        double_change_bound=_safe_exp(2 * alpha),
+        epsilon_floor=gamma * d / (4.0 * (_safe_exp(alpha) + 1.0)),
         eps_hat=eps_hat,
         symdiff=symdiff,
-        epsilon_floor=(
-            gamma * d / (4.0 * (_safe_exp(alpha) + 1.0)) if alpha is not None else None
-        ),
     )
 

@@ -22,6 +22,7 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -54,6 +55,14 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a "-" argument as a flag unless this private pattern
+        # matches it; widened from plain decimals to what float() reads.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):  # argparse would sys.exit(2); budget owns code 2
         raise _CliError(message)
 

@@ -30,9 +30,7 @@ __all__ = [
     "max_error",
     "rescale",
     "load_database",
-    "save_database",
     "load_query_class",
-    "save_query_class",
 ]
 
 
@@ -264,15 +262,6 @@ def load_database(path) -> Database:
     return Database(entries)
 
 
-def save_database(d: Database, path) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerow([repr(float(x)) for x in d.entries])
-    else:
-        path.write_text(json.dumps({"entries": [float(x) for x in d.entries]}, indent=2) + "\n")
-
-
 def load_query_class(path) -> QueryClass:
     path = Path(path)
     if path.suffix.lower() == ".csv":
@@ -300,13 +289,3 @@ def load_query_class(path) -> QueryClass:
     if declared_n != cls.n:
         raise ValueError(f"{path}:1: declared n={declared_n} but queries have length {cls.n}")
     return cls
-
-
-def save_query_class(c: QueryClass, path) -> None:
-    path = Path(path)
-    if path.suffix.lower() == ".csv":
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(c.matrix.tolist())
-    else:
-        payload = {"n": c.n, "queries": c.matrix.tolist()}
-        path.write_text(json.dumps(payload, indent=2) + "\n")

@@ -51,7 +51,6 @@ __all__ = [
     "composition_matrix",
     "quality_score",
     "score_rows",
-    "score_sensitivity",
     "exponent_divisor",
     "exponential_law",
     "exponential_release_exact",
@@ -280,18 +279,16 @@ def score_rows(
     return np.negative(scores, out=scores)
 
 
-def score_sensitivity(m: int) -> float:
-    """Upper bound on the quality score's change under a unit L1 change of
-    the private database: 1 + 1/m."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    return 1.0 + 1.0 / m
-
-
 def exponent_divisor(rule: ExponentRule, m: int) -> float:
+    """The rule's divisor at surrogate size m; a value that is not an
+    ``ExponentRule`` is refused, never read as one."""
     if rule is ExponentRule.PAPER_QUARTER:
         return 4.0
-    return 2.0 * score_sensitivity(m)
+    if rule is not ExponentRule.TIGHT_SENSITIVITY:
+        raise ValueError(f"exponent_rule must be an ExponentRule, got {rule!r}")
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    return 2.0 * (1.0 + 1.0 / m)
 
 
 def _safe_exp(x: float) -> float:

@@ -6,9 +6,11 @@ assignment DFS instead of a vectorised branch and bound, definitional grids
 instead of analytic elimination) so agreement is meaningful.
 """
 
+import csv
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -43,6 +45,27 @@ from sparsedp.mechanisms import (
 )
 from sparsedp.fsd import _pick_threshold
 from sparsedp.oracle import RATIO_SLACK
+
+
+# Writers of the documented file formats, for fixtures: the library ships
+# only the loaders.
+def save_database(d: Database, path) -> None:
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerow([repr(float(x)) for x in d.entries])
+    else:
+        path.write_text(json.dumps({"entries": [float(x) for x in d.entries]}, indent=2) + "\n")
+
+
+def save_query_class(c: QueryClass, path) -> None:
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(c.matrix.tolist())
+    else:
+        payload = {"n": c.n, "queries": c.matrix.tolist()}
+        path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def random_query_class(rng: np.random.Generator, k: int, n: int) -> QueryClass:
@@ -666,7 +689,7 @@ def _true_answers(family, subset) -> np.ndarray:
     return total
 
 
-def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
+def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha):
     """``attack_experiment`` as one plain loop: each trial drawn from ``rng``
     in trial order (hidden subset, element out, element in, then the
     mechanism's draws on both databases), released and reconstructed on its
@@ -749,11 +772,9 @@ def per_trial_attack_reference(mechanism, family, trials, rng, *, alpha=None):
         recovery_rate_swapped=rate_swapped,
         recovery_ratio=ratio,
         alpha=alpha,
-        single_change_bound=attack._safe_exp(alpha) if alpha is not None else None,
-        double_change_bound=attack._safe_exp(2 * alpha) if alpha is not None else None,
-        epsilon_floor=(
-            gamma * d / (4.0 * (attack._safe_exp(alpha) + 1.0)) if alpha is not None else None
-        ),
+        single_change_bound=attack._safe_exp(alpha),
+        double_change_bound=attack._safe_exp(2 * alpha),
+        epsilon_floor=gamma * d / (4.0 * (attack._safe_exp(alpha) + 1.0)),
         eps_hat=np.array(eps_hats, dtype=np.float64),
         symdiff=np.array(symdiffs, dtype=np.int64),
     )

@@ -272,7 +272,7 @@ class TestAttackExperiment:
                 return db
 
             rng = np.random.default_rng(seed)
-            report = attack_experiment(recording, self.family, trials, rng)
+            report = attack_experiment(recording, self.family, trials, rng, alpha=1.0)
             stream = np.random.default_rng(seed)
             expected = []
             for i in range(trials):
@@ -392,7 +392,7 @@ class TestAttackExperiment:
             raise TypeError("a bug in the mechanism")
 
         with pytest.raises(TypeError, match="a bug"):
-            attack_experiment(typo, self.family, 10**13, np.random.default_rng(4))
+            attack_experiment(typo, self.family, 10**13, np.random.default_rng(4), alpha=1.0)
 
     def test_programming_errors_propagate(self):
         def raising(error):
@@ -403,7 +403,7 @@ class TestAttackExperiment:
 
         for error in (TypeError, AttributeError, ValueError):
             with pytest.raises(error, match="a bug"):
-                attack_experiment(raising(error), self.family, 5, np.random.default_rng(4))
+                attack_experiment(raising(error), self.family, 5, np.random.default_rng(4), alpha=1.0)
         wrong_class = QueryClass(np.ones((2, 3)))
         misconfigured = (
             lambda db, rng: exponential_release_exact(db, wrong_class, self.p, 2, rng),
@@ -411,20 +411,22 @@ class TestAttackExperiment:
         )
         for mech in misconfigured:
             with pytest.raises(DimensionMismatchError):
-                attack_experiment(mech, self.family, 5, np.random.default_rng(4))
+                attack_experiment(mech, self.family, 5, np.random.default_rng(4), alpha=1.0)
 
     def test_non_finite_answer_vector_refused(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 attack_experiment(
-                    lambda db, rng: np.full(BOOL4.k, bad), self.family, 3, np.random.default_rng(6)
+                    lambda db, rng: np.full(BOOL4.k, bad), self.family, 3, np.random.default_rng(6),
+                    alpha=1.0,
                 )
 
     def test_answer_vector_of_the_wrong_length_refused(self):
         for length in (BOOL4.k - 1, BOOL4.k + 1):
             with pytest.raises(ValueError) as refused:
                 attack_experiment(
-                    lambda db, rng: np.zeros(length), self.family, 3, np.random.default_rng(6)
+                    lambda db, rng: np.zeros(length), self.family, 3, np.random.default_rng(6),
+                    alpha=1.0,
                 )
             assert str(refused.value) == (
                 f"mechanism output must be a Database or a length-16 answer vector, "
@@ -441,7 +443,7 @@ class TestAttackExperiment:
 
     def test_trials_validation(self):
         with pytest.raises(ValueError):
-            attack_experiment(lambda db, rng: db, self.family, 0, np.random.default_rng(0))
+            attack_experiment(lambda db, rng: db, self.family, 0, np.random.default_rng(0), alpha=1.0)
 
     def test_seed_determinism_and_per_trial_shape(self):
         mech = lambda db, rng: exponential_release_exact(db, BOOL4, self.p, 2, rng)
@@ -612,7 +614,7 @@ class TestChunkedTrialsAgainstPerTrialLoop:
                 return BOOL4.matrix @ db.entries
 
             with pytest.raises(ValueError, match=r"non-finite answers at query indices \[0, 1"):
-                run(nan_at_trial_3, family, 20, np.random.default_rng(9))
+                run(nan_at_trial_3, family, 20, np.random.default_rng(9), alpha=1.0)
             assert len(calls) == 6
 
 
@@ -632,7 +634,7 @@ def test_identity_trials_keep_memory_flat():
     def peak(trials):
         tracemalloc.start()
         try:
-            attack_experiment(lambda db, rng: db, family, trials, np.random.default_rng(0))
+            attack_experiment(lambda db, rng: db, family, trials, np.random.default_rng(0), alpha=1.0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,3 +1,4 @@
+import ast
 import builtins
 import contextlib
 import csv
@@ -21,9 +22,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sparsedp
 from helpers_oracles import (
-    boolean_indicator_class, oracle_stdout_by_dicts, per_trial_attack_reference,
+    boolean_indicator_class, oracle_stdout_by_dicts, per_trial_attack_reference, save_database,
+    save_query_class,
 )
-from sparsedp import save_database, save_query_class, choose_m, config, fsd, Database, QueryClass
+from sparsedp import choose_m, config, fsd, Database, QueryClass
 from sparsedp import PrivacyParams, best_sparse_db, exact_output_distribution, mechanisms, oracle
 from sparsedp import ExactLawTable, ExponentRule, build_family, laplace_release
 from sparsedp import cli
@@ -1131,6 +1133,34 @@ PROBED_REFUSALS = {
 }
 
 
+# Negative values argparse's own pattern (-1, -1.5) reads as flags, so that
+# each run exited with "expected one argument"; they pin the parser's
+# widened pattern, a private argparse attribute that a Python may rename.
+PROBED_REFUSALS.update({
+    f"{name} {value}": (argv + [value], message.format(number=repr(float(value)), text=repr(value)))
+    for name, (argv, message) in {
+        "release --alpha": (
+            ["release", "--db", "{missing}", "--class", "{missing}", "--m", "3", "--alpha"],
+            "--alpha must be positive and finite, got {number}"),
+        "release --eta": (
+            ["release", "--db", "{missing}", "--class", "{missing}", "--alpha", "1", "--eta"],
+            "--eta must lie in (0, 1], got {number}"),
+        "fsd --gamma": (
+            ["fsd", "--class", "{missing}", "--dmax", "2", "--gamma"],
+            "--gamma must lie in (0, 1/2], got {number}"),
+        "attack --alpha": (
+            ["attack", "--class", "{missing}", "--gamma", "0.5", "--mechanism", "identity",
+             "--trials", "5", "--alpha"],
+            "--alpha must be positive and finite, got {number}"),
+        "release --l1": (
+            ["release", "--db", "{missing}", "--class", "{missing}", "--alpha", "1", "--m", "3",
+             "--l1"],
+            "--l1 must be finite and nonnegative, got {text}"),
+    }.items()
+    for value in ("-1e-3", "-inf", "-Infinity", "-nan")
+})
+
+
 @st.composite
 def flag_draws(draw, command):
     """Values for some of ``command``'s value flags: (flag, text, fault),
@@ -1257,6 +1287,26 @@ def bench_tracing():
     return tracing
 
 
+# The names ``bench/checks.py`` binds to the package, and their modules.
+CHECKER_MODULES = {"sp": "sparsedp", "config": "sparsedp.config"}
+
+
+def library_reads(source: str) -> set[tuple[str, str]]:
+    """Each (name, attribute) read as ``sp.<attribute>`` or ``config.<attribute>`` in ``source``."""
+    return {
+        (node.value.id, node.attr) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in CHECKER_MODULES
+    }
+
+
+def unresolved_reads(source: str) -> list[str]:
+    return sorted(
+        f"{name}.{attr}" for name, attr in library_reads(source)
+        if not hasattr(importlib.import_module(CHECKER_MODULES[name]), attr)
+    )
+
+
 def unresolved_exports(module) -> list[str]:
     return [name for name in module.__all__ if not hasattr(module, name)]
 
@@ -1315,12 +1365,31 @@ class TestBenchmarkTracerSites:
             "postprocessing_certificate": (lambda dp: 0, 2, 1, c, p, 2),
             "attack_experiment": (lambda db, rng: db, sparsedp.build_family(c, 0.5, 2), 3, rng),
         }
+        keywords = {"attack_experiment": {"alpha": 1.0}}
         assert set(calls) == set(tracing._INFO)
         for name, (needs_args, info) in tracing._INFO.items():
-            fn = sites[name]
-            result = fn(*calls[name])
-            bound = inspect.signature(fn).bind(*calls[name]).arguments if needs_args else None
+            fn, args, kwargs = sites[name], calls[name], keywords.get(name, {})
+            result = fn(*args, **kwargs)
+            bound = inspect.signature(fn).bind(*args, **kwargs).arguments if needs_args else None
             readings = info(bound, result)
             assert readings, name
             for value in readings.values():
                 assert isinstance(value, (int, float, np.integer, np.floating)), (name, value)
+
+
+class TestBenchmarkCheckerNames:
+    @staticmethod
+    def checks_source() -> str:
+        return (Path(__file__).resolve().parents[1] / "bench" / "checks.py").read_text()
+
+    def test_every_name_the_output_checks_read_resolves(self):
+        # The benchmark checks every job's output through these names, outside
+        # this suite: a name retired here would first show as every job failing.
+        source = self.checks_source()
+        assert "import sparsedp as sp" in source and "from sparsedp import config" in source
+        assert {name for name, _ in library_reads(source)} == set(CHECKER_MODULES)
+        assert unresolved_reads(source) == []
+
+    def test_a_made_up_name_is_reported(self):
+        source = self.checks_source() + "\nsp.save_database\nconfig.MADE_UP_BUDGET\n"
+        assert unresolved_reads(source) == ["config.MADE_UP_BUDGET", "sp.save_database"]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers_oracles import save_database, save_query_class
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -19,8 +20,6 @@ from sparsedp import (
     load_query_class,
     max_error,
     rescale,
-    save_database,
-    save_query_class,
 )
 
 TOL = 1e-9

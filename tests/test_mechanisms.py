@@ -37,9 +37,9 @@ from sparsedp import (
     laplace_noise,
     laplace_release,
     max_error,
+    privacy_ratio_certificate,
     quality_score,
     rescale,
-    score_sensitivity,
     sparse_domain,
     utility_threshold,
 )
@@ -326,22 +326,50 @@ class TestScoringMemory:
         assert buffers <= min(extra) <= max(extra) <= buffers + cast + 16 * np.getbufsize() + 8192
 
 
-class TestScoreSensitivity:
+class TestExponentDivisor:
+    TIGHT = ExponentRule.TIGHT_SENSITIVITY
+
     def test_unit_mass(self):
-        assert score_sensitivity(1) == 2.0
+        assert exponent_divisor(self.TIGHT, 1) == 4.0
 
     def test_ten(self):
-        assert score_sensitivity(10) == pytest.approx(1.1)
+        assert exponent_divisor(self.TIGHT, 10) == pytest.approx(2.2)
 
-    def test_bounded_by_two_and_decreasing(self):
-        values = [score_sensitivity(m) for m in range(1, 200)]
-        assert all(v <= 2.0 for v in values)
+    def test_bounded_by_four_and_nonincreasing(self):
+        values = [exponent_divisor(self.TIGHT, m) for m in range(1, 200)]
+        assert all(v <= 4.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_tight_refuses_m_below_one(self):
+        with pytest.raises(ValueError, match="^m must be at least 1$"):
+            exponent_divisor(self.TIGHT, 0)
 
     def test_divisors(self):
         assert exponent_divisor(ExponentRule.PAPER_QUARTER, 1) == 4.0
-        assert exponent_divisor(ExponentRule.TIGHT_SENSITIVITY, 1) == 4.0
-        assert exponent_divisor(ExponentRule.TIGHT_SENSITIVITY, 4) == 2.5
+        assert exponent_divisor(self.TIGHT, 1) == 4.0
+        assert exponent_divisor(self.TIGHT, 4) == 2.5
+        for m in (0, 1, 3, 199):
+            assert exponent_divisor(ExponentRule.PAPER_QUARTER, m) == 4.0
+
+    @pytest.mark.parametrize("rule", ["paper", "tight", 3, None])
+    def test_a_value_that_is_no_rule_is_refused_before_the_generator(self, rule):
+        # Before, any such value ran the tight rule: "paper" at m=3 drew
+        # from divisor 8/3 and reported the paper rule.
+        d, c, p = Database([3.0, 1.0]), QueryClass([[1.0, 0.0], [0.0, 1.0]]), PrivacyParams(1.0)
+        runs = {
+            "divisor": lambda rng: exponent_divisor(rule, 3),
+            "exact": lambda rng: exponential_release_exact(d, c, p, 3, rng, rule),
+            "chain": lambda rng: exponential_release_mcmc(d, c, p, 3, 10, rng, rule),
+            "table": lambda rng: mechanisms.ExactLawTable([d], c, p, 3, rule).release(d, rng),
+            "distribution": lambda rng: exact_output_distribution(d, c, p, 3, rule),
+            "certificate": lambda rng: privacy_ratio_certificate(2, 1, c, p, 3, rule),
+        }
+        message = f"exponent_rule must be an ExponentRule, got {rule!r}"
+        for name, run in runs.items():
+            rng = np.random.default_rng(5)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run(rng)
+            assert rng.random() == np.random.default_rng(5).random(), name
 
 
 class TestSoftmax:
