@@ -21,10 +21,18 @@ per-query noise scale ``k / alpha``.
 All randomness flows through explicitly passed ``numpy.random.Generator``
 instances; Laplace noise is drawn by inverse CDF from the generator's
 uniforms so every experiment is reproducible bit-for-bit per seed.
+
+The exact sampler, ``ExactLawTable`` and the oracles take the whole domain
+from one memo (``composition_matrix``): a domain depends only on the public
+(n, m), so a process enumerates each one once, up to ``DOMAIN_MEMO_BYTES``
+kept in all, and every caller gets a read-only view of the same rows.
 """
 
 import enum
 import math
+import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,10 +203,59 @@ def sparse_domain(n: int, m: int):
     return (SparseSyntheticDatabase(row) for block in blocks for row in block)
 
 
+# Bytes of whole domains the memo keeps, each charged its array's
+# ``sys.getsizeof``: the five domains of release-exact's strata take 1.6 MB.
+DOMAIN_MEMO_BYTES = 1 << 22
+
+
+class _DomainMemo:
+    """Whole domains, ``next(domain_blocks(n, m))`` made read-only, by their
+    (n, m), least recently used first.  They hold at most
+    ``DOMAIN_MEMO_BYTES`` in all (read when a domain is kept): keeping one
+    drops the least recently used until they fit, and a domain over the cap
+    on its own is enumerated on every call and never kept.  The key and the
+    rows are public, so the memo keeps no state that depends on data."""
+
+    def __init__(self):
+        self.domains: OrderedDict[tuple[int, int], np.ndarray] = OrderedDict()
+        self.held = 0
+        self.lock = threading.Lock()
+
+    def get(self, n: int, m: int) -> np.ndarray:
+        with self.lock:
+            counts = self.domains.get((n, m))
+            if counts is not None:
+                self.domains.move_to_end((n, m))
+                return counts
+        counts = next(domain_blocks(n, m))
+        counts.setflags(write=False)
+        size = sys.getsizeof(counts)
+        if size <= DOMAIN_MEMO_BYTES:
+            with self.lock:
+                if (n, m) not in self.domains:
+                    self.domains[n, m] = counts
+                    self.held += size
+                while self.held > DOMAIN_MEMO_BYTES:
+                    self.held -= sys.getsizeof(self.domains.popitem(last=False)[1])
+        return counts
+
+
+_DOMAINS = _DomainMemo()
+
+
+def _domain(n: int, m: int, advice: str = "") -> np.ndarray:
+    """The one whole-domain enumeration: ``_check_budget`` on every call
+    (refusing with ``advice``), then a read-only view of the memo's rows.  A
+    view cannot be made writable, so no caller can change another's rows."""
+    _check_budget(n, m, advice=advice)
+    return _DOMAINS.get(n, m).view()
+
+
 def composition_matrix(n: int, m: int) -> np.ndarray:
-    """The same enumeration as ``sparse_domain`` as one (count, n) int matrix."""
-    _check_budget(n, m)
-    return next(domain_blocks(n, m))
+    """The same enumeration as ``sparse_domain`` as one read-only (count, n)
+    int64 matrix, from the domain memo: a process enumerates an (n, m) once
+    while it stays in the memo."""
+    return _domain(n, m)
 
 
 def quality_score(
@@ -384,11 +441,12 @@ def exponential_release_exact(
     domain at the alpha left for the weights (0.9 alpha under
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
-    enumeration budget and names the MCMC fallback.  The reported score is
-    ``quality_score`` of the drawn row, exactly."""
+    enumeration budget and names the MCMC fallback.  A value that is not an
+    ``ExponentRule`` is refused first, before the domain or the generator is
+    read.  The reported score is ``quality_score`` of the drawn row, exactly."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
-    _check_budget(d.n, m, advice=MCMC_ADVICE)
-    counts = next(domain_blocks(d.n, m))
+    exponent_divisor(exponent_rule, m)
+    counts = _domain(d.n, m, MCMC_ADVICE)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
     idx = _draw(cumulative, rng.random())
@@ -402,8 +460,9 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 
 
 class ExactLawTable:
-    """The prepared exact sampler of a fixed set of databases: it enumerates
-    the domain of (c.n, m) once, as the read-only ``counts`` (refusing m < 1
+    """The prepared exact sampler of a fixed set of databases: it takes the
+    domain of (c.n, m) from the domain memo, as the read-only ``counts``
+    (refusing a value that is not an ``ExponentRule`` before that, and m < 1
     and a domain over the budget as ``exponential_release_exact`` does), and
     keeps each database's cumulative law and each release drawn from it.  It
     is built for one class, alpha, m and rule, and releases only at the
@@ -426,9 +485,8 @@ class ExactLawTable:
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
     ):
-        _check_budget(c.n, m, advice=MCMC_ADVICE)
-        self._counts = next(domain_blocks(c.n, m))
-        self._counts.setflags(write=False)
+        exponent_divisor(exponent_rule, m)
+        self._counts = _domain(c.n, m, MCMC_ADVICE)
         databases = tuple(databases)
         for d in databases:
             _check_dims(c.n, d.n, "ExactLawTable: class vs database")
@@ -480,7 +538,9 @@ def exponential_release_mcmc(
 ) -> ReleaseOutput:
     """Approximate sampler: run a Metropolis walk for ``steps`` moves from
     the all-mass-on-coordinate-0 state and release where it lands.  The
-    reported score is ``quality_score`` of the released row, exactly.
+    reported score is ``quality_score`` of the released row, exactly.  A
+    value that is not an ``ExponentRule`` is refused before the generator is
+    read.
 
     Proposals move one unit of mass from a uniformly chosen coordinate to a
     uniformly chosen other coordinate, which is symmetric, so the stationary
@@ -507,8 +567,9 @@ def exponential_release_mcmc(
         raise ValueError("m must be at least 1")
     _check_dims(c.n, d.n, "Metropolis chain: class vs database")
     n = d.n
+    divisor = exponent_divisor(exponent_rule, m)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
-    scale = alpha / exponent_divisor(exponent_rule, m)
+    scale = alpha / divisor
     factor = float(l1_estimate) / m
     state = [0] * n
     state[0] = m

@@ -6,10 +6,11 @@ sparse domain, certified worst-case probability ratios across all neighboring
 integer databases on a bounded grid, the same ratios after an arbitrary
 post-processing map, and the best achievable surrogate for a given database.
 
-These are the ground truth the samplers are tested against.  They enumerate
-the domain with the exact sampler's enumerator (``domain_blocks``) and weigh
-it with the law the exact sampler draws from (``exponential_law`` over the
-``score_rows`` kernel), so what they print and certify is what it runs.  A
+These are the ground truth the samplers are tested against.  They take the
+domain from the exact sampler's domain memo (``composition_matrix``;
+``best_sparse_db`` streams ``domain_blocks``) and weigh it with the law the
+exact sampler draws from (``exponential_law`` over the ``score_rows``
+kernel), so what they print and certify is what it runs.  A
 certificate is three steps: its points and neighbouring pairs
 (``_neighbours``), every point's law as one matrix (``_law``) and the ratio
 scan (``_scan``); the post-processing certificate pushes the law through its

@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -130,6 +132,165 @@ class TestSparseDomain:
                 sparse_domain(2, m)
             with pytest.raises(ValueError, match="m must be at least 1"):
                 composition_matrix(2, m)
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty domain memo in place of the process's, and the (n, m) of
+    every ``domain_blocks`` call made through ``mechanisms``."""
+    memo, calls = mechanisms._DomainMemo(), []
+    blocks = mechanisms.domain_blocks
+    monkeypatch.setattr(mechanisms, "_DOMAINS", memo)
+    monkeypatch.setattr(
+        mechanisms, "domain_blocks", lambda n, m, *rest: calls.append((n, m)) or blocks(n, m, *rest)
+    )
+    return memo, calls
+
+
+def memo_bytes(memo) -> int:
+    return sum(sys.getsizeof(counts) for counts in memo.domains.values())
+
+
+class TestDomainMemo:
+    """``composition_matrix``, the exact sampler and ``ExactLawTable`` take
+    the whole domain from one memo keyed by the public (n, m)."""
+
+    def test_bytes_match_a_fresh_enumeration(self, fresh_memo):
+        _, calls = fresh_memo
+        shapes = [(n, m) for n in range(1, 8) for m in range(1, 9)]
+        for _ in range(2):
+            for n, m in shapes:
+                got = composition_matrix(n, m)
+                want = next(domain_blocks(n, m))
+                assert got.dtype == want.dtype == np.int64
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+        assert calls == shapes
+
+    def test_every_handed_out_array_is_read_only(self, fresh_memo, monkeypatch):
+        d, c, p = Database([1.0, 2.0, 0.5]), QueryClass(np.eye(3)), PrivacyParams(1.0)
+        rule = ExponentRule.PAPER_QUARTER
+        handed = [
+            composition_matrix(3, 4),
+            composition_matrix(3, 4),
+            mechanisms.ExactLawTable([d], c, p, 4, rule).counts,
+            exact_output_distribution(d, c, p, 4).counts,
+        ]
+        monkeypatch.setattr(mechanisms, "DOMAIN_MEMO_BYTES", 0)
+        handed.append(composition_matrix(3, 5))  # over the cap: enumerated, not kept
+        assert len({id(counts) for counts in handed}) == len(handed)
+        for counts in handed:
+            assert not counts.flags.writeable
+            with pytest.raises(ValueError):
+                counts.setflags(write=True)
+            with pytest.raises(ValueError):
+                counts[0, 0] = 7
+        np.testing.assert_array_equal(composition_matrix(3, 4), next(domain_blocks(3, 4)))
+
+    def test_a_warm_memo_still_checks_the_budget(self, fresh_memo, monkeypatch):
+        memo, calls = fresh_memo
+        d, c, p = Database(np.ones(6)), QueryClass(np.eye(6)), PrivacyParams(1.0)
+        rule = ExponentRule.PAPER_QUARTER
+        composition_matrix(6, 4)
+        assert (6, 4) in memo.domains
+        monkeypatch.setenv("FSDP_BUDGET", "100")
+        message = "sparse domain for n=6, m=4 holds 126 elements over the budget of 100"
+        runs = [
+            ("", lambda: composition_matrix(6, 4)),
+            (mechanisms.MCMC_ADVICE, lambda: exponential_release_exact(
+                d, c, p, 4, np.random.default_rng(0), rule
+            )),
+            (mechanisms.MCMC_ADVICE, lambda: mechanisms.ExactLawTable([d], c, p, 4, rule)),
+        ]
+        for advice, run in runs:
+            with pytest.raises(DomainTooLargeError) as err:
+                run()
+            assert str(err.value) == message + advice
+            assert err.value.count == 126
+        monkeypatch.setenv("FSDP_BUDGET", "126")
+        assert composition_matrix(6, 4).shape == (126, 6)
+        assert calls == [(6, 4)]
+
+    def test_retained_bytes_never_exceed_the_cap(self, fresh_memo, monkeypatch):
+        memo, calls = fresh_memo
+        cap = 17_000
+        monkeypatch.setattr(mechanisms, "DOMAIN_MEMO_BYTES", cap)
+        # 66, 286, 462, 210 and 51 rows: (6, 6) alone is over the cap, and
+        # (4, 10) and (5, 6) do not fit together.
+        shapes = [(3, 10), (4, 10), (6, 6), (5, 6), (2, 50)]
+        size = {shape: sys.getsizeof(next(domain_blocks(*shape))) for shape in shapes}
+        assert size[6, 6] > cap and size[4, 10] + size[5, 6] > cap
+        kept, misses = [], []  # a least-recently-used model of the memo
+        for shape in shapes * 3 + shapes[::-1]:
+            composition_matrix(*shape)
+            if shape in kept:
+                kept.remove(shape)
+                kept.append(shape)
+            else:
+                misses.append(shape)
+                if size[shape] <= cap:
+                    kept.append(shape)
+                    while sum(size[s] for s in kept) > cap:
+                        kept.pop(0)
+            assert list(memo.domains) == kept
+            assert memo.held == memo_bytes(memo) <= cap
+        assert calls == misses and misses.count((6, 6)) == 4
+
+    def test_threads_keep_the_byte_count(self, fresh_memo, monkeypatch):
+        # Four threads on two cores, switching every microsecond, cycle
+        # shapes through a memo too small for all of them: a lost update
+        # would leave ``held`` off the bytes actually kept, and an entry
+        # dropped between a lookup and its move would raise.
+        memo, _ = fresh_memo
+        monkeypatch.setattr(mechanisms, "DOMAIN_MEMO_BYTES", 12_000)
+        shapes = [(3, 10), (4, 10), (5, 6), (2, 50), (4, 6), (3, 20)]
+        wrong = []
+
+        def work(offset):
+            for i in range(500):
+                n, m = shapes[(i + offset) % len(shapes)]
+                try:
+                    if composition_matrix(n, m).tobytes() != next(domain_blocks(n, m)).tobytes():
+                        wrong.append((n, m))
+                except Exception as error:  # reported below, not lost with the thread
+                    wrong.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert memo.held == memo_bytes(memo) <= 12_000
+
+    def test_the_release_exact_benchmark_domains_fit_the_cap(self, fresh_memo):
+        # The (n, m) shapes the release-exact workload enumerates.
+        memo, calls = fresh_memo
+        shapes = [(4, 30), (5, 16), (6, 12), (8, 6), (5, 24)]
+        for shape in shapes + shapes:
+            composition_matrix(*shape)
+        assert calls == shapes and list(memo.domains) == shapes
+        assert memo.held == memo_bytes(memo) <= mechanisms.DOMAIN_MEMO_BYTES
+
+    def test_a_second_release_at_the_same_shape_enumerates_nothing(self, fresh_memo):
+        _, calls = fresh_memo
+        d, c, p = Database([3.0, 1.0, 2.5]), QueryClass([[1, 0, 0], [0.5, 0.5, 1]]), PrivacyParams(1.0)
+        cold = exponential_release_exact(d, c, p, 5, np.random.default_rng(3), l1="private")
+        assert calls == [(3, 5)]
+        warm = exponential_release_exact(d, c, p, 5, np.random.default_rng(3), l1="private")
+        assert_same_release(warm, cold)
+        mechanisms.ExactLawTable([d], c, p, 5, ExponentRule.TIGHT_SENSITIVITY).release(
+            d, np.random.default_rng(4)
+        )
+        exact_output_distribution(d, c, p, 5)
+        privacy_ratio_certificate(3, 1, c, p, 5)
+        assert calls == [(3, 5)]
 
 
 class TestQualityScore:
@@ -360,6 +521,12 @@ class TestExponentDivisor:
             "divisor": lambda rng: exponent_divisor(rule, 3),
             "exact": lambda rng: exponential_release_exact(d, c, p, 3, rng, rule),
             "chain": lambda rng: exponential_release_mcmc(d, c, p, 3, 10, rng, rule),
+            "exact, private": lambda rng: exponential_release_exact(
+                d, c, p, 3, rng, rule, l1="private"
+            ),
+            "chain, private": lambda rng: exponential_release_mcmc(
+                d, c, p, 3, 10, rng, rule, l1="private"
+            ),
             "table": lambda rng: mechanisms.ExactLawTable([d], c, p, 3, rule).release(d, rng),
             "distribution": lambda rng: exact_output_distribution(d, c, p, 3, rule),
             "certificate": lambda rng: privacy_ratio_certificate(2, 1, c, p, 3, rule),
@@ -587,6 +754,17 @@ class TestExactLawTable:
         for bad_m in (0, -1):
             with pytest.raises(ValueError, match="m must be at least 1"):
                 mechanisms.ExactLawTable([], c, p, bad_m, rule)
+
+    @pytest.mark.parametrize("rule", ["paper", "tight", 3, None])
+    def test_a_value_that_is_no_rule_is_refused_before_the_domain(self, fresh_memo, rule):
+        # Before, the table enumerated the domain, kept ``exponent_rule ==
+        # "paper"`` and refused only on its first release.
+        memo, calls = fresh_memo
+        c, p = QueryClass(np.eye(3)), PrivacyParams(1.0)
+        message = f"exponent_rule must be an ExponentRule, got {rule!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mechanisms.ExactLawTable([Database([1, 0, 0])], c, p, 2, rule)
+        assert calls == [] and not memo.domains
 
     def test_counts_are_read_only(self):
         c, p, rule = QueryClass(np.eye(3)), PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
