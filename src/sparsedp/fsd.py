@@ -139,24 +139,6 @@ def verify_shattering(c: QueryClass, w: ShatteringWitness) -> bool:
     return True
 
 
-class _NodeBudget:
-    __slots__ = ("remaining", "used")
-
-    def __init__(self, limit: int):
-        self.remaining = int(limit)
-        self.used = 0
-
-    def spend(self, units: int):
-        """Spend ``units`` comparisons; if fewer remain, spend what is left
-        and raise, so an exhausted search always reports ``used == limit``."""
-        if units > self.remaining:
-            self.used += self.remaining
-            self.remaining = 0
-            raise SearchBudgetExceeded("shattering search exceeded its node budget")
-        self.remaining -= units
-        self.used += units
-
-
 def _pick_threshold(low: float, high: float, gamma: float) -> float:
     # Any r in [low+gamma, high-gamma] works in exact arithmetic; try the
     # midpoint first and fall back to the interval ends if rounding bites.
@@ -178,9 +160,10 @@ class _ThresholdSearch:
     pattern ``p`` over the coordinates fixed so far; a row realizes at most
     one pattern, so ``v_t`` survives only if each of the 2^(t+1) extended
     partial patterns keeps at least 2^(d-t-1) rows.  One pass counts those
-    rows for every candidate the budget can still pay for.  The budget
-    charges k comparisons per candidate tried: the candidates skipped before
-    a survivor are spent with it, the rest once the last survivor fails.
+    rows for every candidate the budget can still pay for.  The search may
+    charge ``budget`` comparisons in all, k per candidate tried: the
+    candidates skipped before a survivor are spent with it, the rest once
+    the last survivor fails.  ``used`` counts the comparisons charged.
 
     Work is shared between the subsets of a call without sharing any
     comparison's charge:
@@ -200,10 +183,11 @@ class _ThresholdSearch:
       last coordinate are not kept, since no later subset reaches them.
     """
 
-    def __init__(self, matrix: np.ndarray, gamma: float, budget: _NodeBudget):
+    def __init__(self, matrix: np.ndarray, gamma: float, budget: int):
         self.matrix = matrix
         self.margin = 2.0 * gamma
-        self.budget = budget
+        self.remaining = int(budget)
+        self.used = 0
         self.tables = {}  # column -> (candidates, distinct count, masks)
         self.subset = ()
         self.nodes = []  # nodes[t]: {candidate path: (survivors, children)}
@@ -213,11 +197,21 @@ class _ThresholdSearch:
         column = self.matrix[:, i]
         values = np.unique(column)
         # Candidates past the remaining budget are never tested.
-        reach = values[: self.budget.remaining // column.size, None]
+        reach = values[: self.remaining // column.size, None]
         # masks[j] holds candidate j's 0-side and 1-side rows.
         masks = np.stack([column <= reach, column - reach >= self.margin], axis=1)
         table = self.tables[i] = reach[:, 0], values.size, masks
         return table
+
+    def spend(self, units: int):
+        """Spend ``units`` comparisons; if fewer remain, spend what is left
+        and raise, so an exhausted search always reports ``used == budget``."""
+        if units > self.remaining:
+            self.used += self.remaining
+            self.remaining = 0
+            raise SearchBudgetExceeded("shattering search exceeded its node budget")
+        self.remaining -= units
+        self.used += units
 
     def search(self, subset: tuple[int, ...]):
         d = len(subset)
@@ -229,7 +223,7 @@ class _ThresholdSearch:
         del nodes[shared:]
         nodes += [{} for _ in range(d - 1 - shared)]
         self.subset = subset
-        budget, tables = self.budget, self.tables
+        spend, tables = self.spend, self.tables
         k = self.matrix.shape[0]
 
         def recurse(t: int, live: np.ndarray, path: tuple[int, ...]):
@@ -239,7 +233,7 @@ class _ThresholdSearch:
             _, count, masks = tables.get(subset[t]) or self._table(subset[t])
             node = nodes[t].get(path) if t < d - 1 else None
             if node is None:
-                reach = masks[: budget.remaining // k]
+                reach = masks[: self.remaining // k]
                 weights, need = live.astype(np.float64), 1 << (d - 1 - t)
                 fits = (weights @ reach[:, 0].T >= need).all(axis=0)
                 fits &= (weights @ reach[:, 1].T >= need).all(axis=0)
@@ -249,7 +243,7 @@ class _ThresholdSearch:
             fits, children = node
             tried = -1
             for j in fits:
-                budget.spend(k * (j - tried))
+                spend(k * (j - tried))
                 tried = j
                 child = children.get(j)
                 if child is None:
@@ -260,7 +254,7 @@ class _ThresholdSearch:
                 found = recurse(t + 1, child, path + (j,))
                 if found is not None:
                     return found
-            budget.spend(k * (count - 1 - tried))
+            spend(k * (count - 1 - tried))
             return None
 
         return recurse(0, self.root, ())
@@ -305,7 +299,7 @@ def is_gamma_shattered(
     for i in subset:
         if not 0 <= i < c.n:
             raise IndexError(f"subset index {i} out of range for n={c.n}")
-    search = _ThresholdSearch(c.matrix, gamma, _NodeBudget(config.node_budget(budget)))
+    search = _ThresholdSearch(c.matrix, gamma, config.node_budget(budget))
     found = search.search(subset)
     return None if found is None else _witness(c, subset, gamma, found[1])
 
@@ -349,8 +343,7 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
     gamma = _validate_gamma(gamma)
     if d_max < 1:
         raise ValueError(f"d_max must be at least 1, got {d_max}")
-    tracker = _NodeBudget(config.node_budget(budget))
-    search = _ThresholdSearch(c.matrix, gamma, tracker)
+    search = _ThresholdSearch(c.matrix, gamma, config.node_budget(budget))
     best = None  # (subset, realizing rows) of the last shattered level
     exact = True
     try:
@@ -366,7 +359,7 @@ def fsd(c: QueryClass, gamma: float, d_max: int, *, budget: int | None = None) -
         exact = False
     witness = _witness(c, best[0], gamma, best[1]) if best else None
     return FsdResult(
-        d=witness.d if witness else 0, witness=witness, nodes_explored=tracker.used, exact=exact
+        d=witness.d if witness else 0, witness=witness, nodes_explored=search.used, exact=exact
     )
 
 

@@ -376,12 +376,17 @@ def exponential_law(
     return logits
 
 
-def _exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule):
-    """The exact law of one database over ``counts``: its ``score_rows`` at
-    ``l1_estimate`` and their ``exponential_law`` at ``alpha``, as (scores,
-    law).  The exact sampler draws from the law and the oracle prints it."""
-    scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1_estimate], m)
-    return scores[0], exponential_law(scores, m, alpha, exponent_rule)[0]
+def _laws(c, counts, entries, l1_estimates, m, alpha, exponent_rule):
+    """The one exact law, of a batch of databases over ``counts``: their
+    ``score_rows`` at ``l1_estimates`` and the ``exponential_law`` of those at
+    ``alpha``, as (scores, laws), both (databases, rows).  ``entries`` is
+    (databases, n), and the true answers are one stacked matmul, bit for bit
+    the matvec each Database gets.  The exact sampler and ``ExactLawTable``
+    draw from a batch of one, the oracle prints one, and the certificates
+    scan a batch of their points."""
+    true_answers = (c.matrix @ entries[:, :, None])[:, :, 0]
+    scores = score_rows(c, counts, true_answers, l1_estimates, m)
+    return scores, exponential_law(scores, m, alpha, exponent_rule)
 
 
 def _resolve_l1(
@@ -437,7 +442,7 @@ def exponential_release_exact(
     *,
     l1="public",
 ) -> ReleaseOutput:
-    """Draw one uniform against the cumulative ``_exact_law`` of the whole
+    """Draw one uniform against the cumulative ``_laws`` row of the whole
     domain at the alpha left for the weights (0.9 alpha under
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
@@ -448,8 +453,8 @@ def exponential_release_exact(
     exponent_divisor(exponent_rule, m)
     counts = _domain(d.n, m, MCMC_ADVICE)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
-    cumulative = np.cumsum(_exact_law(d, c, counts, l1_estimate, m, alpha, exponent_rule)[1])
-    idx = _draw(cumulative, rng.random())
+    law = _laws(c, counts, d.entries[None], [l1_estimate], m, alpha, exponent_rule)[1][0]
+    idx = _draw(np.cumsum(law), rng.random())
     return _release(d, c, counts[idx], m, exponent_rule, l1_estimate)
 
 
@@ -461,15 +466,15 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 
 class ExactLawTable:
     """The prepared exact sampler of a fixed set of databases: it takes the
-    domain of (c.n, m) from the domain memo, as the read-only ``counts``
-    (refusing a value that is not an ``ExponentRule`` before that, and m < 1
-    and a domain over the budget as ``exponential_release_exact`` does), and
+    domain of (c.n, m) from the domain memo, as the read-only ``counts``, and
     keeps each database's cumulative law and each release drawn from it.  It
-    is built for one class, alpha, m and rule, and releases only at the
-    public L1 norm.
+    refuses in ``exponential_release_exact``'s order: a database of another
+    length, a value that is not an ``ExponentRule``, then m < 1 and a domain
+    over the budget.  It is built for one class, alpha, m and rule, and
+    releases only at the public L1 norm.
 
     A database's law is computed on its first release, by the per-call
-    sampler's own ``_exact_law``, and the ``ReleaseOutput`` of a
+    sampler's own ``_laws``, and the ``ReleaseOutput`` of a
     (database, row) pair on its first draw; later releases only draw one
     uniform.  A release is therefore the one ``exponential_release_exact``
     makes from the same generator, which it leaves in the same state.  A
@@ -485,11 +490,11 @@ class ExactLawTable:
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
     ):
-        exponent_divisor(exponent_rule, m)
-        self._counts = _domain(c.n, m, MCMC_ADVICE)
         databases = tuple(databases)
         for d in databases:
             _check_dims(c.n, d.n, "ExactLawTable: class vs database")
+        exponent_divisor(exponent_rule, m)
+        self._counts = _domain(c.n, m, MCMC_ADVICE)
         self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
         self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
         self._l1 = [l1_norm(d) for d in databases]
@@ -508,8 +513,8 @@ class ExactLawTable:
         c, counts, exponent_rule = self.c, self._counts, self.exponent_rule
         cumulative = self._cumulative.get(s)
         if cumulative is None:
-            law = _exact_law(d, c, counts, self._l1[s], self.m, self.alpha, exponent_rule)[1]
-            cumulative = np.cumsum(law)
+            law = _laws(c, counts, d.entries[None], [self._l1[s]], self.m, self.alpha, exponent_rule)[1]
+            cumulative = np.cumsum(law[0])
             if (len(self._cumulative) + 1) * len(counts) <= config.domain_budget():
                 self._cumulative[s] = cumulative
         idx = _draw(cumulative, rng.random())

@@ -9,12 +9,14 @@ post-processing map, and the best achievable surrogate for a given database.
 These are the ground truth the samplers are tested against.  They take the
 domain from the exact sampler's domain memo (``composition_matrix``;
 ``best_sparse_db`` streams ``domain_blocks``) and weigh it with the law the
-exact sampler draws from (``exponential_law`` over the ``score_rows``
-kernel), so what they print and certify is what it runs.  A
+exact sampler draws from (``_laws``: ``exponential_law`` over the
+``score_rows`` kernel), so what they print and certify is what it runs.  A
 certificate is three steps: its points and neighbouring pairs
-(``_neighbours``), every point's law as one matrix (``_law``) and the ratio
+(``_neighbours``), every point's law as one ``_laws`` batch and the ratio
 scan (``_scan``); the post-processing certificate pushes the law through its
-map before the scan.  Their independence rests on the tests, which hold that
+map before the scan.  Each refuses in the exact sampler's order: dimensions,
+then a value that is not an ``ExponentRule``, then the budget, and only then
+reads the domain.  Their independence rests on the tests, which hold that
 kernel to the per-candidate ``quality_score``, the best surrogate to
 ``max_error`` and the certificates to a per-point reference.
 """
@@ -26,8 +28,8 @@ import numpy as np
 
 from .core import Database, QueryClass, SparseSyntheticDatabase, _check_dims, l1_norm
 from .mechanisms import (
-    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _checked_l1, _exact_law, _safe_exp,
-    composition_matrix, domain_blocks, exponential_law, score_rows,
+    BLOCK_ROWS, ExponentRule, PrivacyParams, _check_budget, _laws, _resolve_l1, _safe_exp,
+    composition_matrix, domain_blocks, exponent_divisor, score_rows,
 )
 
 __all__ = [
@@ -68,18 +70,22 @@ def exact_output_distribution(
     m: int,
     exponent_rule: ExponentRule = ExponentRule.PAPER_QUARTER,
     *,
-    l1_estimate: float | None = None,
+    l1="public",
 ) -> OutputDistribution:
     """Closed-form output distribution of the exact release mechanism at
-    ``p.alpha``, in the domain's enumeration order: the ``_exact_law`` that
-    ``exponential_release_exact`` draws from.  ``l1_estimate=None`` means the
-    public true norm; at that norm ``best_surrogate`` over the scores it
-    keeps is ``best_sparse_db``'s answer."""
+    ``p.alpha``, in the domain's enumeration order: the ``_laws`` row that
+    ``exponential_release_exact`` draws from.  ``l1`` is the samplers'
+    "public" (the true norm) or a number; "private" is refused, since the
+    oracle draws nothing.  At the public norm ``best_surrogate`` over the
+    scores it keeps is ``best_sparse_db``'s answer.  A value that is not an
+    ``ExponentRule``, then the L1 setting, are refused before the domain is
+    read."""
     _check_dims(c.n, d.n, "exact_output_distribution: class vs database")
-    l1 = l1_norm(d) if l1_estimate is None else _checked_l1(l1_estimate)
+    exponent_divisor(exponent_rule, m)
+    l1_estimate = _resolve_l1(d, p, l1, None)[0]
     counts = composition_matrix(d.n, m)
-    scores, probs = _exact_law(d, c, counts, l1, m, p.alpha, exponent_rule)
-    return OutputDistribution(counts, probs, scores)
+    scores, laws = _laws(c, counts, d.entries[None], [l1_estimate], m, p.alpha, exponent_rule)
+    return OutputDistribution(counts, laws[0], scores[0])
 
 
 @dataclass(frozen=True)
@@ -134,12 +140,13 @@ def _probe_pairs(rng, n: int, entry_cap: int, count: int) -> tuple[np.ndarray, n
     return a, a + np.where(down, -w, w)
 
 
-def _neighbours(n: int, entry_cap: int, c: QueryClass, m: int, real_probes: int, rng) -> tuple:
+def _neighbours(n: int, entry_cap: int, c: QueryClass, m: int, rule, real_probes: int, rng) -> tuple:
     """A certificate's checks, then the domain's rows, the integer grid
     {0..entry_cap}^n in product order, every point (the grid, then every
     probe's a, then every probe's b) as one float array, and each
     neighbouring pair as two indices into it."""
     _check_dims(c.n, n, "certificate: class vs grid")
+    exponent_divisor(rule, m)
     if entry_cap < 1:
         raise ValueError("entry_cap must be at least 1")
     if real_probes < 0:
@@ -168,14 +175,6 @@ def _neighbours(n: int, entry_cap: int, c: QueryClass, m: int, real_probes: int,
         np.concatenate((upper, probe_index + real_probes)),
     ))
     return counts, grid, points, pairs
-
-
-def _law(c: QueryClass, counts, points, m: int, p: PrivacyParams, rule: ExponentRule) -> np.ndarray:
-    """Every point's exact law over ``counts`` at its own true norm, as one
-    (points, rows) matrix.  Each point's true answers come from one stacked
-    matmul, bit for bit the matvec a Database gets."""
-    true_answers = (c.matrix @ points[:, :, None])[:, :, 0]
-    return exponential_law(score_rows(c, counts, true_answers, points.sum(axis=1), m), m, p.alpha, rule)
 
 
 def _scan(law: np.ndarray, grid, points, pairs, alpha: float, outcome) -> CertificateResult:
@@ -229,8 +228,8 @@ def privacy_ratio_certificate(
     exactly 1 and the rest split the unit over every coordinate
     (``_probe_pairs``).  They take five draws from ``rng`` however many there
     are, after the budget check, which counts each as two passes."""
-    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, real_probes, rng)
-    law = _law(c, counts, points, m, p, exponent_rule)
+    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, exponent_rule, real_probes, rng)
+    law = _laws(c, counts, points, points.sum(axis=1), m, p.alpha, exponent_rule)[1]
     return _scan(law, grid, points, pairs, p.alpha, lambda row: tuple(counts[row].tolist()))
 
 
@@ -250,8 +249,8 @@ def postprocessing_certificate(
     pushed forward through a fixed outcome map ``g`` (database-independent
     post-processing cannot worsen the ratio), its outcome named by its
     label.  Each label's probability is the sum over its rows in row order."""
-    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, real_probes, rng)
-    law = _law(c, counts, points, m, p, exponent_rule)
+    counts, grid, points, pairs = _neighbours(n, entry_cap, c, m, exponent_rule, real_probes, rng)
+    law = _laws(c, counts, points, points.sum(axis=1), m, p.alpha, exponent_rule)[1]
     index: dict = {}
     label_of_row = [index.setdefault(g(SparseSyntheticDatabase(row)), len(index)) for row in counts]
     pushed = np.zeros((len(index), len(points)))

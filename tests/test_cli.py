@@ -1393,3 +1393,43 @@ class TestBenchmarkCheckerNames:
     def test_a_made_up_name_is_reported(self):
         source = self.checks_source() + "\nsp.save_database\nconfig.MADE_UP_BUDGET\n"
         assert unresolved_reads(source) == ["config.MADE_UP_BUDGET", "sp.save_database"]
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The innermost function or method (``Class.method``) around each call
+    of ``name``, bare or as an attribute, in ``source``, in source order."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            found.append(scope or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+class TestOneExactLaw:
+    @staticmethod
+    def sources() -> dict[str, str]:
+        package = Path(__file__).resolve().parents[1] / "src" / "sparsedp"
+        return {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+
+    def test_exponential_law_is_called_only_by_laws(self):
+        # The sampler, the law table, the oracle and the certificates all
+        # take their law from ``_laws``, so what is certified is what runs.
+        found = {name: callers(source, "exponential_law") for name, source in self.sources().items()}
+        assert {name: calls for name, calls in found.items() if calls} == {"mechanisms.py": ["_laws"]}
+
+    def test_a_second_caller_is_reported(self):
+        source = self.sources()["mechanisms.py"] + (
+            "\n\ndef _law(scores):\n    return mechanisms.exponential_law(scores, 1, 1.0, None)\n"
+            "\n\nclass Table:\n    def release(self, scores):\n"
+            "        return exponential_law(scores, 1, 1.0, None)\n"
+        )
+        assert callers(source, "exponential_law") == ["_laws", "_law", "Table.release"]

@@ -30,7 +30,7 @@ from sparsedp import (
     verify_shattering,
 )
 from sparsedp import config
-from sparsedp.fsd import _NodeBudget, _ThresholdSearch
+from sparsedp.fsd import _ThresholdSearch
 
 FULL_N2 = QueryClass([[1, 0], [0, 1], [1, 1], [0, 0]])
 
@@ -157,7 +157,7 @@ class TestIsGammaShattered:
                 subset = tuple(range(c.n - size, c.n))
                 want = brute_force_thresholds(c, subset, gamma)
                 got = is_gamma_shattered(c, subset, gamma)
-                found = _ThresholdSearch(c.matrix, gamma, _NodeBudget(10**7)).search(subset)
+                found = _ThresholdSearch(c.matrix, gamma, 10**7).search(subset)
                 decided.add((size, want is not None))
                 if want is None:
                     assert got is None and found is None
@@ -338,7 +338,7 @@ class TestFsd:
         # nodes above it, with their child live arrays, are kept: depth t
         # keeps arrays of 2^(t+1) partial patterns, never the 2^d of a leaf.
         c = random_query_class(np.random.default_rng(83), k=16, n=6)
-        search = _ThresholdSearch(c.matrix, 0.1, _NodeBudget(10**7))
+        search = _ThresholdSearch(c.matrix, 0.1, 10**7)
         kept = set()
         for d in (2, 3):
             for subset in itertools.combinations(range(c.n), d):

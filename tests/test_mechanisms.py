@@ -39,13 +39,14 @@ from sparsedp import (
     laplace_noise,
     laplace_release,
     max_error,
+    postprocessing_certificate,
     privacy_ratio_certificate,
     quality_score,
     rescale,
     sparse_domain,
     utility_threshold,
 )
-from sparsedp import config, mechanisms
+from sparsedp import config, mechanisms, oracle
 from sparsedp.fsd import choose_m, fsd
 from sparsedp.mechanisms import (
     composition_matrix,
@@ -428,7 +429,7 @@ class TestScoringMemory:
         counts = composition_matrix(5, 24)
         tracemalloc.start()
         try:
-            mechanisms._exact_law(d, c, counts, l1_norm(d), 24, 1.0, ExponentRule.PAPER_QUARTER)
+            mechanisms._laws(c, counts, d.entries[None], [l1_norm(d)], 24, 1.0, ExponentRule.PAPER_QUARTER)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -513,9 +514,19 @@ class TestExponentDivisor:
             assert exponent_divisor(ExponentRule.PAPER_QUARTER, m) == 4.0
 
     @pytest.mark.parametrize("rule", ["paper", "tight", 3, None])
-    def test_a_value_that_is_no_rule_is_refused_before_the_generator(self, rule):
+    def test_a_value_that_is_no_rule_is_refused_before_the_generator(
+        self, fresh_memo, monkeypatch, rule
+    ):
         # Before, any such value ran the tight rule: "paper" at m=3 drew
-        # from divisor 8/3 and reported the paper rule.
+        # from divisor 8/3 and reported the paper rule.  Every caller refuses
+        # the rule before it checks the budget, reads the domain or scores a
+        # row, so the rule's error wins over a domain past the budget too.
+        memo, calls = fresh_memo
+        scored = []
+        score_rows = mechanisms.score_rows
+        monkeypatch.setattr(
+            mechanisms, "score_rows", lambda *args: scored.append(args) or score_rows(*args)
+        )
         d, c, p = Database([3.0, 1.0]), QueryClass([[1.0, 0.0], [0.0, 1.0]]), PrivacyParams(1.0)
         runs = {
             "divisor": lambda rng: exponent_divisor(rule, 3),
@@ -530,13 +541,21 @@ class TestExponentDivisor:
             "table": lambda rng: mechanisms.ExactLawTable([d], c, p, 3, rule).release(d, rng),
             "distribution": lambda rng: exact_output_distribution(d, c, p, 3, rule),
             "certificate": lambda rng: privacy_ratio_certificate(2, 1, c, p, 3, rule),
+            "post-processing certificate": lambda rng: postprocessing_certificate(
+                lambda dp: 0, 2, 1, c, p, 3, rule, real_probes=2, rng=rng
+            ),
         }
         message = f"exponent_rule must be an ExponentRule, got {rule!r}"
-        for name, run in runs.items():
-            rng = np.random.default_rng(5)
-            with pytest.raises(ValueError, match=re.escape(message)):
-                run(rng)
-            assert rng.random() == np.random.default_rng(5).random(), name
+        # The domain of (2, 3) has 4 rows: a budget of 1 refuses every pass.
+        for budget in (None, "1"):
+            if budget is not None:
+                monkeypatch.setenv("FSDP_BUDGET", budget)
+            for name, run in runs.items():
+                rng = np.random.default_rng(5)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    run(rng)
+                assert rng.random() == np.random.default_rng(5).random(), name
+                assert calls == [] and not memo.domains and scored == [], name
 
 
 class TestSoftmax:
@@ -657,8 +676,8 @@ class TestExactLawTable:
                     want = exponential_release_exact(d, c, p, m, b_rng, rule)
                     assert_same_release(got, want)
                     assert a_rng.random() == b_rng.random()
-                law = mechanisms._exact_law(d, c, counts, l1_norm(d), m, p.alpha, rule)[1]
-                cumulative = np.cumsum(law)
+                law = mechanisms._laws(c, counts, d.entries[None], [l1_norm(d)], m, p.alpha, rule)[1]
+                cumulative = np.cumsum(law[0])
                 for row in rng.choice(len(cumulative), size=min(6, len(cumulative)), replace=False):
                     for u in (cumulative[row], np.nextafter(cumulative[row], 0.0)):
                         fixed = FixedUniform(float(u))
@@ -675,18 +694,35 @@ class TestExactLawTable:
 
     @pytest.mark.parametrize("slice_cells", [None, 48, 8])
     def test_batched_law_rows_equal_batch_of_one_rows(self, monkeypatch, slice_cells):
+        # A table's databases, and a certificate's grid points and probes:
+        # each row of the batched law is the sampler's batch of one.
         if slice_cells is not None:
             monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
-        for databases, c, p, m, rule in law_table_configs(18, 60):
+        certified = []
+        laws = oracle._laws
+        monkeypatch.setattr(
+            oracle, "_laws", lambda *args: certified.append((args, laws(*args))) or certified[-1][1]
+        )
+        for trial, (databases, c, p, m, rule) in enumerate(law_table_configs(18, 60)):
             counts = composition_matrix(c.n, m)
             answers = np.array([c.matrix @ d.entries for d in databases])
             l1s = [l1_norm(d) for d in databases]
             batched = exponential_law(score_rows(c, counts, answers, l1s, m), m, p.alpha, rule)
             cumulative = np.cumsum(batched, axis=1)
             for s, d in enumerate(databases):
-                single = mechanisms._exact_law(d, c, counts, l1s[s], m, p.alpha, rule)[1]
+                single = mechanisms._laws(c, counts, d.entries[None], [l1s[s]], m, p.alpha, rule)[1][0]
                 assert batched[s].tobytes() == single.tobytes()
                 assert cumulative[s].tobytes() == np.cumsum(single).tobytes()
+            cap, rng = (2 if c.n <= 3 else 1), np.random.default_rng(trial)
+            certify = (privacy_ratio_certificate, postprocessing_certificate)[trial % 2]
+            extra = (lambda dp: int(dp.counts[0]),) if trial % 2 else ()
+            certify(*extra, c.n, cap, c, p, m, rule, real_probes=4, rng=rng)
+            (_, _, points, *_), (_, law) = certified[-1]
+            assert len(law) == (cap + 1) ** c.n + 8
+            for point, row in zip(points, law):
+                d = Database(point)
+                single = mechanisms._laws(c, counts, d.entries[None], [l1_norm(d)], m, p.alpha, rule)[1][0]
+                assert row.tobytes() == single.tobytes()
 
     def test_refusals(self, monkeypatch):
         c, p = QueryClass([[1, 0, 0, 0], [0.5, 0.5, 0, 0], [0, 0, 1, 1]]), PrivacyParams(1.0)
@@ -766,6 +802,23 @@ class TestExactLawTable:
             mechanisms.ExactLawTable([Database([1, 0, 0])], c, p, 2, rule)
         assert calls == [] and not memo.domains
 
+    def test_a_database_of_another_length_is_refused_before_the_rule(self, fresh_memo):
+        # Dimensions, then the rule, then the budget and the domain: the
+        # table, the samplers, the oracle and the certificates alike.
+        memo, calls = fresh_memo
+        d, c, p, rng = Database([1, 0]), QueryClass(np.eye(3)), PrivacyParams(1.0), np.random.default_rng(0)
+        for run in (
+            lambda: mechanisms.ExactLawTable([d], c, p, 2, "paper"),
+            lambda: exponential_release_exact(d, c, p, 2, rng, "paper"),
+            lambda: exponential_release_mcmc(d, c, p, 2, 10, rng, "paper"),
+            lambda: exact_output_distribution(d, c, p, 2, "paper"),
+            lambda: privacy_ratio_certificate(2, 1, c, p, 2, "paper"),
+            lambda: postprocessing_certificate(lambda dp: 0, 2, 1, c, p, 2, "paper"),
+        ):
+            with pytest.raises(DimensionMismatchError):
+                run()
+        assert calls == [] and not memo.domains
+
     def test_counts_are_read_only(self):
         c, p, rule = QueryClass(np.eye(3)), PrivacyParams(1.0), ExponentRule.PAPER_QUARTER
         table = mechanisms.ExactLawTable([Database([1, 0, 0])], c, p, 2, rule)
@@ -781,17 +834,18 @@ class TestExactLawTable:
         c, p = QueryClass([[1, 0, 0], [0, 1, 1]]), PrivacyParams(2.0)
         databases = [Database([1, 0, 0]), Database([0, 1, 0]), Database([0, 0, 1])]
         calls = []
-        original = mechanisms._exact_law
+        original = mechanisms._laws
         monkeypatch.setattr(
-            mechanisms, "_exact_law",
-            lambda d, *a: calls.append(d.entries.tolist()) or original(d, *a),
+            mechanisms, "_laws",
+            lambda c, counts, entries, *a: calls.append(entries.tolist())
+            or original(c, counts, entries, *a),
         )
         table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER)
         assert calls == []
         rng = np.random.default_rng(5)
         for d in [databases[1], databases[1], databases[0], databases[1]]:
             table.release(d, rng)
-        assert calls == [[0, 1, 0], [1, 0, 0]]
+        assert calls == [[[0, 1, 0]], [[1, 0, 0]]]
 
 
 class TestPreparedDomain:
@@ -902,7 +956,7 @@ class TestExactRelease:
             if l1 == "private":
                 alpha *= 1.0 - config.L1_ESTIMATE_ALPHA_SHARE
             dist = exact_output_distribution(
-                d, c, PrivacyParams(alpha), m, rule, l1_estimate=out.l1_estimate
+                d, c, PrivacyParams(alpha), m, rule, l1=out.l1_estimate
             )
             row = int(np.searchsorted(np.cumsum(dist.probabilities), u, side="right"))
             assert out.d_prime.as_tuple() == tuple(dist.counts[row].tolist())
@@ -963,7 +1017,7 @@ class TestExactRelease:
             with pytest.raises(ValueError, match="L1 estimate"):
                 exponential_release_mcmc(d, c, p, 2, 10, np.random.default_rng(1), l1=bad)
             with pytest.raises(ValueError, match="L1 estimate"):
-                exact_output_distribution(d, c, p, 2, l1_estimate=bad)
+                exact_output_distribution(d, c, p, 2, l1=bad)
             with pytest.raises(ValueError, match="L1 estimate"):
                 quality_score(d, SparseSyntheticDatabase(np.array([1, 1])), c, bad)
         with pytest.raises(ValueError):

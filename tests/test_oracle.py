@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers_oracles import law_by_row, per_point_certificate, real_probe_pairs, total_variation
-from sparsedp import oracle
+from sparsedp import mechanisms, oracle
 from sparsedp import (
     Database,
     DimensionMismatchError,
@@ -120,12 +120,57 @@ class TestExactDistribution:
         d = Database([1.5, 0.5, 2.0])
         p = PrivacyParams(1.3)
         l1 = 6.25
-        dist = exact_output_distribution(d, CANONICAL_N3, p, 2, l1_estimate=l1)
+        dist = exact_output_distribution(d, CANONICAL_N3, p, 2, l1=l1)
         scores = np.array([
             quality_score(d, SparseSyntheticDatabase(row), CANONICAL_N3, l1) for row in dist.counts
         ])
         expected = exponential_law(scores, 2, p.alpha, ExponentRule.PAPER_QUARTER)
         assert np.abs(dist.probabilities - expected).max() < 1e-12
+
+    def test_l1_takes_the_samplers_public_or_a_number(self):
+        # "public" (the default) is the true norm and a number is that
+        # estimate: the counts, law and scores of score_rows at that norm.
+        from sparsedp.mechanisms import composition_matrix, exponential_law, score_rows
+
+        d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
+        for rule in ExponentRule:
+            for l1, norm in ((None, 4.0), ("public", 4.0), (4.0, 4.0), (6.25, 6.25), (0, 0.0)):
+                if l1 is None:
+                    dist = exact_output_distribution(d, CANONICAL_N3, p, 3, rule)
+                else:
+                    dist = exact_output_distribution(d, CANONICAL_N3, p, 3, rule, l1=l1)
+                counts = composition_matrix(3, 3)
+                scores = score_rows(CANONICAL_N3, counts, [CANONICAL_N3.matrix @ d.entries], [norm], 3)
+                assert dist.counts.tobytes() == counts.tobytes()
+                assert dist.scores.tobytes() == scores[0].tobytes()
+                law = exponential_law(scores, 3, p.alpha, rule)[0]
+                assert dist.probabilities.tobytes() == law.tobytes()
+
+    def test_l1_refusals_come_before_the_domain(self, monkeypatch):
+        # A private estimate needs a generator the oracle does not have, and
+        # a bad number gets the samplers' message; both before the domain is
+        # read, so even over the budget.
+        d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
+        bad = (-2.0, math.nan, math.inf, -math.inf)
+        messages = []
+        for value in bad:
+            with pytest.raises(ValueError) as sampled:
+                exponential_release_exact(d, CANONICAL_N3, p, 3, np.random.default_rng(0), l1=value)
+            messages.append(str(sampled.value))
+        calls = []
+        monkeypatch.setattr(oracle, "composition_matrix", lambda *args: calls.append(args))
+        monkeypatch.setenv("FSDP_BUDGET", "1")
+        with pytest.raises(ValueError) as refused:
+            exact_output_distribution(d, CANONICAL_N3, p, 3, l1="private")
+        assert str(refused.value) == "private L1 estimation needs a generator"
+        for value, message in zip(bad, messages):
+            with pytest.raises(ValueError) as refused:
+                exact_output_distribution(d, CANONICAL_N3, p, 3, l1=value)
+            assert str(refused.value) == message
+            assert message.startswith("caller-supplied L1 estimate must be finite and nonnegative")
+        with pytest.raises(ValueError, match="l1 must be 'public', 'private', or a number"):
+            exact_output_distribution(d, CANONICAL_N3, p, 3, l1="bogus")
+        assert calls == []
 
 
 class TestPrivacyCertificate:
@@ -394,16 +439,17 @@ class TestAgainstPerPointCertificate:
         assert cert.to_dict() == per_point_certificate(n, cap, CANONICAL_N3, p, m, rule, g).to_dict()
 
     def test_true_answers_are_each_points_database_matvec(self, monkeypatch):
-        # The certificate computes every point's answers in one stacked
-        # matmul; each must be, bit for bit, the matvec its Database gets.
+        # ``_laws`` computes every point's answers in one stacked matmul;
+        # each must be, bit for bit, the matvec its Database gets, in a
+        # certificate's batch and in the samplers' and oracle's batch of one.
         seen = []
-        score_rows = oracle.score_rows
+        score_rows = mechanisms.score_rows
 
         def spy(c, counts, true_answers, *rest):
             seen.append(true_answers)
             return score_rows(c, counts, true_answers, *rest)
 
-        monkeypatch.setattr(oracle, "score_rows", spy)
+        monkeypatch.setattr(mechanisms, "score_rows", spy)
         rng = np.random.default_rng(47)
         for trial in range(60):
             n, k = int(rng.integers(1, 9)), int(rng.integers(1, 71))
@@ -420,6 +466,22 @@ class TestAgainstPerPointCertificate:
             expected = np.array([c.matrix @ Database(point).entries for point in points])
             assert seen[-1].shape == expected.shape
             assert seen[-1].tobytes() == expected.tobytes()
+            # A batch of one: the law is what score_rows over the matvec and
+            # exponential_law gave before the two laws were one function.
+            draw = np.random.default_rng(1000 + trial)
+            d, m, rule = Database(points[-1]), int(draw.integers(1, 4)), list(ExponentRule)[trial % 2]
+            counts, p = mechanisms.composition_matrix(n, m), PrivacyParams(float(draw.uniform(0.2, 3)))
+            l1 = float(draw.uniform(0, 10))
+            got = mechanisms._laws(c, counts, d.entries[None], [l1], m, p.alpha, rule)
+            assert seen[-1].tobytes() == (c.matrix @ d.entries)[None].tobytes()
+            scores = score_rows(c, counts, (c.matrix @ d.entries)[None], [l1], m)
+            assert got[0].tobytes() == scores.tobytes()
+            assert got[1].tobytes() == mechanisms.exponential_law(scores, m, p.alpha, rule).tobytes()
+            exponential_release_exact(d, c, p, m, np.random.default_rng(trial), rule, l1=l1)
+            assert seen[-1].tobytes() == (c.matrix @ d.entries)[None].tobytes()
+            dist = exact_output_distribution(d, c, p, m, rule, l1=l1)
+            assert seen[-1].tobytes() == (c.matrix @ d.entries)[None].tobytes()
+            assert dist.probabilities.tobytes() == got[1][0].tobytes()
 
 
 class TestPostprocessing:
