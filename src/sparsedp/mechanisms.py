@@ -265,8 +265,13 @@ def quality_score(
     -max over q in C of |q(D) - (l1_estimate / m) * q(D')|."""
     _check_dims(c.n, d.n, "quality_score: class vs database")
     _check_dims(c.n, dp.n, "quality_score: class vs candidate")
-    scalewd = (_checked_l1(l1_estimate) / dp.m) * (c.matrix @ dp.counts)
-    return float(-np.abs(c.matrix @ d.entries - scalewd).max())
+    return _score(c.matrix @ d.entries, (_checked_l1(l1_estimate) / dp.m) * (c.matrix @ dp.counts))
+
+
+def _score(true_answers: np.ndarray, scaled_answers: np.ndarray) -> float:
+    """The one per-candidate score, of ``quality_score`` and ``ExactLawTable``:
+    -max |true - scaled| over the queries (candidate answers scaled by l1 / m)."""
+    return float(-np.abs(true_answers - scaled_answers).max())
 
 
 def score_rows(
@@ -381,9 +386,9 @@ def _laws(c, counts, entries, l1_estimates, m, alpha, exponent_rule):
     ``score_rows`` at ``l1_estimates`` and the ``exponential_law`` of those at
     ``alpha``, as (scores, laws), both (databases, rows).  ``entries`` is
     (databases, n), and the true answers are one stacked matmul, bit for bit
-    the matvec each Database gets.  The exact sampler and ``ExactLawTable``
-    draw from a batch of one, the oracle prints one, and the certificates
-    scan a batch of their points."""
+    the matvec each Database gets.  The exact sampler draws from a batch of
+    one, ``ExactLawTable`` from a group of at most a scoring slice, the
+    oracle prints one, and the certificates scan a batch of their points."""
     true_answers = (c.matrix @ entries[:, :, None])[:, :, 0]
     scores = score_rows(c, counts, true_answers, l1_estimates, m)
     return scores, exponential_law(scores, m, alpha, exponent_rule)
@@ -447,10 +452,14 @@ def exponential_release_exact(
     "private"): the law ``exact_output_distribution`` returns for that alpha
     and L1 estimate, bit for bit.  Meant for desk-scale domains; refuses over the
     enumeration budget and names the MCMC fallback.  A value that is not an
-    ``ExponentRule`` is refused first, before the domain or the generator is
-    read.  The reported score is ``quality_score`` of the drawn row, exactly."""
+    ``ExponentRule``, then a caller-supplied ``l1`` number that is not finite
+    and nonnegative, are refused before the domain or the generator is read;
+    "private" draws, so it waits for the budget check.  The reported score is
+    ``quality_score`` of the drawn row, exactly."""
     _check_dims(c.n, d.n, "exponential_release_exact: class vs database")
     exponent_divisor(exponent_rule, m)
+    if not isinstance(l1, str):
+        _checked_l1(l1)
     counts = _domain(d.n, m, MCMC_ADVICE)
     l1_estimate, alpha = _resolve_l1(d, p, l1, rng)
     law = _laws(c, counts, d.entries[None], [l1_estimate], m, alpha, exponent_rule)[1][0]
@@ -466,26 +475,30 @@ def _draw(cumulative: np.ndarray, u: float) -> int:
 
 class ExactLawTable:
     """The prepared exact sampler of a fixed set of databases: it takes the
-    domain of (c.n, m) from the domain memo, as the read-only ``counts``, and
-    keeps each database's cumulative law and each release drawn from it.  It
+    domain of (c.n, m) from the domain memo, as the read-only ``counts``.  It
     refuses in ``exponential_release_exact``'s order: a database of another
     length, a value that is not an ``ExponentRule``, then m < 1 and a domain
-    over the budget.  It is built for one class, alpha, m and rule, and
-    releases only at the public L1 norm.
+    over the budget.  It is built for one class, alpha, m and rule, releases
+    only at the public L1 norm, and refuses a database not in the table (known
+    by its entries) before the generator is read.
 
-    A database's law is computed on its first release, by the per-call
-    sampler's own ``_laws``, and the ``ReleaseOutput`` of a
-    (database, row) pair on its first draw; later releases only draw one
-    uniform.  A release is therefore the one ``exponential_release_exact``
-    makes from the same generator, which it leaves in the same state.  A
-    database is known by its entries; one not in the table is refused
-    before the generator is read.
+    Building it scores nothing.  A database's first release computes its
+    cumulative law in one ``_laws`` call with the next databases in table
+    order that have no kept law, as many as fit one scoring slice
+    (``SCORE_SLICE_CELLS`` cells) and what the domain budget can still keep
+    as passes.  So it scores at most one kernel slice more than the per-call
+    sampler, a domain of a slice or more goes one database at a time, and
+    the kept laws never exceed the budget.  If ``exponential_law`` refuses
+    the group, the lone database's law is computed.  One whose law was not
+    kept computes it alone on each release.
 
-    Each kept law is the size of a pass over ``counts``, so a law is kept
-    only while the kept laws and the new one fit the domain budget as
-    passes.  A database whose law does not fit computes it again on each
-    release.  Every drawn release is kept, whether or not its law was, so a
-    repeated (database, row) draw returns the same object."""
+    A drawn row's ``d_prime``, ``d_out`` and scaled candidate answers are
+    built once per (L1 norm, row) and shared by the databases of that norm;
+    a (database, row) pair's ``ReleaseOutput``, scored by ``_score`` from
+    the database's true answers, on its first draw.  So a repeated draw
+    returns the same object, and later releases only draw one uniform.  A
+    release is the one ``exponential_release_exact`` makes from the same
+    generator, bit for bit, and leaves the generator in the same state."""
 
     def __init__(
         self, databases, c: QueryClass, p: PrivacyParams, m: int, exponent_rule: ExponentRule
@@ -497,31 +510,57 @@ class ExactLawTable:
         self._counts = _domain(c.n, m, MCMC_ADVICE)
         self.c, self.alpha, self.m, self.exponent_rule = c, p.alpha, m, exponent_rule
         self._index = {d.entries.tobytes(): s for s, d in enumerate(databases)}
+        self._entries = np.array([d.entries for d in databases]).reshape(len(databases), c.n)
+        self._answers = [c.matrix @ d.entries for d in databases]
         self._l1 = [l1_norm(d) for d in databases]
         self._cumulative: dict[int, np.ndarray] = {}
+        self._parts: dict[tuple[float, int], tuple] = {}
         self._releases: dict[tuple[int, int], ReleaseOutput] = {}
 
     @property
     def counts(self) -> np.ndarray:
         return self._counts
 
+    def _law(self, s: int) -> np.ndarray:
+        """Database ``s``'s cumulative law: kept, or computed with its group."""
+        if s in self._cumulative:
+            return self._cumulative[s]
+        room = config.domain_budget() // len(self._counts) - len(self._cumulative)
+        size = max(1, min(SCORE_SLICE_CELLS // (len(self._counts) * self.c.k), room))
+        group = [t for t in range(s, len(self._l1)) if t not in self._cumulative][:size]
+        law = lambda group: _laws(
+            self.c, self._counts, self._entries[group], [self._l1[t] for t in group],
+            self.m, self.alpha, self.exponent_rule,
+        )[1]
+        try:
+            laws = law(group)
+        except ValueError:
+            if len(group) == 1:
+                raise
+            group = group[:1]
+            laws = law(group)
+        cumulative = np.cumsum(laws, axis=1)
+        if room > 0:
+            self._cumulative.update(zip(group, cumulative))
+        return cumulative[0]
+
     def release(self, d: Database, rng: np.random.Generator) -> ReleaseOutput:
         """One exact release of ``d``, one of the table's databases."""
         s = self._index.get(d.entries.tobytes())
         if s is None:
             raise ValueError("ExactLawTable: the database is not one of the table's")
-        c, counts, exponent_rule = self.c, self._counts, self.exponent_rule
-        cumulative = self._cumulative.get(s)
-        if cumulative is None:
-            law = _laws(c, counts, d.entries[None], [self._l1[s]], self.m, self.alpha, exponent_rule)[1]
-            cumulative = np.cumsum(law[0])
-            if (len(self._cumulative) + 1) * len(counts) <= config.domain_budget():
-                self._cumulative[s] = cumulative
-        idx = _draw(cumulative, rng.random())
+        idx = _draw(self._law(s), rng.random())
         out = self._releases.get((s, idx))
         if out is None:
-            out = self._releases[s, idx] = _release(
-                d, c, counts[idx], self.m, exponent_rule, self._l1[s]
+            l1 = self._l1[s]
+            parts = self._parts.get((l1, idx))
+            if parts is None:
+                d_prime = SparseSyntheticDatabase(self._counts[idx])
+                scaled = (l1 / self.m) * (self.c.matrix @ d_prime.counts)
+                parts = self._parts[l1, idx] = (d_prime, rescale(d_prime, l1), scaled)
+            d_prime, d_out, scaled = parts
+            out = self._releases[s, idx] = ReleaseOutput(
+                d_out, d_prime, _score(self._answers[s], scaled), self.m, self.exponent_rule, l1
             )
         return out
 

@@ -30,6 +30,7 @@ from sparsedp import (
     PrivacyParams,
     QueryClass,
     SparseSyntheticDatabase,
+    build_family,
     domain_size,
     estimate_l1,
     exact_output_distribution,
@@ -616,6 +617,38 @@ class TestLawOverflow:
             with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
                 release(d, np.random.default_rng(0))
 
+    def test_an_overflowing_database_in_a_group_is_refused_at_its_own_release(self, monkeypatch):
+        # [2, 1, 1] and [1, 2, 1] are matched exactly, so their laws survive
+        # alpha=1e308; [10, 3, 7] sits between them in the table's order.  A
+        # refused group falls back to the lone database: the good ones
+        # release as the per-call sampler does, and the bad one is refused
+        # when it is released, each time, without a second lone pass.
+        good, bad, other = Database([2, 1, 1]), Database([10, 3, 7]), Database([1, 2, 1])
+        rule = ExponentRule.PAPER_QUARTER
+        table = mechanisms.ExactLawTable([good, bad, other], self.c, self.p, 4, rule)
+        calls = spy_on_laws(monkeypatch)
+        for d, want_calls in (
+            (good, [[good, bad, other], [good]]),
+            (bad, [[bad, other], [bad]]),
+            (bad, [[bad, other], [bad]]),
+            (other, [[other]]),
+            (good, []),
+            (other, []),
+        ):
+            calls.clear()
+            rng = np.random.default_rng(4)
+            if d is bad:
+                with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows every"):
+                    table.release(d, rng)
+            else:
+                got = table.release(d, rng)
+            assert calls == [[db.entries.tolist() for db in group] for group in want_calls]
+            want_rng = np.random.default_rng(4)
+            if d is not bad:
+                assert_same_release(got, exponential_release_exact(d, self.c, self.p, 4, want_rng))
+            assert rng.random() == want_rng.random()
+        assert sorted(table._cumulative) == [0, 2]
+
 
 class FixedUniform:
     """A generator stand-in whose every uniform is ``u``."""
@@ -649,6 +682,16 @@ def assert_same_release(got, want):
     assert np.float64(got.score).tobytes() == np.float64(want.score).tobytes()
     assert (got.m, got.exponent_rule, got.approximate) == (want.m, want.exponent_rule, want.approximate)
     assert np.float64(got.l1_estimate).tobytes() == np.float64(want.l1_estimate).tobytes()
+
+
+def spy_on_laws(monkeypatch):
+    """Record the entries of every ``mechanisms._laws`` batch, as lists."""
+    calls, laws = [], mechanisms._laws
+    monkeypatch.setattr(
+        mechanisms, "_laws",
+        lambda c, counts, entries, *a: calls.append(entries.tolist()) or laws(c, counts, entries, *a),
+    )
+    return calls
 
 
 class TestExactLawTable:
@@ -691,6 +734,65 @@ class TestExactLawTable:
                         assert table.release(d, fixed) is got
         if slice_cells is not None:
             assert sliced >= 20
+
+    @pytest.mark.parametrize(
+        "slice_cells, group_kinds", [(None, {"several", "all"}), (48, {"one", "several"}), (8, {"one"})]
+    )
+    def test_attack_shaped_tables_match_the_per_call_sampler(self, monkeypatch, slice_cells, group_kinds):
+        # The databases of a shattered family (boolean d-cubes, d = 4 and 6,
+        # and a one-query class on the same databases, where BLAS takes its
+        # vector path) share one L1 norm, d/2.  Every release equals the
+        # per-call sampler's and leaves the generator in the same state.  A
+        # first release keeps the laws of its group, the next databases in
+        # table order without a kept law that fit one scoring slice; the
+        # slice sizes give groups of one, several and all.  Two databases
+        # that draw one row share its d_prime and d_out, never its score.
+        if slice_cells is not None:
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+        p, rng = PrivacyParams(1.0), np.random.default_rng(29)
+        kinds, own_scores = set(), 0
+        for d in (4, 6):
+            cube = QueryClass(list(itertools.product((0.0, 1.0), repeat=d)))
+            family = build_family(cube, 0.5, d)
+            databases = list(family.databases)
+            for c, rule in itertools.product((cube, QueryClass(rng.uniform(0, 1, size=(1, d)))), ExponentRule):
+                table = mechanisms.ExactLawTable(databases, c, p, d // 2, rule)
+                rows = len(table.counts)
+                size = max(1, mechanisms.SCORE_SLICE_CELLS // (rows * c.k))
+                drawn = {}
+                # Table order first, so that a first group starts at 0.
+                order = list(range(len(databases))) + rng.integers(len(databases), size=60).tolist()
+                for s in order:
+                    kept = set(table._cumulative)
+                    seed = int(rng.integers(2**31))
+                    a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = table.release(databases[s], a_rng)
+                    want = exponential_release_exact(databases[s], c, p, d // 2, b_rng, rule)
+                    assert_same_release(got, want)
+                    assert a_rng.random() == b_rng.random()
+                    if s not in kept:
+                        group = [t for t in range(s, len(databases)) if t not in kept][:size]
+                        assert set(table._cumulative) - kept == set(group)
+                        kinds.add(
+                            "all" if len(group) == len(databases) else "one" if len(group) == 1 else "several"
+                        )
+                    row = got.d_prime.as_tuple()
+                    for t, other in drawn.get(row, {}).items():
+                        if t == s:
+                            assert got is other
+                        else:
+                            assert got.d_prime is other.d_prime and got.d_out is other.d_out
+                            own_scores += got.score != other.score
+                    drawn.setdefault(row, {})[s] = got
+                assert len(table._parts) == len(drawn)
+                # Every kept law is the per-call sampler's, bit for bit.
+                for s, cumulative in table._cumulative.items():
+                    single = mechanisms._laws(
+                        c, table.counts, databases[s].entries[None], [l1_norm(databases[s])], d // 2, p.alpha, rule
+                    )[1][0]
+                    assert cumulative.tobytes() == np.cumsum(single).tobytes()
+        assert kinds == group_kinds
+        assert own_scores > 0
 
     @pytest.mark.parametrize("slice_cells", [None, 48, 8])
     def test_batched_law_rows_equal_batch_of_one_rows(self, monkeypatch, slice_cells):
@@ -739,19 +841,30 @@ class TestExactLawTable:
         assert rng.random() == np.random.default_rng(3).random()
 
         # Each kept law is a pass over the 10-row domain: a budget of 59
-        # keeps five of the six, 60 keeps all six.  A database whose law is
-        # not kept releases as the per-call sampler does.
-        for budget, kept in (("59", 5), ("60", 6)):
+        # keeps five of the six, 60 keeps all six.  The first release scores
+        # the group of the laws the budget can keep (six 30-cell laws fit one
+        # slice), once; a database whose law is not kept scores it alone on
+        # each release, and releases as the per-call sampler does.
+        entries = [d.entries.tolist() for d in databases]
+        calls = spy_on_laws(monkeypatch)
+        for budget, kept, want_calls in (
+            ("59", 5, [entries[:5]] + [entries[5:]] * 4),
+            ("60", 6, [entries]),
+        ):
             monkeypatch.setenv("FSDP_BUDGET", budget)
             fitted = mechanisms.ExactLawTable(databases, c, p, 2, rule)
             seeds = np.random.default_rng(5).integers(2**31, size=4 * len(databases)).tolist()
+            table_calls = []
             for d, seed in zip(databases * 4, seeds):
                 a_rng, b_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                calls.clear()
                 got = fitted.release(d, a_rng)
+                table_calls += calls
                 want = exponential_release_exact(d, c, p, 2, b_rng, rule)
                 assert_same_release(got, want)
                 assert a_rng.random() == b_rng.random()
             assert len(fitted._cumulative) == kept
+            assert table_calls == want_calls
 
         with pytest.raises(DimensionMismatchError, match="class vs database"):
             mechanisms.ExactLawTable([Database([1, 1, 0])], c, p, 2, rule)
@@ -765,12 +878,16 @@ class TestExactLawTable:
         ]
         monkeypatch.setenv("FSDP_BUDGET", "59")
         table = mechanisms.ExactLawTable(databases, c, p, 2, ExponentRule.PAPER_QUARTER)
+        calls = spy_on_laws(monkeypatch)
         for d in databases:
             table.release(d, np.random.default_rng(0))
         first = table.release(databases[5], np.random.default_rng(7))
         again = table.release(databases[5], np.random.default_rng(7))
         assert again is first
         assert len(table._cumulative) == 5 and 5 not in table._cumulative
+        # One group of the five kept laws, then the sixth alone per release.
+        entries = [d.entries.tolist() for d in databases]
+        assert calls == [entries[:5]] + [entries[5:]] * 3
 
     def test_build_refusals(self, monkeypatch):
         # Over the budget the table refuses as the per-call sampler does,
@@ -830,22 +947,29 @@ class TestExactLawTable:
 
     def test_laws_are_computed_on_first_use(self, monkeypatch):
         # Building the table scores nothing; each database's law is computed
-        # once, on its first release.
+        # once, in one ``_laws`` call over its group, on the first release of
+        # the first database of that group.
         c, p = QueryClass([[1, 0, 0], [0, 1, 1]]), PrivacyParams(2.0)
         databases = [Database([1, 0, 0]), Database([0, 1, 0]), Database([0, 0, 1])]
-        calls = []
-        original = mechanisms._laws
-        monkeypatch.setattr(
-            mechanisms, "_laws",
-            lambda c, counts, entries, *a: calls.append(entries.tolist())
-            or original(c, counts, entries, *a),
-        )
-        table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER)
-        assert calls == []
-        rng = np.random.default_rng(5)
-        for d in [databases[1], databases[1], databases[0], databases[1]]:
-            table.release(d, rng)
-        assert calls == [[[0, 1, 0]], [[1, 0, 0]]]
+        calls = spy_on_laws(monkeypatch)
+        for slice_cells, want_calls in (
+            # 10 rows x 2 queries fit a slice many times: the first release
+            # scores itself and the next database in table order, and the
+            # grouped database scores nothing on its own first release.
+            (mechanisms.SCORE_SLICE_CELLS, [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0]]]),
+            (40, [[[0, 1, 0], [0, 0, 1]], [[1, 0, 0]]]),
+            # A domain of one slice or more goes one database at a time.
+            (20, [[[0, 1, 0]], [[1, 0, 0]], [[0, 0, 1]]]),
+        ):
+            monkeypatch.setattr(mechanisms, "SCORE_SLICE_CELLS", slice_cells)
+            calls.clear()
+            table = mechanisms.ExactLawTable(databases, c, p, 3, ExponentRule.PAPER_QUARTER)
+            assert calls == []
+            rng = np.random.default_rng(5)
+            for d in [databases[1], databases[1], databases[0], databases[1], databases[2], databases[2]]:
+                table.release(d, rng)
+            assert calls == want_calls
+            assert sorted(table._cumulative) == [0, 1, 2]
 
 
 class TestPreparedDomain:

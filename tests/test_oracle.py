@@ -19,6 +19,7 @@ from sparsedp import (
     choose_m,
     exact_output_distribution,
     exponential_release_exact,
+    exponential_release_mcmc,
     fsd,
     postprocessing_certificate,
     privacy_ratio_certificate,
@@ -149,7 +150,9 @@ class TestExactDistribution:
     def test_l1_refusals_come_before_the_domain(self, monkeypatch):
         # A private estimate needs a generator the oracle does not have, and
         # a bad number gets the samplers' message; both before the domain is
-        # read, so even over the budget.
+        # read, so even over the budget.  The exact sampler refuses a bad
+        # number there too, with the chain's and the oracle's message, while
+        # "private", which draws, waits for the budget check.
         d, p = Database([1.5, 0.5, 2.0]), PrivacyParams(1.3)
         bad = (-2.0, math.nan, math.inf, -math.inf)
         messages = []
@@ -168,6 +171,19 @@ class TestExactDistribution:
                 exact_output_distribution(d, CANONICAL_N3, p, 3, l1=value)
             assert str(refused.value) == message
             assert message.startswith("caller-supplied L1 estimate must be finite and nonnegative")
+            for release in (
+                lambda rng: exponential_release_exact(d, CANONICAL_N3, p, 3, rng, l1=value),
+                lambda rng: exponential_release_mcmc(d, CANONICAL_N3, p, 3, 10, rng, l1=value),
+            ):
+                rng = np.random.default_rng(0)
+                with pytest.raises(ValueError) as refused:
+                    release(rng)
+                assert str(refused.value) == message
+                assert rng.random() == np.random.default_rng(0).random()
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainTooLargeError):
+            exponential_release_exact(d, CANONICAL_N3, p, 3, rng, l1="private")
+        assert rng.random() == np.random.default_rng(0).random()
         with pytest.raises(ValueError, match="l1 must be 'public', 'private', or a number"):
             exact_output_distribution(d, CANONICAL_N3, p, 3, l1="bogus")
         assert calls == []
